@@ -172,12 +172,11 @@ main(int argc, char **argv)
                 serveConfig.queueCapacity);
 
     InferenceStack stack(config);
-    obs::Metrics metrics;
     obs::Tracer tracer;
     std::unique_ptr<serve::InferenceEngine> enginePtr;
     try {
         enginePtr = std::make_unique<serve::InferenceEngine>(
-            stack, serveConfig, &metrics,
+            stack, serveConfig, nullptr,
             tracePath[0] ? &tracer : nullptr);
     } catch (const serve::RejectedError &e) {
         // The pre-flight refused the configuration (typically a
@@ -209,9 +208,8 @@ main(int argc, char **argv)
 
     const serve::ReplayReport report =
         serve::replayOpenLoop(engine, replay);
-    serve::printReplayReport(report);
-
     const serve::EngineStats stats = engine.stats();
+    serve::printReplayReport(report, stats);
     std::printf("  engine:     %llu batches | queue peak %zu | "
                 "%llu rejected | window p99 %.3f ms | shed %.1f%%\n",
                 static_cast<unsigned long long>(stats.batches),

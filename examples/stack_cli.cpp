@@ -41,15 +41,6 @@
  *                                        bound cannot meet eps
  *             [--trace <out.json>]       Chrome/Perfetto span trace
  *             [--metrics <out.json>]     expected-vs-actual report JSON
- *             [--window <seconds>]       additionally report forward
- *                                        latency over the trailing
- *                                        window (rolling buckets)
- *             [--serve-sim]              replay an open-loop arrival
- *                                        trace through the serving
- *                                        engine instead of measuring
- *                                        one-shot inference
- *             [--requests <n>] [--rate <req/s>] [--workers <n>]
- *             [--max-batch <n>]          serve-sim parameters
  *             [--tune]                   search a per-layer deployment
  *                                        plan (algo x backend x
  *                                        threads per layer), cache it
@@ -85,11 +76,8 @@
  * Prints the configured stack's achieved compression, simulated
  * platform time, host-measured time, and memory footprint. With
  * --repeat > 1 the host time becomes a p50/p90/p99 distribution and
- * the expected-vs-actual table is printed per conv layer. With
- * --serve-sim the stack is instead stood up behind the concurrent
- * batched-inference engine (src/serve) and hammered with a synthetic
- * Poisson arrival trace; the report is throughput, latency
- * percentiles, and the realised batch-size histogram.
+ * the expected-vs-actual table is printed per conv layer. Serving
+ * (the batched engine under an arrival trace) is serve_cli's job.
  */
 
 #include <cmath>
@@ -108,11 +96,10 @@
 #include "hw/cost_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/engine.hpp"
-#include "serve/replay.hpp"
 #include "stack/inference_stack.hpp"
 #include "stack/report.hpp"
 #include "tune/mem_planner.hpp"
+#include "tune/plan.hpp"
 #include "tune/tuner.hpp"
 
 using namespace dlis;
@@ -140,29 +127,19 @@ hasFlag(int argc, char **argv, const char *flag)
 Backend
 parseBackend(const std::string &name)
 {
-    if (name == "serial")
-        return Backend::Serial;
-    if (name == "openmp")
-        return Backend::OpenMP;
-    if (name == "opencl")
-        return Backend::OclHandTuned;
-    if (name == "clblast")
-        return Backend::OclGemmLib;
-    fatal("unknown backend '", name, "'");
-    return Backend::Serial; // unreachable
+    Backend backend{};
+    if (!tune::backendFromToken(name, backend))
+        fatal("unknown backend '", name, "'");
+    return backend;
 }
 
 ConvAlgo
 parseConvAlgo(const std::string &name)
 {
-    if (name == "direct")
-        return ConvAlgo::Direct;
-    if (name == "im2col")
-        return ConvAlgo::Im2colGemm;
-    if (name == "winograd")
-        return ConvAlgo::Winograd;
-    fatal("unknown algorithm '", name, "'");
-    return ConvAlgo::Direct; // unreachable
+    ConvAlgo algo{};
+    if (!tune::algoFromToken(name, algo))
+        fatal("unknown algorithm '", name, "'");
+    return algo;
 }
 
 /** --verify mode: static analysis of the configured stack, no run. */
@@ -222,44 +199,6 @@ runAnalyze(int argc, char **argv, InferenceStack &stack,
         std::printf("%s\n", report.str().c_str());
     }
     return report.ok() ? 0 : 1;
-}
-
-/** --serve-sim mode: open-loop replay through the serving engine. */
-int
-runServeSim(int argc, char **argv, InferenceStack &stack,
-            const std::string &backend, int threads)
-{
-    serve::ServeConfig serveConfig;
-    // The serving pool runs on the host CPU: the OpenCL backends are
-    // simulations of other devices and would serialise on the queue
-    // model, so everything that is not "openmp" serves serially.
-    serveConfig.backend =
-        backend == "openmp" ? Backend::OpenMP : Backend::Serial;
-    serveConfig.threads = threads;
-    serveConfig.workers = static_cast<size_t>(
-        std::stoul(argValue(argc, argv, "--workers", "2")));
-    serveConfig.maxBatch = static_cast<size_t>(
-        std::stoul(argValue(argc, argv, "--max-batch", "8")));
-
-    serve::ReplayConfig replay;
-    replay.requests = static_cast<size_t>(
-        std::stoul(argValue(argc, argv, "--requests", "256")));
-    replay.ratePerSec =
-        std::stod(argValue(argc, argv, "--rate", "500"));
-
-    obs::Metrics metrics;
-    serve::InferenceEngine engine(stack, serveConfig, &metrics);
-    const serve::ReplayReport report =
-        serve::replayOpenLoop(engine, replay);
-    engine.shutdown();
-    serve::printReplayReport(report);
-    const serve::EngineStats stats = engine.stats();
-    std::printf("  engine:     %llu batches | queue peak %zu | "
-                "%llu rejected\n",
-                static_cast<unsigned long long>(stats.batches),
-                stats.queuePeak,
-                static_cast<unsigned long long>(stats.rejected));
-    return 0;
 }
 
 /** Seconds with 3 significant digits (layer times are microseconds). */
@@ -584,9 +523,6 @@ main(int argc, char **argv)
                           argValue(argc, argv, "--algo", "direct"),
                           threads);
 
-    if (hasFlag(argc, argv, "--serve-sim"))
-        return runServeSim(argc, argv, stack, backend, threads);
-
     const DeviceModel device =
         platform == "i7" ? intelCoreI7() : odroidXu4();
 
@@ -632,10 +568,8 @@ main(int argc, char **argv)
     if (!tracePath.empty() || !metricsPath.empty() || repeats > 1)
         ctx.metrics = &metrics;
 
-    const double windowSeconds =
-        std::stod(argValue(argc, argv, "--window", "0"));
-    const RunReport run = collectRunReport(
-        stack, ctx, repeats ? repeats : 1, 1, windowSeconds);
+    const RunReport run =
+        collectRunReport(stack, ctx, repeats ? repeats : 1);
     const Footprint fp = stack.measureFootprint();
 
     if (!tracePath.empty()) {
@@ -672,13 +606,6 @@ main(int argc, char **argv)
                     run.repeats);
     else
         std::printf("  host serial:      %.4f s\n", run.latency.p50);
-    if (run.windowSeconds > 0.0)
-        std::printf("  window %.1fs:      p50 %.4f s  p99 %.4f s "
-                    "(%llu forwards in window)\n",
-                    run.windowSeconds, run.latencyWindow.p50,
-                    run.latencyWindow.p99,
-                    static_cast<unsigned long long>(
-                        run.latencyWindow.count));
     std::printf("  memory: total %s MB (weights %s, csr-meta %s, "
                 "activations %s)\n",
                 fmtMb(fp.total).c_str(), fmtMb(fp.weights).c_str(),

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/trace.hpp"
+
 namespace dlis::analysis {
 
 namespace {
@@ -21,23 +23,6 @@ numShort(double v)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.3g", v);
     return buf;
-}
-
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:   out += c; break;
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -123,7 +108,7 @@ AnalysisReport::json() const
 {
     std::ostringstream oss;
     oss << "{\n";
-    oss << "  \"input\": \"" << escape(options.input.str())
+    oss << "  \"input\": \"" << obs::jsonEscape(options.input.str())
         << "\",\n";
     oss << "  \"input_range\": [" << num(options.inputRange.lo)
         << ", " << num(options.inputRange.hi) << "],\n";
@@ -148,7 +133,7 @@ AnalysisReport::json() const
     for (size_t i = 0; i < model.units.size(); ++i) {
         const UnitAnalysis &ua = model.units[i];
         const Interval range = ua.out.overall();
-        oss << "    {\"layer\": \"" << escape(ua.name)
+        oss << "    {\"layer\": \"" << obs::jsonEscape(ua.name)
             << "\", \"range_lo\": " << num(range.lo)
             << ", \"range_hi\": " << num(range.hi)
             << ", \"amplification\": " << num(ua.amplification)
@@ -165,8 +150,8 @@ AnalysisReport::json() const
         const Diagnostic &d = diagnostics[i];
         oss << "    {\"severity\": \"" << severityName(d.severity)
             << "\", \"check\": \"" << checkName(d.check)
-            << "\", \"layer\": \"" << escape(d.layer)
-            << "\", \"message\": \"" << escape(d.message) << "\"}"
+            << "\", \"layer\": \"" << obs::jsonEscape(d.layer)
+            << "\", \"message\": \"" << obs::jsonEscape(d.message) << "\"}"
             << (i + 1 < diagnostics.size() ? "," : "") << "\n";
     }
     oss << "  ]\n";

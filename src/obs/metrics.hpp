@@ -33,13 +33,6 @@ inline constexpr const char *im2colBytes = "im2col_bytes";
 inline constexpr const char *ompRegions = "omp_regions";
 inline constexpr const char *arenaBytes = "arena_bytes";
 inline constexpr const char *arenaRewinds = "arena_rewinds";
-/** @name Serving-engine leaves (scope "serve", src/serve/engine). */
-/** @{ */
-inline constexpr const char *serveSubmitted = "submitted";
-inline constexpr const char *serveCompleted = "completed";
-inline constexpr const char *serveRejected = "rejected";
-inline constexpr const char *serveBatches = "batches";
-/** @} */
 } // namespace counter_names
 
 /** Thread-safe registry of named monotonic counters. */

@@ -152,6 +152,35 @@ Histogram::bucketCounts() const
     return out;
 }
 
+LatencyStats
+Histogram::stats() const
+{
+    const std::vector<uint64_t> counts = bucketCounts();
+    LatencyStats s;
+    size_t lowest = counts.size();
+    size_t highest = 0;
+    for (size_t i = 0; i < counts.size(); ++i) {
+        if (counts[i] == 0)
+            continue;
+        lowest = std::min(lowest, i);
+        highest = i;
+        s.count += counts[i];
+    }
+    if (s.count == 0)
+        return s;
+    const double top = bounds_.empty() ? 0.0 : bounds_.back();
+    s.min = lowest == 0 ? 0.0 : bounds_[lowest - 1];
+    s.max = highest < bounds_.size() ? bounds_[highest] : top;
+    s.mean = sum() / static_cast<double>(s.count);
+    s.p50 = quantileFromCounts(bounds_, counts, s.count, 0.50, s.min,
+                               s.max);
+    s.p90 = quantileFromCounts(bounds_, counts, s.count, 0.90, s.min,
+                               s.max);
+    s.p99 = quantileFromCounts(bounds_, counts, s.count, 0.99, s.min,
+                               s.max);
+    return s;
+}
+
 MetricsRegistry::MetricsRegistry(std::function<uint64_t()> clockNs)
     : clock_(std::move(clockNs)),
       epoch_(std::chrono::steady_clock::now())
@@ -189,7 +218,6 @@ MetricsRegistry::findOrCreate(Kind kind, const std::string &name,
                               const std::string &help)
 {
     const std::string key = instrumentKey(name, labels);
-    std::lock_guard<std::mutex> lock(mutex_);
     auto it = instruments_.find(key);
     if (it != instruments_.end()) {
         DLIS_CHECK(it->second->kind == kind, "metric '", name,
@@ -210,6 +238,7 @@ MetricsRegistry::counter(const std::string &name,
                          const std::string &help,
                          const MetricLabels &labels)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     Instrument &inst = findOrCreate(Kind::Counter, name, labels, help);
     if (!inst.counter)
         inst.counter = std::make_unique<ShardedCounter>();
@@ -220,6 +249,7 @@ Gauge &
 MetricsRegistry::gauge(const std::string &name, const std::string &help,
                        const MetricLabels &labels)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     Instrument &inst = findOrCreate(Kind::Gauge, name, labels, help);
     if (!inst.gauge)
         inst.gauge = std::make_unique<Gauge>();
@@ -232,6 +262,7 @@ MetricsRegistry::histogram(const std::string &name,
                            std::vector<double> bounds,
                            const MetricLabels &labels)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     Instrument &inst =
         findOrCreate(Kind::Histogram, name, labels, help);
     if (!inst.histogram)
@@ -245,6 +276,7 @@ MetricsRegistry::rollingCounter(const std::string &name,
                                 RollingConfig config,
                                 const MetricLabels &labels)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     Instrument &inst =
         findOrCreate(Kind::RollingCounter, name, labels, help);
     if (!inst.rollingCounter)
@@ -259,6 +291,7 @@ MetricsRegistry::rollingHistogram(const std::string &name,
                                   RollingConfig config,
                                   const MetricLabels &labels)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     Instrument &inst =
         findOrCreate(Kind::RollingHistogram, name, labels, help);
     if (!inst.rollingHistogram)
@@ -273,6 +306,7 @@ MetricsRegistry::derivedGauge(const std::string &name,
                               const MetricLabels &labels,
                               std::function<double()> eval)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     Instrument &inst =
         findOrCreate(Kind::DerivedGauge, name, labels, help);
     inst.eval = std::move(eval);

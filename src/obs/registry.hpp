@@ -40,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/stats.hpp"
 #include "obs/window.hpp"
 
 namespace dlis::obs {
@@ -133,6 +134,18 @@ class Histogram
 
     /** Per-bound counts; last entry is the +Inf tail. */
     std::vector<uint64_t> bucketCounts() const;
+
+    /**
+     * Summary of everything recorded. count and mean are exact (from
+     * the bucket total and the running sum); every other field is at
+     * bucket resolution. min and max are the edges of the lowest and
+     * highest non-empty buckets (the first bucket's lower edge is 0,
+     * the +Inf tail's upper edge is the last finite bound), and
+     * p50/p90/p99 interpolate within buckets (quantileFromCounts) —
+     * the numbers Prometheus histogram_quantile returns for this
+     * series.
+     */
+    LatencyStats stats() const;
 
     const std::vector<double> &bounds() const { return bounds_; }
 
@@ -233,6 +246,8 @@ class MetricsRegistry
         std::function<double()> eval;
     };
 
+    /** Caller holds mutex_ until the instrument's member is set, so a
+     *  concurrent scrape never sees a half-registered instrument. */
     Instrument &findOrCreate(Kind kind, const std::string &name,
                              const MetricLabels &labels,
                              const std::string &help);

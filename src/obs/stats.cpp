@@ -40,141 +40,4 @@ LatencyStats::from(std::vector<double> samples)
     return s;
 }
 
-ReservoirSampler::ReservoirSampler(size_t capacity, uint64_t seed)
-    : capacity_(capacity), rng_(seed)
-{
-    samples_.reserve(capacity_);
-}
-
-void
-ReservoirSampler::add(double value)
-{
-    ++count_;
-    if (samples_.size() < capacity_) {
-        samples_.push_back(value);
-        return;
-    }
-    // Algorithm R: the i-th observation replaces a random slot with
-    // probability capacity/i, keeping the retained set uniform.
-    const uint64_t slot = rng_.uniformInt(count_);
-    if (slot < capacity_)
-        samples_[static_cast<size_t>(slot)] = value;
-}
-
-void
-ReservoirSampler::merge(const ReservoirSampler &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        samples_ = other.samples_;
-        if (samples_.size() > capacity_)
-            samples_.resize(capacity_);
-        count_ = other.count_;
-        return;
-    }
-    // Draw capacity slots from the union: pick from our reservoir with
-    // probability proportional to the remaining weight of stream A
-    // (n_a) vs stream B (n_b), consuming each source without
-    // replacement. Each retained value then represents its stream in
-    // proportion to that stream's share of the combined observations.
-    std::vector<double> a = samples_;
-    std::vector<double> b = other.samples_;
-    if (b.size() > other.capacity_)
-        b.resize(other.capacity_);
-    double weightA = static_cast<double>(count_);
-    double weightB = static_cast<double>(other.count_);
-    std::vector<double> merged;
-    merged.reserve(capacity_);
-    size_t ia = 0;
-    size_t ib = 0;
-    while (merged.size() < capacity_ &&
-           (ia < a.size() || ib < b.size())) {
-        const bool takeA =
-            ib >= b.size() ||
-            (ia < a.size() &&
-             static_cast<double>(rng_.uniformInt(1u << 20)) /
-                     static_cast<double>(1u << 20) * (weightA + weightB) <
-                 weightA);
-        if (takeA) {
-            // Consume a uniformly random remaining slot of A so the
-            // retained subset stays uniform within the stream.
-            const size_t pick =
-                ia + static_cast<size_t>(
-                         rng_.uniformInt(a.size() - ia));
-            std::swap(a[ia], a[pick]);
-            merged.push_back(a[ia++]);
-            weightA = std::max(0.0, weightA - 1.0);
-        } else {
-            const size_t pick =
-                ib + static_cast<size_t>(
-                         rng_.uniformInt(b.size() - ib));
-            std::swap(b[ib], b[pick]);
-            merged.push_back(b[ib++]);
-            weightB = std::max(0.0, weightB - 1.0);
-        }
-    }
-    samples_ = std::move(merged);
-    count_ += other.count_;
-}
-
-void
-ReservoirSampler::reset()
-{
-    count_ = 0;
-    samples_.clear();
-}
-
-BucketHistogram::BucketHistogram(size_t maxValue)
-    : buckets_(maxValue + 1)
-{
-}
-
-void
-BucketHistogram::record(size_t value) noexcept
-{
-    const size_t i = std::min(value, buckets_.size() - 1);
-    buckets_[i].fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t
-BucketHistogram::count(size_t value) const noexcept
-{
-    const size_t i = std::min(value, buckets_.size() - 1);
-    return buckets_[i].load(std::memory_order_relaxed);
-}
-
-uint64_t
-BucketHistogram::total() const noexcept
-{
-    uint64_t sum = 0;
-    for (const auto &b : buckets_)
-        sum += b.load(std::memory_order_relaxed);
-    return sum;
-}
-
-std::vector<uint64_t>
-BucketHistogram::counts() const
-{
-    std::vector<uint64_t> out(buckets_.size());
-    for (size_t i = 0; i < buckets_.size(); ++i)
-        out[i] = buckets_[i].load(std::memory_order_relaxed);
-    return out;
-}
-
-std::string
-BucketHistogram::str() const
-{
-    std::string out;
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-        const uint64_t c = buckets_[i].load(std::memory_order_relaxed);
-        if (c == 0)
-            continue;
-        if (!out.empty())
-            out += ' ';
-        out += std::to_string(i) + ':' + std::to_string(c);
-    }
-    return out.empty() ? "(empty)" : out;
-}
-
 } // namespace dlis::obs

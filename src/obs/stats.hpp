@@ -9,14 +9,8 @@
 #ifndef DLIS_OBS_STATS_HPP
 #define DLIS_OBS_STATS_HPP
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
-
-#include "core/rng.hpp"
 
 namespace dlis::obs {
 
@@ -39,88 +33,6 @@ struct LatencyStats
 
     /** Compute from raw samples (order irrelevant; copied locally). */
     static LatencyStats from(std::vector<double> samples);
-};
-
-/**
- * Bounded uniform sample of an unbounded observation stream
- * (Vitter's algorithm R). The serving engine records one latency per
- * completed request; an unbounded vector there grows without limit on
- * a long-lived deployment, so the engine keeps this fixed-capacity
- * reservoir instead: after N observations each one is retained with
- * probability capacity/N, making percentiles over the sample unbiased
- * estimates of the stream's. Deterministically seeded — same stream,
- * same sample. Not thread-safe; callers serialise add() (the engine
- * holds its latency mutex).
- */
-class ReservoirSampler
-{
-  public:
-    /** Keep at most @p capacity samples. @pre capacity > 0. */
-    explicit ReservoirSampler(size_t capacity,
-                              uint64_t seed = 0x5eedULL);
-
-    /** Observe one value. */
-    void add(double value);
-
-    /**
-     * Fold @p other into this reservoir as if both streams had been
-     * observed by one sampler: each retained slot is drawn from the
-     * two reservoirs weighted by their observation counts (n_a vs
-     * n_b), without replacement, so the merged sample stays a uniform
-     * sample of the combined stream. Used at scrape time to combine
-     * per-worker reservoirs. Deterministic given this sampler's RNG
-     * state; count() afterwards is the sum of both streams.
-     */
-    void merge(const ReservoirSampler &other);
-
-    /** Observations seen (not the retained count). */
-    uint64_t count() const { return count_; }
-
-    /** The retained sample, unordered; at most capacity values. */
-    const std::vector<double> &samples() const { return samples_; }
-
-    /** Forget everything (the RNG state keeps advancing). */
-    void reset();
-
-  private:
-    size_t capacity_;
-    uint64_t count_ = 0;
-    std::vector<double> samples_;
-    Rng rng_;
-};
-
-/**
- * Fixed-bucket histogram of small integer values (e.g. the serving
- * engine's realised batch sizes, buckets 0..maxValue). record() is
- * lock-free and safe from any thread; values above maxValue clamp
- * into the last bucket.
- */
-class BucketHistogram
-{
-  public:
-    /** Buckets for values 0..maxValue inclusive. */
-    explicit BucketHistogram(size_t maxValue);
-
-    /** Count one observation of @p value. Thread-safe. */
-    void record(size_t value) noexcept;
-
-    /** Largest representable value (last, clamping bucket). */
-    size_t maxValue() const { return buckets_.size() - 1; }
-
-    /** Count in the bucket for @p value (clamped). */
-    uint64_t count(size_t value) const noexcept;
-
-    /** Total observations across all buckets. */
-    uint64_t total() const noexcept;
-
-    /** Snapshot of all bucket counts, index = value. */
-    std::vector<uint64_t> counts() const;
-
-    /** Compact "v:count" rendering of the non-zero buckets. */
-    std::string str() const;
-
-  private:
-    std::vector<std::atomic<uint64_t>> buckets_;
 };
 
 } // namespace dlis::obs

@@ -115,21 +115,6 @@ RollingHistogram::record(double value, uint64_t nowNs)
     b.sum += value;
 }
 
-std::vector<uint64_t>
-RollingHistogram::bucketCounts(uint64_t nowNs) const
-{
-    const uint64_t nowEpoch = epochOf(nowNs);
-    std::vector<uint64_t> merged(bounds_.size() + 1, 0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const Bucket &b : ring_) {
-        if (!liveEpoch(b.epoch, nowEpoch))
-            continue;
-        for (size_t i = 0; i < merged.size(); ++i)
-            merged[i] += b.perBound[i];
-    }
-    return merged;
-}
-
 WindowStats
 RollingHistogram::stats(uint64_t nowNs) const
 {
@@ -144,11 +129,8 @@ RollingHistogram::stats(uint64_t nowNs) const
                 continue;
             for (size_t i = 0; i < merged.size(); ++i)
                 merged[i] += b.perBound[i];
-            if (s.count == 0 || b.min < s.min)
-                s.min = b.count ? b.min : s.min;
             if (b.count) {
-                if (s.count == 0)
-                    s.min = b.min;
+                s.min = s.count ? std::min(s.min, b.min) : b.min;
                 s.max = std::max(s.max, b.max);
             }
             s.count += b.count;
@@ -157,22 +139,25 @@ RollingHistogram::stats(uint64_t nowNs) const
     }
     if (s.count == 0)
         return s;
-    s.p50 = quantileFromCounts(merged, s.count, 0.50, s.min, s.max);
-    s.p90 = quantileFromCounts(merged, s.count, 0.90, s.min, s.max);
-    s.p99 = quantileFromCounts(merged, s.count, 0.99, s.min, s.max);
+    // Clamped to the observed range, so a wide tail bucket cannot
+    // report a value no request experienced.
+    s.p50 = quantileFromCounts(bounds_, merged, s.count, 0.50, s.min,
+                               s.max);
+    s.p90 = quantileFromCounts(bounds_, merged, s.count, 0.90, s.min,
+                               s.max);
+    s.p99 = quantileFromCounts(bounds_, merged, s.count, 0.99, s.min,
+                               s.max);
     return s;
 }
 
 double
-RollingHistogram::quantileFromCounts(
-    const std::vector<uint64_t> &counts, uint64_t total, double q,
-    double lo, double hi) const
+quantileFromCounts(const std::vector<double> &bounds,
+                   const std::vector<uint64_t> &counts, uint64_t total,
+                   double q, double lo, double hi)
 {
     // Rank of the target observation (1-based, ceil'd so q=1 maps to
     // the last observation), then linear interpolation inside the
-    // covering histogram bucket — the standard Prometheus
-    // histogram_quantile estimate, clamped to the observed range so a
-    // wide tail bucket cannot report a value no request experienced.
+    // covering histogram bucket.
     const double rank = std::max(1.0, std::ceil(q * static_cast<double>(total)));
     uint64_t cumulative = 0;
     for (size_t i = 0; i < counts.size(); ++i) {
@@ -182,8 +167,8 @@ RollingHistogram::quantileFromCounts(
         cumulative += counts[i];
         if (static_cast<double>(cumulative) < rank)
             continue;
-        const double bucketLo = i == 0 ? lo : bounds_[i - 1];
-        const double bucketHi = i < bounds_.size() ? bounds_[i] : hi;
+        const double bucketLo = i == 0 ? lo : bounds[i - 1];
+        const double bucketHi = i < bounds.size() ? bounds[i] : hi;
         const double frac =
             (rank - before) / static_cast<double>(counts[i]);
         const double est = bucketLo + (bucketHi - bucketLo) * frac;

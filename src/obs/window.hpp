@@ -60,6 +60,20 @@ struct WindowStats
 };
 
 /**
+ * Estimate quantile @p q in [0,1] from per-bucket counts (Prometheus
+ * "le" semantics: counts[i] holds values <= bounds[i], the last entry
+ * is the +Inf tail) totalling @p total. The target rank is located
+ * and linearly interpolated inside its covering bucket — the standard
+ * Prometheus histogram_quantile estimate — with @p lo as the first
+ * bucket's lower edge and @p hi as the tail's upper edge; the result
+ * is clamped to [lo, hi]. Shared by RollingHistogram and the
+ * cumulative registry Histogram.
+ */
+double quantileFromCounts(const std::vector<double> &bounds,
+                          const std::vector<uint64_t> &counts,
+                          uint64_t total, double q, double lo, double hi);
+
+/**
  * Monotonic event count over a rolling window. add() is lock-free
  * (one relaxed atomic add plus an epoch check); a bucket that falls
  * out of the window is recycled by the first writer that lands on it
@@ -123,12 +137,6 @@ class RollingHistogram
     /** Merged stats over the window ending at @p nowNs. */
     WindowStats stats(uint64_t nowNs) const;
 
-    /**
-     * Merged per-bound counts (bounds().size() + 1 entries, the last
-     * is the +Inf tail) over the window ending at @p nowNs.
-     */
-    std::vector<uint64_t> bucketCounts(uint64_t nowNs) const;
-
     const std::vector<double> &bounds() const { return bounds_; }
     const RollingConfig &config() const { return config_; }
 
@@ -147,11 +155,6 @@ class RollingHistogram
 
     uint64_t epochOf(uint64_t nowNs) const noexcept;
     bool liveEpoch(uint64_t epoch, uint64_t nowEpoch) const noexcept;
-
-    /** Estimate quantile @p q in [0,1] from merged bucket counts. */
-    double quantileFromCounts(const std::vector<uint64_t> &counts,
-                              uint64_t total, double q, double lo,
-                              double hi) const;
 
     std::vector<double> bounds_;
     RollingConfig config_;

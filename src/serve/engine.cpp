@@ -12,6 +12,20 @@
 
 namespace dlis::serve {
 
+namespace {
+
+/** rejected / (admitted + rejected) over the window ending at @p now. */
+double
+shedRatio(const obs::RollingCounter &admitted,
+          const obs::RollingCounter &rejected, uint64_t now)
+{
+    const double adm = static_cast<double>(admitted.sum(now));
+    const double rej = static_cast<double>(rejected.sum(now));
+    return adm + rej > 0.0 ? rej / (adm + rej) : 0.0;
+}
+
+} // namespace
+
 const char *
 rejectReasonName(RejectReason reason)
 {
@@ -45,15 +59,12 @@ InferenceEngine::InferenceEngine(InferenceStack &stack,
                          : std::make_unique<obs::MetricsRegistry>()),
       registry_(registry ? registry : ownedRegistry_.get()),
       requestShape_(stack.inputShape(1)),
-      queue_(config.queueCapacity),
-      batchHist_(std::max<size_t>(config.maxBatch, 1))
+      queue_(config.queueCapacity)
 {
     DLIS_CHECK(config_.workers > 0, "engine needs at least one worker");
     DLIS_CHECK(config_.maxBatch > 0, "maxBatch must be positive");
     DLIS_CHECK(config_.queueCapacity > 0,
                "queueCapacity must be positive");
-    DLIS_CHECK(config_.latencyReservoir > 0,
-               "latencyReservoir must be positive");
     DLIS_CHECK(config_.windowBuckets > 0 &&
                    config_.windowBucketSeconds > 0.0,
                "rolling window needs >= 1 bucket of > 0 seconds");
@@ -142,16 +153,6 @@ InferenceEngine::InferenceEngine(InferenceStack &stack,
             activeWorkers_ = fit;
         }
     }
-
-    // One reservoir per worker: workers sample their own completions
-    // without sharing a lock; stats() merges them into one unbiased
-    // sample of the combined stream. Seeds are per-worker so merged
-    // percentiles are reproducible run to run.
-    workerSamples_.reserve(activeWorkers_);
-    for (size_t i = 0; i < activeWorkers_; ++i)
-        workerSamples_.push_back(std::make_unique<WorkerSample>(
-            std::max<size_t>(config_.latencyReservoir, 1),
-            0x5eedULL + i));
 
     // Numerical pre-flight: compare the plan's recorded static error
     // bound against this deployment's budget. A worst-case bound over
@@ -250,12 +251,7 @@ InferenceEngine::registerInstruments()
         "dlis_serve_shed_ratio",
         "rejected / (admitted + rejected) over the trailing window",
         {}, [regPtr, admitted, rejected] {
-            const uint64_t now = regPtr->nowNs();
-            const double adm =
-                static_cast<double>(admitted->sum(now));
-            const double rej =
-                static_cast<double>(rejected->sum(now));
-            return adm + rej > 0.0 ? rej / (adm + rej) : 0.0;
+            return shedRatio(*admitted, *rejected, regPtr->nowNs());
         });
 }
 
@@ -294,7 +290,6 @@ InferenceEngine::submit(Tensor input)
     if (rejected) {
         rejectedCtr_[static_cast<size_t>(reason)]->add(1);
         rejectedWindow_->add(1, registry_->nowNs());
-        bumpCounter(obs::counter_names::serveRejected);
         req.promise.set_exception(
             std::make_exception_ptr(RejectedError(reason)));
         return future;
@@ -302,7 +297,6 @@ InferenceEngine::submit(Tensor input)
 
     submittedCtr_->add(1);
     admittedWindow_->add(1, registry_->nowNs());
-    bumpCounter(obs::counter_names::serveSubmitted);
     const size_t depth = queue_.approxSize();
     queueDepthGauge_->set(static_cast<double>(depth));
     queuePeakGauge_->maxOf(static_cast<double>(depth));
@@ -356,27 +350,20 @@ InferenceEngine::stats() const
     s.batches = batchesCtr_->value();
     s.queuePeak = static_cast<size_t>(queuePeakGauge_->value());
     s.queueDepth = queue_.approxSize();
-    s.batchHistogram = batchHist_.counts();
+    s.latency = latencyHist_->stats();
 
-    // Merge the per-worker reservoirs into one sample of the combined
-    // completion stream. The merge sampler's seed is fixed, so the
-    // same completion history yields the same percentiles.
-    obs::ReservoirSampler merged(
-        std::max<size_t>(config_.latencyReservoir, 1));
-    for (const auto &ws : workerSamples_) {
-        std::lock_guard<std::mutex> lock(ws->mutex);
-        merged.merge(ws->sampler);
-    }
-    s.latency = obs::LatencyStats::from(merged.samples());
-    // Percentiles come from the bounded reservoirs; the count must
-    // still be the true completed total.
-    s.latency.count = merged.count();
+    // Bucket i of dlis_serve_batch_size counts batches of size i + 1;
+    // the +Inf tail (never reached: k <= maxBatch) folds into the top.
+    const std::vector<uint64_t> batchCounts =
+        batchSizeHist_->bucketCounts();
+    s.batchHistogram.assign(config_.maxBatch + 1, 0);
+    for (size_t i = 0; i < batchCounts.size(); ++i)
+        s.batchHistogram[std::min(i + 1, config_.maxBatch)] +=
+            batchCounts[i];
 
     const uint64_t now = registry_->nowNs();
     s.latencyWindow = latencyWindow_->stats(now);
-    const double adm = static_cast<double>(admittedWindow_->sum(now));
-    const double rej = static_cast<double>(rejectedWindow_->sum(now));
-    s.shedRatioWindow = adm + rej > 0.0 ? rej / (adm + rej) : 0.0;
+    s.shedRatioWindow = shedRatio(*admittedWindow_, *rejectedWindow_, now);
     return s;
 }
 
@@ -523,23 +510,15 @@ InferenceEngine::runBatch(std::vector<Request> &batch, ExecContext &ctx,
         // in stats().
         const auto done = std::chrono::steady_clock::now();
         const uint64_t nowNs = registry_->nowNs();
-        {
-            WorkerSample &ws = *workerSamples_[workerId];
-            std::lock_guard<std::mutex> lock(ws.mutex);
-            for (const Request &req : batch) {
-                const double seconds =
-                    std::chrono::duration<double>(done - req.enqueued)
-                        .count();
-                ws.sampler.add(seconds);
-                latencyHist_->record(seconds);
-                latencyWindow_->record(seconds, nowNs);
-            }
+        for (const Request &req : batch) {
+            const double seconds =
+                std::chrono::duration<double>(done - req.enqueued)
+                    .count();
+            latencyHist_->record(seconds);
+            latencyWindow_->record(seconds, nowNs);
         }
         completedCtr_->add(k);
-        bumpCounter(obs::counter_names::serveCompleted, k);
         batchesCtr_->add(1);
-        bumpCounter(obs::counter_names::serveBatches);
-        batchHist_.record(k);
         batchSizeHist_->record(static_cast<double>(k));
 
         const uint64_t replyStartNs = tracer_ ? tracer_->nowNs() : 0;
@@ -553,20 +532,11 @@ InferenceEngine::runBatch(std::vector<Request> &batch, ExecContext &ctx,
         }
     } catch (...) {
         batchesCtr_->add(1);
-        bumpCounter(obs::counter_names::serveBatches);
-        batchHist_.record(k);
         batchSizeHist_->record(static_cast<double>(k));
         const auto error = std::current_exception();
         for (auto &req : batch)
             req.promise.set_exception(error);
     }
-}
-
-void
-InferenceEngine::bumpCounter(const char *leaf, uint64_t n)
-{
-    if (metrics_)
-        metrics_->counter(std::string("serve.") + leaf).add(n);
 }
 
 } // namespace dlis::serve

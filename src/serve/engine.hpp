@@ -29,7 +29,7 @@
  * — and with it one ScratchArena, which warms to the model's
  * high-water scratch demand on the worker's first batch and makes
  * every later batch allocation-free in the conv/GEMM kernels — while
- * counters/tracer/latency sinks are the thread-safe obs types.
+ * the tracer and the telemetry registry are the thread-safe obs types.
  */
 
 #ifndef DLIS_SERVE_ENGINE_HPP
@@ -95,13 +95,6 @@ struct ServeConfig
      */
     uint64_t maxDelayUs = 2000;
     size_t queueCapacity = 64; //!< admission bound (backpressure)
-    /**
-     * Latency samples retained for stats() percentiles. The engine
-     * keeps a fixed-capacity uniform reservoir, not every sample —
-     * memory stays flat over any number of requests (EngineStats::
-     * latency.count still reports the true completed total).
-     */
-    size_t latencyReservoir = 4096;
 
     Backend backend = Backend::Serial; //!< per-worker compute backend
     int threads = 1;                   //!< OpenMP threads per worker
@@ -174,13 +167,17 @@ struct EngineStats
     uint64_t rejected = 0;  //!< refused at admission
     uint64_t batches = 0;   //!< forwards executed
     size_t queuePeak = 0;   //!< high-water queue depth
-    /** Realised batch sizes, index = size (0 unused). */
+    /**
+     * Realised batch sizes, index = size (0 unused), read from the
+     * dlis_serve_batch_size histogram (bounds 1..maxBatch, so exact).
+     */
     std::vector<uint64_t> batchHistogram;
     /**
-     * Enqueue-to-reply latency over completed requests (seconds).
-     * Percentiles are computed over the engine's per-worker bounded
-     * reservoirs, merged at snapshot time; count is the true number
-     * of completed requests.
+     * Enqueue-to-reply latency over completed requests (seconds),
+     * read from the cumulative dlis_serve_latency_seconds histogram
+     * (obs::Histogram::stats). count and mean are exact; min, max and
+     * the percentiles are at bucket resolution — the values a
+     * Prometheus histogram_quantile over /metrics returns.
      */
     obs::LatencyStats latency;
     size_t queueDepth = 0; //!< current queue depth (approximate)
@@ -203,8 +200,10 @@ class InferenceEngine
     /**
      * @param stack   built stack whose model serves the requests
      * @param config  pool/batching/backpressure parameters
-     * @param metrics optional registry receiving "serve.*" counters
-     *                (not owned; must be thread-safe for the pool)
+     * @param metrics optional per-layer kernel-counter registry handed
+     *                to every worker's ExecContext (not owned; must
+     *                outlive the engine). Serving facts are not
+     *                mirrored here; they live in telemetry().
      * @param tracer  optional span tracer observing worker forwards
      * @param registry optional serving-telemetry registry (not
      *                owned; it must then outlive the engine). Null
@@ -294,21 +293,10 @@ class InferenceEngine
         uint64_t tracePopNs = 0;     //!< tracer clock when popped
     };
 
-    /** One worker's latency reservoir (merged at stats() time). */
-    struct WorkerSample
-    {
-        WorkerSample(size_t capacity, uint64_t seed)
-            : sampler(capacity, seed)
-        {}
-        std::mutex mutex;
-        obs::ReservoirSampler sampler;
-    };
-
     void registerInstruments();
     void workerLoop(size_t workerId);
     void runBatch(std::vector<Request> &batch, ExecContext &ctx,
                   size_t workerId);
-    void bumpCounter(const char *leaf, uint64_t n = 1);
 
     InferenceStack &stack_;
     const ServeConfig config_;
@@ -357,9 +345,6 @@ class InferenceEngine
     obs::RollingCounter *admittedWindow_ = nullptr;
     obs::RollingCounter *rejectedWindow_ = nullptr;
     /** @} */
-
-    obs::BucketHistogram batchHist_;
-    std::vector<std::unique_ptr<WorkerSample>> workerSamples_;
 };
 
 } // namespace serve

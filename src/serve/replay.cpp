@@ -29,8 +29,6 @@ replayOpenLoop(InferenceEngine &engine, const ReplayConfig &config)
         atSeconds[i] = t;
     }
 
-    const EngineStats before = engine.stats();
-
     std::vector<std::future<Tensor>> futures;
     futures.reserve(config.requests);
     const auto start = std::chrono::steady_clock::now();
@@ -67,24 +65,13 @@ replayOpenLoop(InferenceEngine &engine, const ReplayConfig &config)
         report.completedRate =
             static_cast<double>(report.completed) / report.wallSeconds;
     }
-
-    const EngineStats after = engine.stats();
-    report.latency = after.latency;
-    report.batchHistogram = after.batchHistogram;
-    // When the engine served traffic before this replay, subtract the
-    // earlier histogram so the report covers this run only.
-    if (before.batches > 0 &&
-        before.batchHistogram.size() == after.batchHistogram.size()) {
-        for (size_t i = 0; i < report.batchHistogram.size(); ++i)
-            report.batchHistogram[i] -= before.batchHistogram[i];
-    }
     return report;
 }
 
 void
-printReplayReport(const ReplayReport &report)
+printReplayReport(const ReplayReport &report, const EngineStats &stats)
 {
-    std::printf("serve-sim: %zu offered | %zu completed | %zu "
+    std::printf("replay: %zu offered | %zu completed | %zu "
                 "rejected\n",
                 report.offered, report.completed, report.rejected);
     std::printf("  wall:       %.3f s (offered %.1f req/s, served "
@@ -93,16 +80,16 @@ printReplayReport(const ReplayReport &report)
                 report.completedRate);
     std::printf("  latency:    p50 %.2f ms  p90 %.2f ms  p99 %.2f ms "
                 "(enqueue-to-reply)\n",
-                report.latency.p50 * 1e3, report.latency.p90 * 1e3,
-                report.latency.p99 * 1e3);
+                stats.latency.p50 * 1e3, stats.latency.p90 * 1e3,
+                stats.latency.p99 * 1e3);
     std::printf("  batches:   ");
     bool any = false;
-    for (size_t i = 0; i < report.batchHistogram.size(); ++i) {
-        if (report.batchHistogram[i] == 0)
+    for (size_t i = 0; i < stats.batchHistogram.size(); ++i) {
+        if (stats.batchHistogram[i] == 0)
             continue;
         std::printf(" %zux%llu", i,
                     static_cast<unsigned long long>(
-                        report.batchHistogram[i]));
+                        stats.batchHistogram[i]));
         any = true;
     }
     std::printf("%s\n", any ? "" : " (none)");

@@ -9,16 +9,15 @@
  * rejects instead of silently throttling the offered load (the
  * coordinated-omission trap of closed-loop load generators).
  *
- * Used by serve_cli and by stack_cli --serve-sim.
+ * serve_cli is its one front end; bench/serve_throughput drives the
+ * engine directly.
  */
 
 #ifndef DLIS_SERVE_REPLAY_HPP
 #define DLIS_SERVE_REPLAY_HPP
 
 #include <cstdint>
-#include <vector>
 
-#include "obs/stats.hpp"
 #include "serve/engine.hpp"
 
 namespace dlis::serve {
@@ -40,8 +39,6 @@ struct ReplayReport
     double wallSeconds = 0.0;    //!< first submit to last reply
     double offeredRate = 0.0;    //!< requests/s presented
     double completedRate = 0.0;  //!< requests/s actually served
-    obs::LatencyStats latency;   //!< enqueue-to-reply, engine-side
-    std::vector<uint64_t> batchHistogram; //!< index = batch size
 };
 
 /**
@@ -54,8 +51,13 @@ struct ReplayReport
 ReplayReport replayOpenLoop(InferenceEngine &engine,
                             const ReplayConfig &config);
 
-/** Print @p report as the standard serve-sim summary block. */
-void printReplayReport(const ReplayReport &report);
+/**
+ * Print @p report as the standard replay summary block, with the
+ * engine-side latency and realised batch sizes taken from @p stats
+ * (the engine's telemetry histograms, at bucket resolution).
+ */
+void printReplayReport(const ReplayReport &report,
+                       const EngineStats &stats);
 
 } // namespace dlis::serve
 

@@ -5,14 +5,12 @@
 #include <cmath>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <sstream>
 
 #include "analysis/memory_estimate.hpp"
 #include "core/error.hpp"
 #include "core/memory_tracker.hpp"
 #include "obs/metrics.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "stack/inference_stack.hpp"
 
@@ -145,10 +143,9 @@ TablePrinter::writeJson(const std::string &path) const
 
 RunReport
 collectRunReport(InferenceStack &stack, ExecContext &ctx,
-                 size_t repeats, size_t batch, double windowSeconds)
+                 size_t repeats, size_t batch)
 {
     DLIS_CHECK(repeats > 0, "collectRunReport needs repeats > 0");
-    DLIS_CHECK(windowSeconds >= 0.0, "windowSeconds must be >= 0");
     obs::Metrics local;
     obs::Metrics *metrics = ctx.metrics ? ctx.metrics : &local;
     metrics->reset();
@@ -174,17 +171,6 @@ collectRunReport(InferenceStack &stack, ExecContext &ctx,
     forwardTimes.reserve(repeats);
     std::map<std::string, std::vector<double>> layerTimes;
     std::vector<LayerTiming> timings;
-    // Windowed mode: mirror each forward latency into a rolling
-    // histogram stamped with real elapsed time, so the report can
-    // answer "p99 over the last windowSeconds" alongside the
-    // all-repeats percentiles.
-    std::unique_ptr<obs::RollingHistogram> rolling;
-    uint64_t lastStampNs = 0;
-    const auto collectStart = std::chrono::steady_clock::now();
-    if (windowSeconds > 0.0)
-        rolling = std::make_unique<obs::RollingHistogram>(
-            obs::defaultLatencyBounds(),
-            obs::RollingConfig{10, windowSeconds / 10.0});
     for (size_t r = 0; r < repeats; ++r) {
         obs::TraceSpan span(ctx.tracer,
                             "forward#" + std::to_string(r), "network");
@@ -194,13 +180,6 @@ collectRunReport(InferenceStack &stack, ExecContext &ctx,
         const auto t1 = std::chrono::steady_clock::now();
         forwardTimes.push_back(
             std::chrono::duration<double>(t1 - t0).count());
-        if (rolling) {
-            lastStampNs = static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    t1 - collectStart)
-                    .count());
-            rolling->record(forwardTimes.back(), lastStampNs);
-        }
         for (const auto &t : timings)
             layerTimes[t.name].push_back(t.seconds);
     }
@@ -217,10 +196,6 @@ collectRunReport(InferenceStack &stack, ExecContext &ctx,
     rep.repeats = repeats;
     rep.batch = batch;
     rep.latency = obs::LatencyStats::from(std::move(forwardTimes));
-    if (rolling) {
-        rep.windowSeconds = windowSeconds;
-        rep.latencyWindow = rolling->stats(lastStampNs);
-    }
     rep.counters = metrics->snapshot();
 
     auto delta = [](size_t now, size_t base) {
@@ -308,13 +283,6 @@ printRunReport(const RunReport &report)
               << "s  p99 " << fmtSeconds(report.latency.p99)
               << "s  mean " << fmtSeconds(report.latency.mean)
               << "s over " << report.latency.count << " repeats\n";
-    if (report.windowSeconds > 0.0)
-        std::cout << "windowed latency (last " << report.windowSeconds
-                  << "s): p50 "
-                  << fmtSeconds(report.latencyWindow.p50) << "s  p90 "
-                  << fmtSeconds(report.latencyWindow.p90) << "s  p99 "
-                  << fmtSeconds(report.latencyWindow.p99) << "s over "
-                  << report.latencyWindow.count << " forwards\n";
 }
 
 bool
@@ -337,15 +305,6 @@ writeRunReportJson(const RunReport &report, const std::string &path)
         << ", \"batch\": " << report.batch << "},\n"
         << "  \"latency_s\": ";
     writeLatencyJson(out, report.latency);
-    if (report.windowSeconds > 0.0) {
-        const obs::WindowStats &w = report.latencyWindow;
-        out << ",\n  \"latency_window_s\": {"
-            << "\"window_s\": " << w.windowSeconds
-            << ", \"count\": " << w.count << ", \"sum\": " << w.sum
-            << ", \"min\": " << w.min << ", \"max\": " << w.max
-            << ", \"p50\": " << w.p50 << ", \"p90\": " << w.p90
-            << ", \"p99\": " << w.p99 << '}';
-    }
     if (report.memory.collected) {
         const MemoryObservation &m = report.memory;
         out << ",\n  \"memory\": {"

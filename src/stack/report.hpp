@@ -18,7 +18,6 @@
 
 #include "nn/exec_context.hpp"
 #include "obs/stats.hpp"
-#include "obs/window.hpp"
 
 namespace dlis {
 
@@ -101,17 +100,6 @@ struct RunReport
     size_t repeats = 0;
     size_t batch = 1;
     obs::LatencyStats latency; //!< whole-forward latency (seconds)
-    /**
-     * Windowed mode (collectRunReport's windowSeconds > 0): the span
-     * of the trailing window the report covers, else 0.
-     */
-    double windowSeconds = 0.0;
-    /**
-     * Forward latency over the trailing window only — the serving
-     * view ("p99 over the last N seconds") of the same run, fed by a
-     * rolling histogram instead of the all-repeats sample above.
-     */
-    obs::WindowStats latencyWindow;
     std::vector<LayerObservation> layers;
     MemoryObservation memory;
     /** Raw run-total counter snapshot ("<layer>.<counter>"). */
@@ -124,17 +112,9 @@ struct RunReport
  * latencies. Uses ctx.metrics when attached (resetting it first) or a
  * private registry otherwise; ctx.tracer, when attached, receives one
  * nested span per layer per repeat under a "forward#N" parent.
- *
- * @param windowSeconds when > 0, additionally aggregate forward
- *        latency into a rolling window of that span (10 ring buckets)
- *        and fill RunReport::latencyWindow — repeats that finished
- *        more than windowSeconds before the last one age out, giving
- *        the "over the last N seconds" reading the serving telemetry
- *        publishes, here for offline runs.
  */
 RunReport collectRunReport(InferenceStack &stack, ExecContext &ctx,
-                           size_t repeats, size_t batch = 1,
-                           double windowSeconds = 0.0);
+                           size_t repeats, size_t batch = 1);
 
 /** Print the expected-vs-actual table of @p report to stdout. */
 void printRunReport(const RunReport &report);

@@ -15,6 +15,7 @@
 #include "analysis/memory_estimate.hpp"
 #include "analysis/verifier.hpp"
 #include "backend/simd/isa.hpp"
+#include "obs/trace.hpp"
 
 namespace dlis::tune {
 
@@ -82,20 +83,6 @@ renderDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-/** Escape for a JSON string literal (plans only hold plain names). */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 /** 64-bit FNV-1a accumulator for the structural signature. */
@@ -304,6 +291,14 @@ class JsonReader
                     v.text.push_back('\n');
                 else if (esc == 't')
                     v.text.push_back('\t');
+                else if (esc == 'r')
+                    v.text.push_back('\r');
+                else if (esc == 'b')
+                    v.text.push_back('\b');
+                else if (esc == 'f')
+                    v.text.push_back('\f');
+                else if (esc == 'u')
+                    v.text.push_back(asciiEscape());
                 else
                     parseFail("unsupported string escape");
             } else {
@@ -311,6 +306,23 @@ class JsonReader
             }
         }
         parseFail("unterminated string");
+    }
+
+    /** Decode the four hex digits after a JSON backslash-u escape;
+     *  only ASCII code points (what obs::jsonEscape emits). */
+    char
+    asciiEscape()
+    {
+        const std::string hex = src_.substr(pos_, 4);
+        if (hex.size() != 4 ||
+            hex.find_first_not_of("0123456789abcdefABCDEF") !=
+                std::string::npos)
+            parseFail("bad \\u escape");
+        pos_ += 4;
+        const unsigned long code = std::stoul(hex, nullptr, 16);
+        if (code >= 0x80)
+            parseFail("non-ASCII \\u escape");
+        return static_cast<char>(code);
     }
 
     JValue
@@ -442,7 +454,7 @@ backendField(const JValue &obj, const char *key)
 void
 renderLayer(std::ostringstream &oss, const LayerPlan &lp)
 {
-    oss << "    {\"layer\": \"" << escapeJson(lp.layer)
+    oss << "    {\"layer\": \"" << obs::jsonEscape(lp.layer)
         << "\", \"backend\": \"" << backendToken(lp.backend)
         << "\", \"algo\": \"" << algoToken(lp.algo)
         << "\", \"threads\": " << lp.threads
@@ -506,11 +518,11 @@ planToJson(const DeploymentPlan &plan)
     std::ostringstream oss;
     oss << "{\n";
     oss << "  \"plan_version\": " << plan.version << ",\n";
-    oss << "  \"model\": \"" << escapeJson(plan.model) << "\",\n";
+    oss << "  \"model\": \"" << obs::jsonEscape(plan.model) << "\",\n";
     oss << "  \"network_signature\": \""
-        << escapeJson(plan.networkSignature) << "\",\n";
+        << obs::jsonEscape(plan.networkSignature) << "\",\n";
     oss << "  \"host_fingerprint\": \""
-        << escapeJson(plan.hostFingerprint) << "\",\n";
+        << obs::jsonEscape(plan.hostFingerprint) << "\",\n";
     oss << "  \"seed\": " << plan.seed << ",\n";
     oss << "  \"default_backend\": \""
         << backendToken(plan.defaultBackend) << "\",\n";
@@ -520,7 +532,7 @@ planToJson(const DeploymentPlan &plan)
     oss << "  \"best_global_p50_s\": "
         << renderDouble(plan.bestGlobalP50) << ",\n";
     oss << "  \"best_global_config\": \""
-        << escapeJson(plan.bestGlobalConfig) << "\",\n";
+        << obs::jsonEscape(plan.bestGlobalConfig) << "\",\n";
     oss << "  \"error_budget\": " << renderDouble(plan.errorBudget)
         << ",\n";
     oss << "  \"total_error_bound\": "

@@ -19,7 +19,9 @@ namespace dlis::test {
 /**
  * Minimal JSON validity checker (objects, arrays, strings, numbers,
  * literals) — enough to prove emitted traces / reports / status
- * snapshots parse without pulling in a JSON dependency.
+ * snapshots parse without pulling in a JSON dependency. Strings must
+ * not hold raw control characters (RFC 8259), so unescaped output
+ * fails the check.
  */
 class JsonChecker
 {
@@ -71,6 +73,9 @@ class JsonChecker
         if (!consume('"'))
             return false;
         while (pos_ < text_.size() && text_[pos_] != '"') {
+            // RFC 8259: control characters must be escaped.
+            if (static_cast<unsigned char>(text_[pos_]) < 0x20)
+                return false;
             if (text_[pos_] == '\\') {
                 ++pos_;
                 if (pos_ >= text_.size())

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -303,7 +304,7 @@ TEST(Serve, ZeroLingerStillFormsFullBatchesFromQueue)
     EXPECT_EQ(stats.batchHistogram[4], 2u);
 }
 
-TEST(Serve, LatencyCountSurvivesBoundedReservoir)
+TEST(Serve, LatencyStatsReadTheTelemetryHistogram)
 {
     InferenceStack stack = makeStack();
 
@@ -311,7 +312,6 @@ TEST(Serve, LatencyCountSurvivesBoundedReservoir)
     config.workers = 1;
     config.maxDelayUs = 0;
     config.queueCapacity = 32;
-    config.latencyReservoir = 4; // far fewer slots than requests
     serve::InferenceEngine engine(stack, config);
 
     constexpr size_t kTotal = 12;
@@ -323,13 +323,21 @@ TEST(Serve, LatencyCountSurvivesBoundedReservoir)
         EXPECT_NO_THROW((void)f.get());
     engine.shutdown();
 
-    // The reservoir keeps only 4 samples, but the reported count is
-    // the true completed total and the percentiles are still sane.
+    // stats().latency is the cumulative dlis_serve_latency_seconds
+    // histogram: the count is every completion, and max is a bucket
+    // edge, exactly as a histogram_quantile over /metrics reads it.
     const serve::EngineStats stats = engine.stats();
     EXPECT_EQ(stats.completed, kTotal);
-    EXPECT_EQ(stats.latency.count, kTotal);
+    EXPECT_EQ(stats.latency.count, stats.completed);
     EXPECT_GT(stats.latency.p50, 0.0);
     EXPECT_LE(stats.latency.p50, stats.latency.max);
+    const std::vector<double> bounds = obs::defaultLatencyBounds();
+    EXPECT_NE(std::find(bounds.begin(), bounds.end(), stats.latency.max),
+              bounds.end());
+    EXPECT_NE(engine.telemetry().renderPrometheus().find(
+                  "dlis_serve_latency_seconds_count " +
+                  std::to_string(kTotal) + "\n"),
+              std::string::npos);
 }
 
 TEST(Serve, TracePropagatesRequestIdAcrossSpans)

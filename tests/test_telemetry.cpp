@@ -3,8 +3,9 @@
  * Tests for the live serving telemetry stack (src/obs/registry,
  * src/obs/window, src/serve/telemetry_server, src/serve/slo_watchdog):
  * instrument semantics under concurrency, find-or-create identity,
- * Prometheus/JSON exposition format, deterministic rolling-window
- * expiry on an injected clock, the HTTP exporter round-trip over a
+ * Prometheus/JSON exposition format, the serving engine's exposition
+ * golden (families, samples and keys, values stripped), deterministic
+ * rolling-window expiry on an injected clock, the HTTP exporter round-trip over a
  * real socket, and — the registry's core contract — that the
  * publishing hot path performs zero heap allocations.
  */
@@ -15,7 +16,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <new>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -209,6 +212,46 @@ TEST(Telemetry, HistogramBucketsAndMoments)
     EXPECT_EQ(counts[3], 1u);
 }
 
+TEST(Telemetry, QuantileFromCountsInterpolatesWithinBuckets)
+{
+    // Buckets (0,1] (1,2] (2,4] (4,+Inf) holding 2, 2, 4, 0 values.
+    const std::vector<double> bounds{1.0, 2.0, 4.0};
+    const std::vector<uint64_t> counts{2, 2, 4, 0};
+    auto q = [&](double quantile) {
+        return obs::quantileFromCounts(bounds, counts, 8, quantile, 0.0,
+                                       4.0);
+    };
+    EXPECT_DOUBLE_EQ(q(0.10), 0.5); // rank 1: half-way through (0,1]
+    EXPECT_DOUBLE_EQ(q(0.25), 1.0); // rank 2: top of (0,1]
+    EXPECT_DOUBLE_EQ(q(0.50), 2.0); // rank 4: top of (1,2]
+    EXPECT_DOUBLE_EQ(q(0.75), 3.0); // rank 6: half-way through (2,4]
+    EXPECT_DOUBLE_EQ(q(0.99), 4.0); // rank 8: top of (2,4]
+
+    // The +Inf tail interpolates up to the caller's upper edge.
+    EXPECT_DOUBLE_EQ(obs::quantileFromCounts(bounds, {0, 0, 0, 4}, 4,
+                                             0.5, 4.0, 6.0),
+                     5.0);
+}
+
+TEST(Telemetry, HistogramStatsAtBucketResolution)
+{
+    obs::Histogram hist({1.0, 2.0, 4.0});
+    EXPECT_EQ(hist.stats().count, 0u);
+    for (double v : {1.5, 1.5, 3.0, 3.5})
+        hist.record(v);
+    const obs::LatencyStats s = hist.stats();
+    EXPECT_EQ(s.count, 4u);
+    EXPECT_DOUBLE_EQ(s.mean, 2.375); // exact, from the running sum
+    EXPECT_DOUBLE_EQ(s.min, 1.0);    // lower edge of (1,2]
+    EXPECT_DOUBLE_EQ(s.max, 4.0);    // upper edge of (2,4]
+    EXPECT_DOUBLE_EQ(s.p50, 2.0);    // rank 2: top of (1,2]
+    EXPECT_DOUBLE_EQ(s.p90, 4.0);    // rank 4: top of (2,4]
+
+    hist.record(100.0); // the +Inf tail reads as the last finite bound
+    EXPECT_DOUBLE_EQ(hist.stats().max, 4.0);
+    EXPECT_DOUBLE_EQ(hist.stats().p99, 4.0);
+}
+
 TEST(Telemetry, HistogramRejectsUnsortedBounds)
 {
     EXPECT_THROW(obs::Histogram({1.0, 0.1}), FatalError);
@@ -340,6 +383,165 @@ TEST(Telemetry, StatusJsonParsesAndCarriesSchema)
     EXPECT_NE(json.find("\"a_total,k=v\""), std::string::npos);
     EXPECT_NE(json.find("\"kind\": \"window_histogram\""),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Engine exposition golden: every family, sample and /statusz key the
+// serving engine publishes, with values stripped. Any change to what
+// /metrics or /statusz carries shows up as a diff here.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Mask the host-dependent ISA label value. */
+std::string
+maskIsa(const std::string &text)
+{
+    return std::regex_replace(text, std::regex("isa=(\"?)\\w+"),
+                              "isa=$1<isa>");
+}
+
+/** /metrics with each sample's value dropped; headers kept whole. */
+std::string
+prometheusShape(const std::string &text)
+{
+    return maskIsa(std::regex_replace(
+        text, std::regex("(^|\n)([^#\n][^\n]*) [^ \n]+"), "$1$2"));
+}
+
+/** /statusz with every value replaced by '#'. */
+std::string
+statusShape(const std::string &json)
+{
+    return maskIsa(std::regex_replace(
+        json, std::regex(": -?[0-9][^,}\n]*"), ": #"));
+}
+
+const char *const kEngineMetricsShape =
+    R"(# HELP dlis_serve_admitted_window Requests admitted in the trailing window
+# TYPE dlis_serve_admitted_window gauge
+dlis_serve_admitted_window{window="10s"}
+# HELP dlis_serve_arena_bytes Scratch-arena capacity per worker context
+# TYPE dlis_serve_arena_bytes gauge
+dlis_serve_arena_bytes{worker="0"}
+# HELP dlis_serve_batch_size Realised batch sizes
+# TYPE dlis_serve_batch_size histogram
+dlis_serve_batch_size_bucket{le="1"}
+dlis_serve_batch_size_bucket{le="2"}
+dlis_serve_batch_size_bucket{le="3"}
+dlis_serve_batch_size_bucket{le="4"}
+dlis_serve_batch_size_bucket{le="+Inf"}
+dlis_serve_batch_size_sum
+dlis_serve_batch_size_count
+# HELP dlis_serve_batches_total Coalesced batch forwards executed
+# TYPE dlis_serve_batches_total counter
+dlis_serve_batches_total
+# HELP dlis_serve_latency_seconds Enqueue-to-reply latency, completed requests (cumulative)
+# TYPE dlis_serve_latency_seconds histogram
+dlis_serve_latency_seconds_bucket{le="0.0005"}
+dlis_serve_latency_seconds_bucket{le="0.001"}
+dlis_serve_latency_seconds_bucket{le="0.002"}
+dlis_serve_latency_seconds_bucket{le="0.005"}
+dlis_serve_latency_seconds_bucket{le="0.01"}
+dlis_serve_latency_seconds_bucket{le="0.02"}
+dlis_serve_latency_seconds_bucket{le="0.05"}
+dlis_serve_latency_seconds_bucket{le="0.1"}
+dlis_serve_latency_seconds_bucket{le="0.25"}
+dlis_serve_latency_seconds_bucket{le="0.5"}
+dlis_serve_latency_seconds_bucket{le="1"}
+dlis_serve_latency_seconds_bucket{le="2"}
+dlis_serve_latency_seconds_bucket{le="4"}
+dlis_serve_latency_seconds_bucket{le="8"}
+dlis_serve_latency_seconds_bucket{le="+Inf"}
+dlis_serve_latency_seconds_sum
+dlis_serve_latency_seconds_count
+# HELP dlis_serve_latency_window_seconds Enqueue-to-reply latency over the trailing window
+# TYPE dlis_serve_latency_window_seconds summary
+dlis_serve_latency_window_seconds{window="10s",quantile="0.5"}
+dlis_serve_latency_window_seconds{window="10s",quantile="0.9"}
+dlis_serve_latency_window_seconds{window="10s",quantile="0.99"}
+dlis_serve_latency_window_seconds_sum{window="10s"}
+dlis_serve_latency_window_seconds_count{window="10s"}
+# HELP dlis_serve_queue_depth Requests currently queued
+# TYPE dlis_serve_queue_depth gauge
+dlis_serve_queue_depth
+# HELP dlis_serve_queue_peak High-water queue depth
+# TYPE dlis_serve_queue_peak gauge
+dlis_serve_queue_peak
+# HELP dlis_serve_rejected_window Requests rejected in the trailing window
+# TYPE dlis_serve_rejected_window gauge
+dlis_serve_rejected_window{window="10s"}
+# HELP dlis_serve_requests_completed_total Requests whose future was fulfilled with a result
+# TYPE dlis_serve_requests_completed_total counter
+dlis_serve_requests_completed_total
+# HELP dlis_serve_requests_rejected_total Requests refused at admission, by reason
+# TYPE dlis_serve_requests_rejected_total counter
+dlis_serve_requests_rejected_total{reason="bad-shape"}
+dlis_serve_requests_rejected_total{reason="queue-full"}
+dlis_serve_requests_rejected_total{reason="shut-down"}
+# HELP dlis_serve_requests_submitted_total Requests admitted to the serving queue
+# TYPE dlis_serve_requests_submitted_total counter
+dlis_serve_requests_submitted_total
+# HELP dlis_serve_shed_ratio rejected / (admitted + rejected) over the trailing window
+# TYPE dlis_serve_shed_ratio gauge
+dlis_serve_shed_ratio
+# HELP dlis_simd_isa SIMD instruction set the kernel dispatcher selected
+# TYPE dlis_simd_isa gauge
+dlis_simd_isa{isa="<isa>"}
+)";
+
+const char *const kEngineStatusShape = R"({
+  "schema": "dlis.telemetry.v1",
+  "now_ns": #,
+  "metrics": {
+    "dlis_serve_admitted_window": {"kind": "window_counter", "window_s": #, "value": #},
+    "dlis_serve_arena_bytes,worker=0": {"kind": "gauge", "value": #},
+    "dlis_serve_batch_size": {"kind": "histogram", "count": #, "sum": #},
+    "dlis_serve_batches_total": {"kind": "counter", "value": #},
+    "dlis_serve_latency_seconds": {"kind": "histogram", "count": #, "sum": #},
+    "dlis_serve_latency_window_seconds": {"kind": "window_histogram", "window_s": #, "count": #, "sum": #, "min": #, "max": #, "p50": #, "p90": #, "p99": #},
+    "dlis_serve_queue_depth": {"kind": "gauge", "value": #},
+    "dlis_serve_queue_peak": {"kind": "gauge", "value": #},
+    "dlis_serve_rejected_window": {"kind": "window_counter", "window_s": #, "value": #},
+    "dlis_serve_requests_completed_total": {"kind": "counter", "value": #},
+    "dlis_serve_requests_rejected_total,reason=bad-shape": {"kind": "counter", "value": #},
+    "dlis_serve_requests_rejected_total,reason=queue-full": {"kind": "counter", "value": #},
+    "dlis_serve_requests_rejected_total,reason=shut-down": {"kind": "counter", "value": #},
+    "dlis_serve_requests_submitted_total": {"kind": "counter", "value": #},
+    "dlis_serve_shed_ratio": {"kind": "gauge", "value": #},
+    "dlis_simd_isa,isa=<isa>": {"kind": "gauge", "value": #}
+  }
+}
+)";
+
+} // namespace
+
+TEST(Telemetry, EngineExpositionMatchesGolden)
+{
+    uint64_t now = 0;
+    obs::MetricsRegistry registry([&now] { return now; });
+    StackConfig config;
+    config.modelName = "mobilenet";
+    config.widthMult = 0.25;
+    InferenceStack stack(config);
+    serve::ServeConfig serveConfig;
+    serveConfig.workers = 1;
+    serveConfig.maxBatch = 4;
+    serveConfig.maxDelayUs = 0;
+    serve::InferenceEngine engine(stack, serveConfig, nullptr, nullptr,
+                                  &registry);
+    std::vector<std::future<Tensor>> futures;
+    for (uint64_t id = 0; id < 6; ++id)
+        futures.push_back(engine.submit(
+            test::randomTensor(engine.requestShape(), id)));
+    for (std::future<Tensor> &f : futures)
+        (void)f.get();
+    engine.shutdown();
+
+    EXPECT_EQ(prometheusShape(registry.renderPrometheus()),
+              kEngineMetricsShape);
+    EXPECT_EQ(statusShape(registry.renderStatusJson()),
+              kEngineStatusShape);
 }
 
 // ---------------------------------------------------------------------

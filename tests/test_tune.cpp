@@ -645,6 +645,34 @@ TEST(PlanFile, ParsedFieldsSurviveTheTrip)
     EXPECT_DOUBLE_EQ(0.00048828125, p.layers[0].errorBound);
 }
 
+TEST(PlanFile, ControlCharactersEscapeAndRoundTrip)
+{
+    // A layer name with control characters must serialise as valid
+    // JSON (\u0001, \r) and parse back to the same bytes.
+    const std::string name = "a\x01"
+                             "b\rc";
+    tune::DeploymentPlan plan = goldenPlan();
+    plan.layers[0].layer = name;
+    const std::string json = tune::planToJson(plan);
+    EXPECT_NE(std::string::npos, json.find("\"a\\u0001b\\rc\""))
+        << json;
+    EXPECT_TRUE(test::JsonChecker(json).valid()) << json;
+    const tune::DeploymentPlan parsed = tune::planFromJson(json);
+    EXPECT_EQ(name, parsed.layers[0].layer);
+    EXPECT_EQ(json, tune::planToJson(parsed));
+
+    // The reader takes every escape the writer can emit, plus \b, \f
+    // and \/; non-ASCII \u code points are refused.
+    std::string hand = kGoldenPlan;
+    const std::string conv1 = "\"conv1\"";
+    hand.replace(hand.find(conv1), conv1.size(),
+                 "\"c\\bo\\fn\\/v\\u0031\"");
+    EXPECT_EQ("c\bo\fn/v1", tune::planFromJson(hand).layers[0].layer);
+    hand = kGoldenPlan;
+    hand.replace(hand.find(conv1), conv1.size(), "\"\\u00e9\"");
+    EXPECT_THROW((void)tune::planFromJson(hand), tune::PlanError);
+}
+
 // ---------------------------------------------------------------- //
 // Rejection: stable codes, all-or-nothing parsing                  //
 // ---------------------------------------------------------------- //
