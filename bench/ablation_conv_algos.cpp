@@ -75,7 +75,7 @@ main()
             timeIt([&] {
                 kernels::convDirectDense(p, input.data(),
                                          weight.data(), nullptr,
-                                         out.data(), {1, true});
+                                         out.data(), {1});
             }) *
             1e3;
 
@@ -87,14 +87,14 @@ main()
                 kernels::im2col(p, input.data(), cols.data());
                 kernels::gemmBlocked(weight.data(), cols.data(),
                                      out.data(), shape.cout, ck,
-                                     spatial, {1, true});
+                                     spatial, {1});
             }) *
             1e3;
 
         const double wino_ms =
             timeIt([&] {
                 kernels::convWinograd(p, input.data(), weight.data(),
-                                      nullptr, out.data(), {1, true});
+                                      nullptr, out.data(), {1});
             }) *
             1e3;
 

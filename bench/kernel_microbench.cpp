@@ -69,7 +69,7 @@ BM_ConvDirectDense(benchmark::State &state)
     Tensor out(Shape{1, c, 32, 32});
     for (auto _ : state) {
         kernels::convDirectDense(p, in.data(), w.data(), nullptr,
-                                 out.data(), {1, true});
+                                 out.data(), {1});
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(
@@ -89,7 +89,7 @@ BM_ConvDirectDenseScalar(benchmark::State &state)
     simd::ScopedForceIsa force(simd::SimdIsa::Scalar);
     for (auto _ : state) {
         kernels::convDirectDense(p, in.data(), w.data(), nullptr,
-                                 out.data(), {1, true});
+                                 out.data(), {1});
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(
@@ -118,7 +118,7 @@ BM_ConvCsrBank(benchmark::State &state)
     Tensor out(Shape{1, c, 32, 32});
     for (auto _ : state) {
         kernels::convDirectCsrBank(p, in.data(), bank, nullptr,
-                                   out.data(), {1, true});
+                                   out.data(), {1});
         benchmark::DoNotOptimize(out.data());
     }
     state.counters["sparsity%"] =
@@ -136,7 +136,7 @@ BM_GemmBlocked(benchmark::State &state)
     Tensor c(Shape{n, n});
     for (auto _ : state) {
         kernels::gemmBlocked(a.data(), b.data(), c.data(), n, n, n,
-                             {1, true});
+                             {1});
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(
@@ -165,7 +165,7 @@ BM_GemmBlockedScalar(benchmark::State &state)
     simd::ScopedForceIsa force(simd::SimdIsa::Scalar);
     for (auto _ : state) {
         kernels::gemmBlocked(a.data(), b.data(), c.data(), n, n, n,
-                             {1, true});
+                             {1});
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(
@@ -193,7 +193,7 @@ BM_GemmLibraryCall(benchmark::State &state)
     Tensor c(Shape{m, n});
     gemmlib::GemmLibrary lib;
     for (auto _ : state) {
-        lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1, true});
+        lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1});
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(
@@ -212,7 +212,7 @@ BM_ConvWinograd(benchmark::State &state)
     Tensor out(Shape{1, c, 32, 32});
     for (auto _ : state) {
         kernels::convWinograd(p, in.data(), w.data(), nullptr,
-                              out.data(), {1, true});
+                              out.data(), {1});
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(static_cast<int64_t>(
@@ -242,7 +242,7 @@ BM_ConvPackedTernary(benchmark::State &state)
     Tensor out(Shape{1, c, 32, 32});
     for (auto _ : state) {
         kernels::convDirectPackedTernary(p, in.data(), packed, nullptr,
-                                         out.data(), {1, true});
+                                         out.data(), {1});
         benchmark::DoNotOptimize(out.data());
     }
     state.counters["weightKB"] =
@@ -301,7 +301,7 @@ BM_ConvIm2colGemmSteadyState(benchmark::State &state)
     Tensor out(Shape{1, c, 32, 32});
 
     ScratchArena arena;
-    KernelPolicy pol{1, true};
+    KernelPolicy pol{1};
     pol.arena = &arena;
 
     const size_t m = p.cout;

@@ -23,10 +23,8 @@
  *                                        interval dataflow (per-layer
  *                                        activation ranges, overflow /
  *                                        non-finite / dead-output
- *                                        findings) plus per-algorithm
- *                                        worst-case error bounds and
- *                                        their end-to-end composition;
- *                                        nonzero exit on any error
+ *                                        findings); nonzero exit on
+ *                                        any error
  *             [--json]                   with --analyze: emit the
  *                                        machine-readable JSON report
  *                                        instead of the human one
@@ -34,11 +32,11 @@
  *                                        declared input range the
  *                                        interval pass starts from
  *                                        (default [-1, 1])
- *             [--error-budget <eps>]     with --analyze: warn when the
- *                                        composed e2e bound exceeds
- *                                        eps; with --tune: statically
- *                                        exclude candidates whose
- *                                        bound cannot meet eps
+ *             [--error-budget <eps>]     with --tune: exclude
+ *                                        candidates whose measured
+ *                                        max |out - ref| against the
+ *                                        serial/direct layer output
+ *                                        exceeds eps
  *             [--trace <out.json>]       Chrome/Perfetto span trace
  *             [--metrics <out.json>]     expected-vs-actual report JSON
  *             [--tune]                   search a per-layer deployment
@@ -171,7 +169,7 @@ runVerify(InferenceStack &stack, const std::string &backend,
     return report.ok() ? 0 : 1;
 }
 
-/** --analyze mode: interval dataflow + error bounds, no run. */
+/** --analyze mode: interval dataflow, no run. */
 int
 runAnalyze(int argc, char **argv, InferenceStack &stack,
            const std::string &backend, const std::string &algo,
@@ -185,8 +183,6 @@ runAnalyze(int argc, char **argv, InferenceStack &stack,
     opts.inputRange = analysis::Interval{
         std::stod(argValue(argc, argv, "--input-min", "-1")),
         std::stod(argValue(argc, argv, "--input-max", "1"))};
-    opts.errorBudget =
-        std::stod(argValue(argc, argv, "--error-budget", "0"));
 
     const analysis::AnalysisReport report =
         analysis::analyzeNetwork(stack.model().net, opts);
@@ -246,24 +242,21 @@ runTune(int argc, char **argv, InferenceStack &stack,
     TablePrinter table("per-layer deployment plan (" +
                        stack.config().modelName + ")");
     table.setHeader({"layer", "backend", "algo", "threads",
-                     "measured s", "predicted s", "err bound"});
+                     "measured s", "predicted s", "max |dev|"});
     for (const tune::LayerPlan &lp : plan.layers)
         table.addRow({lp.layer, tune::backendToken(lp.backend),
                       tune::algoToken(lp.algo),
                       std::to_string(lp.threads),
                       fmtSig(lp.measuredSeconds),
                       fmtSig(lp.predictedSeconds),
-                      fmtSig(lp.errorBound)});
+                      fmtSig(lp.maxAbsDev)});
     table.print();
-    if (plan.totalErrorBound > 0.0) {
-        std::printf("static e2e error bound %.6g", plan.totalErrorBound);
-        if (plan.errorBudget > 0.0)
-            std::printf(" | budget %.6g (%s)", plan.errorBudget,
-                        plan.totalErrorBound <= plan.errorBudget
-                            ? "met"
-                            : "EXCEEDED");
-        std::printf("\n");
-    }
+    std::printf("measured e2e max |dev| %.6g", plan.maxAbsDev);
+    if (plan.errorBudget > 0.0)
+        std::printf(" | budget %.6g (%s)", plan.errorBudget,
+                    plan.maxAbsDev <= plan.errorBudget ? "met"
+                                                       : "EXCEEDED");
+    std::printf("\n");
 
     if (plan.peakBytesBound > 0) {
         std::printf("static peak footprint bound %zu bytes",

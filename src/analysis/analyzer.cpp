@@ -17,14 +17,6 @@ num(double v)
     return buf;
 }
 
-std::string
-numShort(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.3g", v);
-    return buf;
-}
-
 } // namespace
 
 bool
@@ -63,36 +55,15 @@ AnalysisReport::str() const
         << convAlgoName(options.convAlgo) << ")\n";
 
     char line[256];
-    std::snprintf(line, sizeof(line), "  %-24s %-22s %10s %12s %12s %12s\n",
-                  "layer", "range", "amp", "d(direct)", "d(im2col)",
-                  "d(winograd)");
+    std::snprintf(line, sizeof(line), "  %-24s %s\n", "layer", "range");
     oss << line;
-    for (size_t i = 0; i < model.units.size(); ++i) {
-        const UnitAnalysis &ua = model.units[i];
-        std::snprintf(line, sizeof(line),
-                      "  %-24s %-22s %10s %12s %12s %12s\n",
-                      ua.name.c_str(), ua.out.overall().str().c_str(),
-                      numShort(ua.amplification).c_str(),
-                      numShort(ua.deltaDirect).c_str(),
-                      numShort(ua.deltaIm2col).c_str(),
-                      numShort(ua.deltaWinograd).c_str());
+    for (const UnitAnalysis &ua : ranges.units) {
+        std::snprintf(line, sizeof(line), "  %-24s %s\n", ua.name.c_str(),
+                      ua.out.overall().str().c_str());
         oss << line;
     }
-    if (!model.complete)
+    if (!ranges.complete)
         oss << "  (walk stopped early; later layers unbounded)\n";
-    else if (!model.units.empty())
-        oss << "  end-to-end bound: direct "
-            << numShort(model.endToEnd(ConvAlgo::Direct))
-            << " | im2col "
-            << numShort(model.endToEnd(ConvAlgo::Im2colGemm))
-            << " | winograd "
-            << numShort(model.endToEnd(ConvAlgo::Winograd)) << "\n";
-    if (options.errorBudget > 0.0)
-        oss << "  error budget " << numShort(options.errorBudget)
-            << ": bound " << numShort(e2eBound) << " — "
-            << (e2eBound <= options.errorBudget ? "within budget"
-                                                : "EXCEEDED")
-            << "\n";
 
     for (const Diagnostic &d : diagnostics)
         oss << "  " << d.str() << "\n";
@@ -116,33 +87,16 @@ AnalysisReport::json() const
         << "\",\n";
     oss << "  \"algo\": \"" << convAlgoName(options.convAlgo)
         << "\",\n";
-    oss << "  \"error_budget\": " << num(options.errorBudget)
-        << ",\n";
     oss << "  \"complete\": "
-        << (model.complete ? "true" : "false") << ",\n";
-    if (model.complete) {
-        oss << "  \"e2e_bound\": {\"direct\": "
-            << num(model.endToEnd(ConvAlgo::Direct))
-            << ", \"im2col\": "
-            << num(model.endToEnd(ConvAlgo::Im2colGemm))
-            << ", \"winograd\": "
-            << num(model.endToEnd(ConvAlgo::Winograd)) << "},\n";
-        oss << "  \"e2e_bound_chosen\": " << num(e2eBound) << ",\n";
-    }
+        << (ranges.complete ? "true" : "false") << ",\n";
     oss << "  \"layers\": [\n";
-    for (size_t i = 0; i < model.units.size(); ++i) {
-        const UnitAnalysis &ua = model.units[i];
+    for (size_t i = 0; i < ranges.units.size(); ++i) {
+        const UnitAnalysis &ua = ranges.units[i];
         const Interval range = ua.out.overall();
         oss << "    {\"layer\": \"" << obs::jsonEscape(ua.name)
             << "\", \"range_lo\": " << num(range.lo)
-            << ", \"range_hi\": " << num(range.hi)
-            << ", \"amplification\": " << num(ua.amplification)
-            << ", \"delta_direct\": " << num(ua.deltaDirect)
-            << ", \"delta_im2col\": " << num(ua.deltaIm2col)
-            << ", \"delta_winograd\": " << num(ua.deltaWinograd)
-            << ", \"quant_residual\": " << num(ua.quantResidual)
-            << ", \"bn_fold_delta\": " << num(ua.bnFoldDelta) << "}"
-            << (i + 1 < model.units.size() ? "," : "") << "\n";
+            << ", \"range_hi\": " << num(range.hi) << "}"
+            << (i + 1 < ranges.units.size() ? "," : "") << "\n";
     }
     oss << "  ],\n";
     oss << "  \"diagnostics\": [\n";
@@ -174,25 +128,10 @@ analyzeNetwork(const Network &net, const AnalyzeOptions &options)
     VerifyReport vr = verifyNetwork(net, vopt);
     report.diagnostics = std::move(vr.diagnostics);
 
-    report.model =
-        buildErrorModel(net, options.input, options.inputRange);
-    for (const Diagnostic &d : report.model.diagnostics)
+    report.ranges =
+        propagateRanges(net, options.input, options.inputRange);
+    for (const Diagnostic &d : report.ranges.diagnostics)
         report.diagnostics.push_back(d);
-
-    if (report.model.complete) {
-        const ConvAlgo eff = NetworkErrorModel::effectiveAlgo(
-            options.backend, options.convAlgo);
-        report.e2eBound = report.model.endToEnd(eff);
-        if (options.errorBudget > 0.0 &&
-            report.e2eBound > options.errorBudget)
-            diag(report.diagnostics, Severity::Warning,
-                 Check::ErrorBudgetExceeded, "",
-                 "end-to-end error bound " + num(report.e2eBound) +
-                     " exceeds the budget " +
-                     num(options.errorBudget) + " under " +
-                     backendName(options.backend) + "/" +
-                     convAlgoName(options.convAlgo));
-    }
     return report;
 }
 

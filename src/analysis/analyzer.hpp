@@ -1,20 +1,19 @@
 /**
  * @file
  * The multi-pass numerical-safety analyzer: one driver over the
- * structural verifier (verifier.hpp), the interval range pass
- * (range_pass.hpp), and the composed error-bound model
- * (error_bounds.hpp).
+ * structural verifier (verifier.hpp) and the interval range pass
+ * (range_pass.hpp).
  *
- * `stack_cli --analyze` renders the report for humans or as JSON;
- * the tuner consumes the NetworkErrorModel directly for its
- * --error-budget candidate gate; the serving engine compares a
- * plan's recorded bound against its configured budget at pre-flight.
+ * `stack_cli --analyze` renders the report for humans or as JSON.
+ * Numerical accuracy of a tuned configuration is not bounded here:
+ * the tuner measures each candidate's deviation from the
+ * serial/direct reference (tune/tuner.hpp).
  */
 
 #ifndef DLIS_ANALYSIS_ANALYZER_HPP
 #define DLIS_ANALYSIS_ANALYZER_HPP
 
-#include "analysis/error_bounds.hpp"
+#include "analysis/range_pass.hpp"
 #include "analysis/verifier.hpp"
 
 namespace dlis::analysis {
@@ -27,26 +26,16 @@ struct AnalyzeOptions
     Backend backend = Backend::Serial;
     ConvAlgo convAlgo = ConvAlgo::Direct;
     int threads = 1;
-
-    /**
-     * End-to-end absolute-error budget; 0 disables the check. When
-     * the composed bound at the requested {backend, algo} exceeds
-     * it, an ErrorBudgetExceeded warning is emitted.
-     */
-    double errorBudget = 0.0;
 };
 
 /** Combined result of all passes. */
 struct AnalysisReport
 {
-    /** Verifier + range-pass + budget diagnostics, in pass order. */
+    /** Verifier + range-pass diagnostics, in pass order. */
     std::vector<Diagnostic> diagnostics;
 
-    /** The composed per-unit/end-to-end error model. */
-    NetworkErrorModel model;
-
-    /** e2e bound at the requested {backend, algo} (model.complete). */
-    double e2eBound = 0.0;
+    /** Per-unit output intervals from the range pass. */
+    RangeReport ranges;
 
     /** The options the analysis ran under (echoed into reports). */
     AnalyzeOptions options;
@@ -57,7 +46,7 @@ struct AnalysisReport
     size_t count(Severity severity) const;
     bool has(Check c) const;
 
-    /** Human-readable multi-line report (ranges, bounds, verdict). */
+    /** Human-readable multi-line report (ranges, verdict). */
     std::string str() const;
 
     /** Machine-readable JSON report. */

@@ -68,11 +68,11 @@ enum class Check
     // Structure (addressability)
     DuplicateLayerName, //!< two layers share a name; overrides alias
 
-    // Numerical safety (interval dataflow + error bounds)
+    // Numerical safety (interval dataflow + measured deviation)
     NonFiniteWeight,     //!< NaN/Inf parameter (or negative BN var)
     ActivationOverflow,  //!< activation interval exceeds float range
     DeadOutput,          //!< ReLU output provably pinned <= 0
-    ErrorBudgetExceeded, //!< static error bound above the budget
+    ErrorBudgetExceeded, //!< measured deviation above the budget
     PlanMemInfeasible,   //!< no per-layer assignment fits the budget
     NodeMemExceeded,     //!< replicas x plan peak above node budget
 

@@ -29,9 +29,6 @@ namespace dlis::analysis {
 /** Largest finite float, as a double. */
 inline constexpr double kFloatMax = 3.40282346638528859812e+38;
 
-/** Unit roundoff of IEEE-754 binary32 (2^-24). */
-inline constexpr double kFloatUnitRoundoff = 5.9604644775390625e-08;
-
 /** True when @p v is neither NaN nor infinite. */
 inline bool
 isFiniteValue(double v)

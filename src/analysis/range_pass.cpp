@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "backend/gemm.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -24,21 +23,6 @@ ValueRange::overall() const
 
 namespace {
 
-constexpr double u = kFloatUnitRoundoff;
-
-/*
- * Winograd F(2x2,3x3) worst-case amplification: the 2-D transforms
- * are B^T x B (input), G g G^T (filter), A^T m A (inverse), and the
- * infinity norms of the 1-D matrices are ||B^T|| = 2, ||G|| = 1.5,
- * ||A^T|| = 3, so element magnitudes in the transform pipeline grow
- * by at most (2 * 1.5 * 3)^2 = 81 relative to the direct product.
- */
-constexpr double kWinogradAmp = 81.0;
-
-/* Per-tile transform work F(2x2,3x3) adds on top of the channel
- * reduction (input/filter/inverse transform adds). */
-constexpr double kWinogradXformTerms = 32.0;
-
 bool
 tensorFinite(const Tensor &t)
 {
@@ -50,35 +34,10 @@ tensorFinite(const Tensor &t)
     return true;
 }
 
-/* Local rounding bound for a length-K accumulation whose weighted
- * term magnitudes sum to A, per algorithm. The classic gamma_K bound
- * K*u*A holds for ANY summation order, which is what makes one
- * formula cover the serial loops, the OpenMP thread-invariant sums,
- * and the SIMD lane reductions alike. */
-double
-directDelta(double K, double A)
-{
-    return u * (K + 1.0) * A;
-}
-
-double
-im2colDelta(double K, double A)
-{
-    // Tiled GEMM composes ceil(K / kGemmTileK) partial sums.
-    const double tiles = std::ceil(K / double(kernels::kGemmTileK));
-    return u * (K + tiles + 2.0) * A;
-}
-
-double
-winogradDelta(double cin, double A)
-{
-    return u * kWinogradAmp * (16.0 * cin + kWinogradXformTerms) * A;
-}
-
-/** Positive / negative / absolute sums of one weight group. */
+/** Positive / negative sums of one weight group. */
 struct WeightSums
 {
-    double pos = 0.0, neg = 0.0, abs = 0.0;
+    double pos = 0.0, neg = 0.0;
 
     void
     add(double w)
@@ -87,7 +46,6 @@ struct WeightSums
             pos += w;
         else
             neg += w;
-        abs += std::fabs(w);
     }
 };
 
@@ -109,15 +67,11 @@ class RangeWalker
     run(const Network &net)
     {
         for (const auto &layer : net.layers()) {
-            UnitAnalysis ua;
-            ua.layer = layer.get();
-            ua.name = layer->name();
-            if (!visit(*layer, ua)) {
+            if (!visit(*layer)) {
                 report.complete = false;
                 return;
             }
-            ua.out = vr_;
-            report.units.push_back(std::move(ua));
+            report.units.push_back({layer.get(), layer->name(), vr_});
             if (!checkOverflow(layer->name())) {
                 report.complete = false;
                 return;
@@ -128,9 +82,6 @@ class RangeWalker
   private:
     ValueRange vr_;
     Shape shape_;
-    // Last dense conv unit, for the report-only BN-fold term.
-    long lastConvUnit_ = -1;
-    double lastConvA_ = 0.0;
 
     bool
     checkOverflow(const std::string &name)
@@ -180,7 +131,7 @@ class RangeWalker
     }
 
     bool
-    visitConv(const Conv2d &conv, UnitAnalysis &ua)
+    visitConv(const Conv2d &conv)
     {
         const size_t cin = conv.cin(), cout = conv.cout();
         const size_t kk = conv.kernel() * conv.kernel();
@@ -188,12 +139,9 @@ class RangeWalker
 
         // Zero padding makes 0 a reachable operand of every tap.
         std::vector<Interval> in(cin);
-        std::vector<double> inMag(cin);
-        for (size_t ci = 0; ci < cin; ++ci) {
+        for (size_t ci = 0; ci < cin; ++ci)
             in[ci] = conv.pad() > 0 ? vr_.at(ci).withZero()
                                     : vr_.at(ci);
-            inMag[ci] = in[ci].magnitude();
-        }
 
         const bool dense = conv.format() == WeightFormat::Dense;
         const bool ternary =
@@ -209,12 +157,10 @@ class RangeWalker
         }
 
         std::vector<Interval> out(cout);
-        double A = 0.0, L = 0.0, maxNnz = 0.0;
         for (size_t o = 0; o < cout; ++o) {
             const double b =
                 conv.hasBias() ? double(conv.bias().data()[o]) : 0.0;
             Interval acc = Interval::point(b);
-            double absWM = std::fabs(b), absW = 0.0, nnz = 0.0;
             for (size_t ci = 0; ci < cin; ++ci) {
                 WeightSums ws;
                 if (dense) {
@@ -222,7 +168,6 @@ class RangeWalker
                                      (o * cin + ci) * kk;
                     for (size_t t = 0; t < kk; ++t)
                         ws.add(w[t]);
-                    nnz += double(kk);
                 } else if (conv.format() == WeightFormat::Csr) {
                     const CsrSlice &s = conv.csrWeight().slice(o, ci);
                     for (float v : s.values) {
@@ -231,66 +176,22 @@ class RangeWalker
                                              "CSR values");
                         ws.add(v);
                     }
-                    nnz += double(s.nnz());
                 } else { // PackedTernary
                     const PackedTernary &p = conv.packedWeight();
                     const size_t base = (o * cin + ci) * kk;
-                    for (size_t t = 0; t < kk; ++t) {
-                        const float v = p.decode(base + t);
-                        if (v != 0.0f) {
-                            ws.add(v);
-                            nnz += 1.0;
-                        }
-                    }
+                    for (size_t t = 0; t < kk; ++t)
+                        ws.add(p.decode(base + t));
                 }
                 acc += in[ci].scaled(ws.pos) + in[ci].scaled(ws.neg);
-                absWM += ws.abs * inMag[ci];
-                absW += ws.abs;
             }
             out[o] = acc;
-            A = std::max(A, absWM);
-            L = std::max(L, absW);
-            maxNnz = std::max(maxNnz, nnz);
         }
-
-        const double K = maxNnz > 0 ? maxNnz : 1.0;
-        ua.amplification = L;
-        ua.deltaDirect = directDelta(K, A);
-        if (dense) {
-            ua.deltaIm2col = im2colDelta(double(cin) * double(kk), A);
-            ua.deltaWinograd =
-                (conv.kernel() == 3 && conv.stride() == 1)
-                    ? winogradDelta(double(cin), A)
-                    : ua.deltaDirect; // ineligible: falls back
-            ua.algoSensitive = true;
-        } else {
-            // Sparse formats pin the direct kernel on every backend.
-            ua.deltaIm2col = ua.deltaDirect;
-            ua.deltaWinograd = ua.deltaDirect;
-        }
-        if (ternary) {
-            // Residual vs pre-quantisation weights: each tap moved by
-            // at most max(wp, wn) (kept taps snap to the codebook,
-            // dropped taps were below the TWN threshold, itself below
-            // the codebook scales).
-            const PackedTernary &p = conv.packedWeight();
-            const double r =
-                std::max(std::fabs(double(p.wp())),
-                         std::fabs(double(p.wn())));
-            double sumM = 0.0;
-            for (size_t ci = 0; ci < cin; ++ci)
-                sumM += inMag[ci];
-            ua.quantResidual = r * double(kk) * sumM;
-        }
-
-        lastConvUnit_ = dense ? long(report.units.size()) : -1;
-        lastConvA_ = A;
         vr_.ch = std::move(out);
         return advanceShape(conv);
     }
 
     bool
-    visitDepthwise(const DepthwiseConv2d &dw, UnitAnalysis &ua)
+    visitDepthwise(const DepthwiseConv2d &dw)
     {
         const size_t c = dw.channels();
         const size_t kk = dw.kernel() * dw.kernel();
@@ -299,7 +200,6 @@ class RangeWalker
             return nonFinite(dw.name(), "weight tensor");
 
         std::vector<Interval> out(c);
-        double A = 0.0, L = 0.0;
         for (size_t ch = 0; ch < c; ++ch) {
             const Interval in = dw.pad() > 0 ? vr_.at(ch).withZero()
                                              : vr_.at(ch);
@@ -315,21 +215,13 @@ class RangeWalker
             }
             out[ch] = in.scaled(ws.pos) + in.scaled(ws.neg) +
                       Interval::point(b);
-            A = std::max(A,
-                         ws.abs * in.magnitude() + std::fabs(b));
-            L = std::max(L, ws.abs);
         }
-        ua.amplification = L;
-        ua.deltaDirect = directDelta(double(kk), A);
-        ua.deltaIm2col = ua.deltaDirect;
-        ua.deltaWinograd = ua.deltaDirect;
-        lastConvUnit_ = -1;
         vr_.ch = std::move(out);
         return advanceShape(dw);
     }
 
     bool
-    visitBatchNorm(const BatchNorm2d &bn, UnitAnalysis &ua)
+    visitBatchNorm(const BatchNorm2d &bn)
     {
         const size_t c = bn.channels();
         normalizeGroups(c);
@@ -339,7 +231,6 @@ class RangeWalker
             return nonFinite(bn.name(), "batch-norm statistics");
 
         std::vector<Interval> out(c);
-        double L = 0.0, deltaM = 0.0;
         for (size_t ch = 0; ch < c; ++ch) {
             const double var = bn.runningVar().data()[ch];
             const double denom = var + double(bn.eps());
@@ -358,30 +249,13 @@ class RangeWalker
                 double(bn.beta().data()[ch]) -
                 scale * double(bn.runningMean().data()[ch]);
             out[ch] = vr_.at(ch).affine(scale, shift);
-            L = std::max(L, std::fabs(scale));
-            deltaM = std::max(
-                deltaM, std::fabs(scale) * vr_.at(ch).magnitude() +
-                            out[ch].magnitude());
         }
-        ua.amplification = L;
-        // Precomputed scale, one multiply, one add: ~4 roundings on
-        // operands bounded by deltaM.
-        ua.deltaDirect = 4.0 * u * deltaM;
-        ua.deltaIm2col = ua.deltaDirect;
-        ua.deltaWinograd = ua.deltaDirect;
-        // Report-only: folding this BN into the preceding dense conv
-        // re-rounds every weight once.
-        if (lastConvUnit_ >= 0 &&
-            size_t(lastConvUnit_) == report.units.size() - 1)
-            report.units[size_t(lastConvUnit_)].bnFoldDelta =
-                u * L * lastConvA_;
-        lastConvUnit_ = -1;
         vr_.ch = std::move(out);
         return advanceShape(bn);
     }
 
     bool
-    visitLinear(const Linear &fc, UnitAnalysis &ua)
+    visitLinear(const Linear &fc)
     {
         const size_t ni = fc.inFeatures(), no = fc.outFeatures();
         normalizeGroups(ni);
@@ -392,11 +266,8 @@ class RangeWalker
             return nonFinite(fc.name(), "bias vector");
 
         std::vector<Interval> out(no);
-        double A = 0.0, L = 0.0;
         for (size_t o = 0; o < no; ++o) {
-            const double b = double(fc.bias().data()[o]);
-            Interval acc = Interval::point(b);
-            double absWM = std::fabs(b), absW = 0.0;
+            Interval acc = Interval::point(double(fc.bias().data()[o]));
             if (csr) {
                 const CsrMatrix &m = fc.csrWeight();
                 for (int32_t e = m.rowPtr()[o];
@@ -404,37 +275,21 @@ class RangeWalker
                     const double w = m.values()[size_t(e)];
                     if (!std::isfinite(w))
                         return nonFinite(fc.name(), "CSR values");
-                    const Interval &in =
-                        vr_.at(size_t(m.colIdx()[size_t(e)]));
-                    acc += in.scaled(w);
-                    absWM += std::fabs(w) * in.magnitude();
-                    absW += std::fabs(w);
+                    acc += vr_.at(size_t(m.colIdx()[size_t(e)])).scaled(w);
                 }
             } else {
                 const float *w = fc.weight().data() + o * ni;
-                for (size_t i = 0; i < ni; ++i) {
-                    const Interval &in = vr_.at(i);
-                    acc += in.scaled(w[i]);
-                    absWM += std::fabs(double(w[i])) * in.magnitude();
-                    absW += std::fabs(double(w[i]));
-                }
+                for (size_t i = 0; i < ni; ++i)
+                    acc += vr_.at(i).scaled(w[i]);
             }
             out[o] = acc;
-            A = std::max(A, absWM);
-            L = std::max(L, absW);
         }
-        ua.amplification = L;
-        // Linear dispatches the tiled GEMM under every algorithm.
-        ua.deltaDirect = im2colDelta(double(ni), A);
-        ua.deltaIm2col = ua.deltaDirect;
-        ua.deltaWinograd = ua.deltaDirect;
-        lastConvUnit_ = -1;
         vr_.ch = std::move(out);
         return advanceShape(fc);
     }
 
     bool
-    visitRelu(const ReLU &r, UnitAnalysis &ua)
+    visitRelu(const ReLU &r)
     {
         size_t dead = 0;
         for (Interval &iv : vr_.ch) {
@@ -454,144 +309,75 @@ class RangeWalker
                            " channel intervals are pinned <= 0 "
                            "(provably-dead outputs)");
         }
-        ua.amplification = 1.0;
-        lastConvUnit_ = -1;
         return advanceShape(r);
     }
 
     bool
-    visitGlobalAvgPool(const GlobalAvgPool &gap, UnitAnalysis &ua)
-    {
-        const double hw = shape_.rank() == 4
-                              ? double(shape_.h() * shape_.w())
-                              : 1.0;
-        ua.amplification = 1.0;
-        ua.deltaDirect = u * (hw + 1.0) * vr_.magnitude();
-        ua.deltaIm2col = ua.deltaDirect;
-        ua.deltaWinograd = ua.deltaDirect;
-        lastConvUnit_ = -1;
-        return advanceShape(gap); // averages stay in the hull
-    }
-
-    /** Shared interval/error handling for the block's inner chain. */
-    struct ChainState
-    {
-        double L = 1.0;
-        double dDirect = 0.0, dIm2col = 0.0, dWinograd = 0.0;
-
-        void
-        compose(const UnitAnalysis &ua)
-        {
-            dDirect = ua.amplification * dDirect + ua.deltaDirect;
-            dIm2col = ua.amplification * dIm2col + ua.deltaIm2col;
-            dWinograd =
-                ua.amplification * dWinograd + ua.deltaWinograd;
-            L *= ua.amplification;
-        }
-    };
-
-    bool
-    visitResidual(const ResidualBlock &block, UnitAnalysis &ua)
+    visitResidual(const ResidualBlock &block)
     {
         const ValueRange in = vr_;
         const Shape inShape = shape_;
 
-        ChainState main;
-        auto step = [&](auto &layer, auto visitFn) {
-            UnitAnalysis sub;
-            sub.layer = &layer;
-            sub.name = layer.name();
-            if (!(this->*visitFn)(layer, sub))
-                return false;
-            main.compose(sub);
-            return checkOverflow(layer.name());
+        const auto step = [this](auto &layer, auto visitFn) {
+            return (this->*visitFn)(layer) && checkOverflow(layer.name());
         };
         if (!step(block.conv1(), &RangeWalker::visitConv) ||
-            !step(block.bn1(), &RangeWalker::visitBatchNorm))
-            return false;
-        {
-            UnitAnalysis sub;
-            if (!visitRelu(block.relu1(), sub))
-                return false;
-            main.compose(sub);
-        }
-        if (!step(block.conv2(), &RangeWalker::visitConv) ||
+            !step(block.bn1(), &RangeWalker::visitBatchNorm) ||
+            !visitRelu(block.relu1()) ||
+            !step(block.conv2(), &RangeWalker::visitConv) ||
             !step(block.bn2(), &RangeWalker::visitBatchNorm))
             return false;
-        ValueRange mainVr = vr_;
+        const ValueRange mainVr = vr_;
         const Shape mainShape = shape_;
 
-        ChainState skip;
         ValueRange skipVr = in;
         if (const Conv2d *proj = block.projection()) {
             vr_ = in;
             shape_ = inShape;
-            UnitAnalysis sub;
-            if (!visitConv(*proj, sub) ||
-                !checkOverflow(proj->name()))
+            if (!visitConv(*proj) || !checkOverflow(proj->name()) ||
+                !visitBatchNorm(*block.projectionBn()))
                 return false;
-            skip.compose(sub);
-            UnitAnalysis subBn;
-            if (!visitBatchNorm(*block.projectionBn(), subBn))
-                return false;
-            skip.compose(subBn);
             skipVr = vr_;
         }
 
-        // In-place skip-add, then the closing ReLU. Both paths see
-        // the same input error, so gains add across paths.
+        // In-place skip-add, then the closing ReLU.
         const size_t groups =
             std::max(mainVr.groups(), skipVr.groups());
         std::vector<Interval> sum(groups);
         for (size_t c = 0; c < groups; ++c)
             sum[c] = (mainVr.at(c) + skipVr.at(c)).relu();
-        const double addRound =
-            u * (mainVr.magnitude() + skipVr.magnitude());
-
-        ua.amplification = main.L + skip.L;
-        ua.deltaDirect = main.dDirect + skip.dDirect + addRound;
-        ua.deltaIm2col = main.dIm2col + skip.dIm2col + addRound;
-        ua.deltaWinograd =
-            main.dWinograd + skip.dWinograd + addRound;
-        ua.algoSensitive = true;
 
         vr_.ch = std::move(sum);
         shape_ = mainShape;
-        lastConvUnit_ = -1;
         return true;
     }
 
     bool
-    visit(const Layer &layer, UnitAnalysis &ua)
+    visit(const Layer &layer)
     {
         if (const auto *conv = dynamic_cast<const Conv2d *>(&layer))
-            return visitConv(*conv, ua);
+            return visitConv(*conv);
         if (const auto *dw =
                 dynamic_cast<const DepthwiseConv2d *>(&layer))
-            return visitDepthwise(*dw, ua);
+            return visitDepthwise(*dw);
         if (const auto *bn =
                 dynamic_cast<const BatchNorm2d *>(&layer))
-            return visitBatchNorm(*bn, ua);
+            return visitBatchNorm(*bn);
         if (const auto *fc = dynamic_cast<const Linear *>(&layer))
-            return visitLinear(*fc, ua);
+            return visitLinear(*fc);
         if (const auto *r = dynamic_cast<const ReLU *>(&layer))
-            return visitRelu(*r, ua);
-        if (const auto *gap =
-                dynamic_cast<const GlobalAvgPool *>(&layer))
-            return visitGlobalAvgPool(*gap, ua);
+            return visitRelu(*r);
         if (const auto *block =
                 dynamic_cast<const ResidualBlock *>(&layer))
-            return visitResidual(*block, ua);
+            return visitResidual(*block);
         if (dynamic_cast<const Flatten *>(&layer)) {
             // Channels mix into one feature axis: collapse to the
             // hull so downstream per-feature reads stay sound.
             vr_.ch.assign(1, vr_.overall());
-            lastConvUnit_ = -1;
             return advanceShape(layer);
         }
-        // MaxPool and anything value-preserving: max/copies of
-        // in-interval values stay in-interval.
-        lastConvUnit_ = -1;
+        // Pooling and anything value-preserving: averages, max and
+        // copies of in-interval values stay in-interval.
         return advanceShape(layer);
     }
 };

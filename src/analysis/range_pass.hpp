@@ -14,18 +14,14 @@
  *  - diagnostics for statically-reachable numerical hazards:
  *    NonFiniteWeight (NaN/Inf parameters, non-positive BN variance),
  *    ActivationOverflow (an interval endpoint escapes float range),
- *    DeadOutput (ReLU outputs provably pinned <= 0);
- *  - per-unit forward error terms — the amplification factor L (how
- *    much input error can grow crossing the unit) and the local
- *    rounding bound delta per convolution algorithm — consumed by
- *    error_bounds.hpp to compose per-layer and end-to-end worst-case
- *    error estimates per {algo, backend} choice.
+ *    DeadOutput (ReLU outputs provably pinned <= 0).
  *
  * Everything is an over-approximation: observed activations always lie
- * inside the intervals, observed |algo - exact| errors below the
- * deltas. The property tests in tests/test_analysis.cpp validate both
- * claims concretely on randomized networks under every algorithm and
- * both ISAs.
+ * inside the intervals (up to float rounding). The property tests in
+ * tests/test_analysis.cpp check that claim concretely on randomized
+ * networks under every algorithm and both ISAs. How far a tuned
+ * configuration's outputs drift from the serial/direct reference is
+ * measured by the tuner, not bounded here.
  */
 
 #ifndef DLIS_ANALYSIS_RANGE_PASS_HPP
@@ -60,47 +56,14 @@ struct ValueRange
 
     /** Hull over all groups. */
     Interval overall() const;
-
-    /** Largest |value| reachable anywhere in the tensor. */
-    double magnitude() const { return overall().magnitude(); }
 };
 
-/**
- * Range and local error terms for one top-level unit.
- *
- * The deltas bound |computed - exact| for one forward through the unit
- * with exact inputs, per convolution algorithm (units without an
- * algorithm choice carry the same value in all three). Composition
- * into network-level bounds lives in error_bounds.hpp.
- */
+/** Output range of one top-level unit. */
 struct UnitAnalysis
 {
     const Layer *layer = nullptr;
     std::string name;
     ValueRange out;
-
-    double amplification = 1.0; //!< L: worst-case input-error gain
-    double deltaDirect = 0.0;   //!< local rounding, direct kernels
-    double deltaIm2col = 0.0;   //!< ... im2col + tiled GEMM
-    double deltaWinograd = 0.0; //!< ... Winograd F(2x2,3x3)
-
-    /**
-     * Report-only: packed-ternary quantisation residual vs the
-     * pre-quantisation dense weights (0 for non-ternary units).
-     * Not composed into the algo-selection bound — every candidate
-     * runs the same quantised weights, so the residual cancels in
-     * |tuned - reference|.
-     */
-    double quantResidual = 0.0;
-
-    /**
-     * Report-only: extra one-time rounding if foldBatchNorms merges a
-     * following BN into this convolution's weights.
-     */
-    double bnFoldDelta = 0.0;
-
-    /** True when the unit dispatches a conv-algorithm choice. */
-    bool algoSensitive = false;
 };
 
 /** Result of the range pass over a whole network. */
@@ -112,7 +75,7 @@ struct RangeReport
     /**
      * False when the walk stopped early (non-finite weights, interval
      * overflow, or a shape mismatch): units past the stop point are
-     * absent and no end-to-end bound exists.
+     * absent.
      */
     bool complete = true;
 

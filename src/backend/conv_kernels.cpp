@@ -2,10 +2,6 @@
 
 #include "backend/simd/dispatch.hpp"
 
-#if DLIS_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 namespace dlis::kernels {
 
 namespace {
@@ -51,53 +47,6 @@ denseConvOneChannel(const ConvParams &p, const float *input,
                 }
             }
             out_ch[oy * wo + ox] = acc;
-        }
-    }
-}
-
-/** One (image, output-channel) pair of a CSR-sparse direct conv. */
-void
-csrConvOneChannel(const ConvParams &p, const float *input,
-                  const CsrMatrix &weight, const float *bias,
-                  float *output, size_t img, size_t oc)
-{
-    const size_t ho = p.hout(), wo = p.wout();
-    const float *in_img = input + img * p.cin * p.hin * p.win;
-    float *out_ch = output + (img * p.cout + oc) * ho * wo;
-    const float b = bias ? bias[oc] : 0.0f;
-
-    const auto &row_ptr = weight.rowPtr();
-    const auto &col_idx = weight.colIdx();
-    const auto &vals = weight.values();
-
-    for (size_t i = 0; i < ho * wo; ++i)
-        out_ch[i] = b;
-
-    // Scatter each non-zero weight across the spatial output; this is
-    // the classic direct-sparse formulation: nnz * ho * wo MACs with an
-    // index-decode per non-zero.
-    for (int32_t k = row_ptr[oc]; k < row_ptr[oc + 1]; ++k) {
-        const size_t flat = static_cast<size_t>(col_idx[k]);
-        const size_t ci = flat / (p.kh * p.kw);
-        const size_t ky = (flat / p.kw) % p.kh;
-        const size_t kx = flat % p.kw;
-        const float v = vals[k];
-        const float *in_ch = in_img + ci * p.hin * p.win;
-
-        for (size_t oy = 0; oy < ho; ++oy) {
-            const ptrdiff_t iy =
-                static_cast<ptrdiff_t>(oy * p.stride + ky) -
-                static_cast<ptrdiff_t>(p.pad);
-            if (iy < 0 || iy >= static_cast<ptrdiff_t>(p.hin))
-                continue;
-            for (size_t ox = 0; ox < wo; ++ox) {
-                const ptrdiff_t ix =
-                    static_cast<ptrdiff_t>(ox * p.stride + kx) -
-                    static_cast<ptrdiff_t>(p.pad);
-                if (ix < 0 || ix >= static_cast<ptrdiff_t>(p.win))
-                    continue;
-                out_ch[oy * wo + ox] += v * in_ch[iy * p.win + ix];
-            }
         }
     }
 }
@@ -251,38 +200,6 @@ depthwiseConvOneChannel(const ConvParams &p, const float *input,
     }
 }
 
-/**
- * Run @p body over the flattened (image x channel) loop, serial or
- * OpenMP-parallel with dynamic scheduling per the paper's §IV-D.
- */
-template <typename Body>
-void
-forEachImageChannel(size_t images, size_t channels,
-                    const KernelPolicy &policy, Body &&body)
-{
-    const size_t total = images * channels;
-#if DLIS_HAVE_OPENMP
-    if (policy.threads > 1) {
-        if (policy.counters.ompRegions)
-            policy.counters.ompRegions->add(1);
-        if (policy.dynamicSchedule) {
-            #pragma omp parallel for schedule(dynamic) \
-                num_threads(policy.threads)
-            for (size_t i = 0; i < total; ++i)
-                body(i / channels, i % channels);
-        } else {
-            #pragma omp parallel for schedule(static) \
-                num_threads(policy.threads)
-            for (size_t i = 0; i < total; ++i)
-                body(i / channels, i % channels);
-        }
-        return;
-    }
-#endif
-    for (size_t i = 0; i < total; ++i)
-        body(i / channels, i % channels);
-}
-
 } // namespace
 
 void
@@ -303,21 +220,6 @@ convDirectDense(const ConvParams &p, const float *input,
     forEachImageChannel(p.n, p.cout, policy,
         [&](size_t img, size_t oc) {
             denseConvOneChannel(p, input, weight, bias, output, img, oc);
-        });
-}
-
-void
-convDirectCsr(const ConvParams &p, const float *input,
-              const CsrMatrix &weight, const float *bias, float *output,
-              const KernelPolicy &policy)
-{
-    DLIS_CHECK(weight.rows() == p.cout &&
-               weight.cols() == p.cin * p.kh * p.kw,
-               "CSR filter is ", weight.rows(), "x", weight.cols(),
-               ", conv expects ", p.cout, "x", p.cin * p.kh * p.kw);
-    forEachImageChannel(p.n, p.cout, policy,
-        [&](size_t img, size_t oc) {
-            csrConvOneChannel(p, input, weight, bias, output, img, oc);
         });
 }
 

@@ -14,7 +14,6 @@
 #define DLIS_BACKEND_CONV_KERNELS_HPP
 
 #include "backend/conv_params.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/csr_filter_bank.hpp"
 #include "sparse/packed_ternary.hpp"
 
@@ -33,16 +32,6 @@ namespace dlis::kernels {
 void convDirectDense(const ConvParams &p, const float *input,
                      const float *weight, const float *bias,
                      float *output, const KernelPolicy &policy);
-
-/**
- * CSR-sparse direct convolution. The filter bank is a CSR matrix of
- * shape [cout, cin*kh*kw]; row o holds output-channel o's non-zeros.
- * Column index k decodes to (ci, ki, kj) = (k / (kh*kw),
- * (k / kw) % kh, k % kw).
- */
-void convDirectCsr(const ConvParams &p, const float *input,
-                   const CsrMatrix &weight, const float *bias,
-                   float *output, const KernelPolicy &policy);
 
 /**
  * Per-slice CSR direct convolution — the paper's deployed sparse path:

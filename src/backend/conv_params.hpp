@@ -55,8 +55,7 @@ struct ConvParams
 /** Threading policy (and observability handles) handed to kernels. */
 struct KernelPolicy
 {
-    int threads = 1;       //!< OpenMP thread count (1 = serial path)
-    bool dynamicSchedule = true; //!< dynamic loop scheduling (paper's choice)
+    int threads = 1; //!< OpenMP thread count (1 = serial path)
     /**
      * Counter handles the kernel publishes into (all-null = not
      * measured; layers fill them from ExecContext::metrics so counts
@@ -80,6 +79,35 @@ struct KernelPolicy
      */
     uint64_t traceFlowId = 0;
 };
+
+/**
+ * The kernels' one parallel driver: run @p body(image, channel) over
+ * the flattened (image x channel) loop, serially or as one OpenMP
+ * parallel region with dynamic scheduling per the paper's §IV-D
+ * (counted in omp_regions when counters are attached).
+ */
+template <typename Body>
+void
+forEachImageChannel(size_t images, size_t channels,
+                    const KernelPolicy &policy, Body &&body)
+{
+    const size_t total = images * channels;
+#if DLIS_HAVE_OPENMP
+    if (policy.threads > 1) {
+        if (policy.counters.ompRegions)
+            policy.counters.ompRegions->add(1);
+        #pragma omp parallel for schedule(dynamic) \
+            num_threads(policy.threads)
+        for (size_t i = 0; i < total; ++i)
+            body(i / channels, i % channels);
+        return;
+    }
+#else
+    (void)policy;
+#endif
+    for (size_t i = 0; i < total; ++i)
+        body(i / channels, i % channels);
+}
 
 } // namespace dlis
 

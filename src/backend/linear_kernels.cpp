@@ -18,22 +18,7 @@ linearDense(const float *in, const float *weight, const float *bias,
         out[b * outFeatures + o] = acc;
     };
 
-    const size_t total = batch * outFeatures;
-#if DLIS_HAVE_OPENMP
-    if (policy.threads > 1) {
-        if (policy.counters.ompRegions)
-            policy.counters.ompRegions->add(1);
-        #pragma omp parallel for schedule(dynamic) \
-            num_threads(policy.threads)
-        for (size_t i = 0; i < total; ++i)
-            body(i / outFeatures, i % outFeatures);
-        return;
-    }
-#else
-    (void)policy;
-#endif
-    for (size_t i = 0; i < total; ++i)
-        body(i / outFeatures, i % outFeatures);
+    forEachImageChannel(batch, outFeatures, policy, body);
 }
 
 void

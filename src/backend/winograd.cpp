@@ -161,20 +161,7 @@ convWinograd(const ConvParams &p, const float *input, const float *weight,
         }
     };
 
-    const size_t total = p.n * p.cout;
-#if DLIS_HAVE_OPENMP
-    if (policy.threads > 1) {
-        #pragma omp parallel for schedule(dynamic) \
-            num_threads(policy.threads)
-        for (size_t i = 0; i < total; ++i)
-            tile_body(i / p.cout, i % p.cout);
-        return;
-    }
-#else
-    (void)policy;
-#endif
-    for (size_t i = 0; i < total; ++i)
-        tile_body(i / p.cout, i % p.cout);
+    forEachImageChannel(p.n, p.cout, policy, tile_body);
 }
 
 } // namespace dlis::kernels

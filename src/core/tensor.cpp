@@ -129,8 +129,12 @@ Tensor::maxAbsDiff(const Tensor &other) const
     DLIS_CHECK(shape_ == other.shape_, "maxAbsDiff shape mismatch: ",
                shape_.str(), " vs ", other.shape_.str());
     float worst = 0.0f;
-    for (size_t i = 0; i < data_.size(); ++i)
-        worst = std::max(worst, std::fabs(data_[i] - other.data_[i]));
+    for (size_t i = 0; i < data_.size(); ++i) {
+        const float d = std::fabs(data_[i] - other.data_[i]);
+        if (std::isnan(d))
+            return HUGE_VALF;
+        worst = std::max(worst, d);
+    }
     return worst;
 }
 

@@ -106,7 +106,10 @@ class Tensor
     /** Elementwise scale by @p s. */
     void scaleInPlace(float s);
 
-    /** Max absolute difference against @p other (shapes must match). */
+    /**
+     * Max absolute difference against @p other (shapes must match);
+     * +inf when any difference is NaN, so a NaN never hides as 0.
+     */
     float maxAbsDiff(const Tensor &other) const;
 
     /** Sum of all elements. */

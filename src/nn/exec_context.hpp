@@ -134,8 +134,7 @@ struct ExecContext
     KernelPolicy
     policy() const
     {
-        KernelPolicy pol{backend == Backend::OpenMP ? threads : 1,
-                         true};
+        KernelPolicy pol{backend == Backend::OpenMP ? threads : 1};
         pol.arena = arena.get();
         pol.traceFlowId = traceFlowId;
         return pol;

@@ -154,19 +154,20 @@ InferenceEngine::InferenceEngine(InferenceStack &stack,
         }
     }
 
-    // Numerical pre-flight: compare the plan's recorded static error
-    // bound against this deployment's budget. A worst-case bound over
-    // budget is a WARNING, not a rejection — the bound is provable,
-    // not observed — surfaced through preflightWarnings() so the
-    // operator hears about it before traffic does.
+    // Numerical pre-flight: compare the plan's measured end-to-end
+    // deviation against this deployment's budget. Over budget is a
+    // WARNING, not a rejection — the deviation was measured on one
+    // seeded input, not proven for every input — surfaced through
+    // preflightWarnings() so the operator hears about it before
+    // traffic does.
     if (config_.errorBudget > 0.0 && plan_ &&
-        plan_->totalErrorBound > config_.errorBudget) {
+        plan_->maxAbsDev > config_.errorBudget) {
         char msg[160];
         std::snprintf(msg, sizeof(msg),
-                      "plan's static e2e error bound %.6g exceeds "
+                      "plan's measured e2e max |dev| %.6g exceeds "
                       "the serving budget %.6g — retune with "
                       "--error-budget or relax the budget",
-                      plan_->totalErrorBound, config_.errorBudget);
+                      plan_->maxAbsDev, config_.errorBudget);
         analysis::diag(preflightWarnings_,
                        analysis::Severity::Warning,
                        analysis::Check::ErrorBudgetExceeded, "", msg);

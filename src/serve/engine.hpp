@@ -119,13 +119,13 @@ struct ServeConfig
     const tune::DeploymentPlan *plan = nullptr;
 
     /**
-     * End-to-end absolute-error budget this deployment is expected to
-     * meet (0 = none). Compared at pre-flight against the plan's
-     * recorded total_error_bound (the static worst-case |tuned -
-     * exact| the tuner computed): a plan over budget raises an
+     * End-to-end absolute-deviation budget this deployment is
+     * expected to meet (0 = none). Compared at pre-flight against the
+     * plan's measured max_abs_dev (max |plan - serial/direct| on the
+     * tuner's seeded input): a plan over budget raises an
      * ErrorBudgetExceeded WARNING in preflightWarnings() — the engine
-     * still starts, because the bound is a provable worst case, not a
-     * measurement — so operators can alert on it before traffic does.
+     * still starts — so operators can alert on it before traffic
+     * does.
      */
     double errorBudget = 0.0;
 
@@ -270,8 +270,8 @@ class InferenceEngine
 
     /**
      * Non-fatal pre-flight findings (Warning/Info severity) — today
-     * the ErrorBudgetExceeded comparison of the plan's recorded
-     * static error bound against config().errorBudget. Error-severity
+     * the ErrorBudgetExceeded comparison of the plan's measured
+     * deviation against config().errorBudget. Error-severity
      * findings never land here; they throw from the constructor.
      */
     const std::vector<analysis::Diagnostic> &preflightWarnings() const

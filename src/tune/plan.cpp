@@ -460,7 +460,7 @@ renderLayer(std::ostringstream &oss, const LayerPlan &lp)
         << "\", \"threads\": " << lp.threads
         << ", \"measured_s\": " << renderDouble(lp.measuredSeconds)
         << ", \"predicted_s\": " << renderDouble(lp.predictedSeconds)
-        << ", \"error_bound\": " << renderDouble(lp.errorBound)
+        << ", \"max_abs_dev\": " << renderDouble(lp.maxAbsDev)
         << "}";
 }
 
@@ -535,8 +535,8 @@ planToJson(const DeploymentPlan &plan)
         << obs::jsonEscape(plan.bestGlobalConfig) << "\",\n";
     oss << "  \"error_budget\": " << renderDouble(plan.errorBudget)
         << ",\n";
-    oss << "  \"total_error_bound\": "
-        << renderDouble(plan.totalErrorBound) << ",\n";
+    oss << "  \"max_abs_dev\": " << renderDouble(plan.maxAbsDev)
+        << ",\n";
     oss << "  \"mem_budget\": " << plan.memBudget << ",\n";
     oss << "  \"peak_bytes_bound\": " << plan.peakBytesBound
         << ",\n";
@@ -576,8 +576,7 @@ planFromJson(const std::string &json)
     plan.bestGlobalP50 = numField(root, "best_global_p50_s");
     plan.bestGlobalConfig = strField(root, "best_global_config");
     plan.errorBudget = optNumField(root, "error_budget", 0.0);
-    plan.totalErrorBound =
-        optNumField(root, "total_error_bound", 0.0);
+    plan.maxAbsDev = optNumField(root, "max_abs_dev", 0.0);
     plan.memBudget = optByteField(root, "mem_budget");
     plan.peakBytesBound = optByteField(root, "peak_bytes_bound");
 
@@ -594,7 +593,7 @@ planFromJson(const std::string &json)
         lp.threads = intField(item, "threads");
         lp.measuredSeconds = numField(item, "measured_s");
         lp.predictedSeconds = numField(item, "predicted_s");
-        lp.errorBound = optNumField(item, "error_bound", 0.0);
+        lp.maxAbsDev = optNumField(item, "max_abs_dev", 0.0);
         plan.layers.push_back(std::move(lp));
     }
     return plan;

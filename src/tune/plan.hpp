@@ -40,12 +40,13 @@ namespace dlis::tune {
 
 /**
  * Schema version written to (and required of) every plan file.
- * v3 added the memory-planning fields (mem_budget, peak_bytes_bound);
- * v2 added the static numerical-error fields (error_budget,
- * total_error_bound, per-layer error_bound). Older plans parse but
- * fail validatePlan with PlanVersion — re-run --tune.
+ * v4 replaced the static error bounds with measured deviations
+ * (top-level and per-layer max_abs_dev); v3 added the
+ * memory-planning fields (mem_budget, peak_bytes_bound); v2 added
+ * error_budget. Older plans parse but fail validatePlan with
+ * PlanVersion — re-run --tune.
  */
-constexpr int kPlanVersion = 3;
+constexpr int kPlanVersion = 4;
 
 /** @name Plan-file tokens (the CLI spellings, not display names). */
 /** @{ */
@@ -66,11 +67,10 @@ struct LayerPlan
     double predictedSeconds = 0.0; //!< cost-model seed for the point
 
     /**
-     * Static worst-case contribution of this layer's choice to the
-     * end-to-end absolute error (analysis::NetworkErrorModel); 0
-     * when no bound was computed.
+     * Measured max |out - ref| of this layer's point against its
+     * serial/direct output on the tuner's seeded layer input.
      */
-    double errorBound = 0.0;
+    double maxAbsDev = 0.0;
 };
 
 /** A complete per-layer deployment plan for one network + host. */
@@ -99,12 +99,11 @@ struct DeploymentPlan
     double errorBudget = 0.0;
 
     /**
-     * Static end-to-end worst-case |tuned - exact| bound of the
-     * chosen per-layer configuration (0 when no bound exists). The
-     * serving pre-flight warns when this exceeds the engine's
-     * configured budget.
+     * Measured max |plan forward - serial/direct forward| on the
+     * tuner's seeded network input. The serving pre-flight warns
+     * when this exceeds the engine's configured budget.
      */
-    double totalErrorBound = 0.0;
+    double maxAbsDev = 0.0;
 
     /** Peak-memory budget the planner enforced (--mem-budget bytes;
      *  0 = unconstrained). */

@@ -6,7 +6,6 @@
 #include <limits>
 #include <numeric>
 
-#include "analysis/error_bounds.hpp"
 #include "analysis/memory_estimate.hpp"
 #include "analysis/verifier.hpp"
 #include "tune/mem_planner.hpp"
@@ -108,8 +107,7 @@ collectTunable(Network &net, const Shape &input)
  * runs, and OpenMP x 1 thread (identical to Serial) is skipped.
  */
 std::vector<CandidatePoint>
-enumerateCandidates(const TunableLayer &tl, const TuneOptions &options,
-                    const analysis::NetworkErrorModel *errModel)
+enumerateCandidates(const TunableLayer &tl, const TuneOptions &options)
 {
     const bool convLike =
         tl.kind == LayerKind::Conv || tl.kind == LayerKind::Block;
@@ -157,39 +155,6 @@ enumerateCandidates(const TunableLayer &tl, const TuneOptions &options,
             legal.push_back(cp);
     }
 
-    // Numerical gate: annotate every surviving point with its static
-    // end-to-end error contribution; under --error-budget, points
-    // that provably bust the budget are excluded before anything is
-    // timed. If the whole grid busts it, the minimal-bound points
-    // stay eligible so the search still completes.
-    if (errModel && errModel->complete) {
-        const size_t ui = errModel->indexOf(tl.layer);
-        if (ui < errModel->units.size()) {
-            for (CandidatePoint &cp : legal) {
-                const ConvAlgo eff =
-                    analysis::NetworkErrorModel::effectiveAlgo(
-                        cp.backend, cp.algo);
-                cp.errorBound = errModel->contribution(ui, eff);
-                cp.budgetExcluded = !errModel->withinBudget(
-                    tl.layer, cp.backend, cp.algo,
-                    options.errorBudget);
-            }
-            const bool allExcluded = std::all_of(
-                legal.begin(), legal.end(),
-                [](const CandidatePoint &cp) {
-                    return cp.budgetExcluded;
-                });
-            if (allExcluded && !legal.empty()) {
-                double minBound =
-                    std::numeric_limits<double>::infinity();
-                for (const CandidatePoint &cp : legal)
-                    minBound = std::min(minBound, cp.errorBound);
-                for (CandidatePoint &cp : legal)
-                    if (cp.errorBound <= minBound)
-                        cp.budgetExcluded = false;
-            }
-        }
-    }
     return legal;
 }
 
@@ -357,13 +322,6 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
     std::vector<LayerSearch> searches;
     searches.reserve(tunable.size());
 
-    // Static numerical model over the measurement input range: the
-    // tuner drives every candidate with uniform [-1, 1] inputs, so
-    // the bounds it gates and records speak for what it measured.
-    const analysis::NetworkErrorModel errModel =
-        analysis::buildErrorModel(net, input,
-                                  analysis::Interval{-1.0, 1.0});
-
     DeploymentPlan plan;
     plan.model = stack.config().modelName;
     plan.networkSignature = networkSignature(net, input);
@@ -375,20 +333,15 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
         TunableLayer &tl = tunable[li];
         LayerSearch search;
         search.layer = tl.layer->name();
-        search.candidates =
-            enumerateCandidates(tl, options, &errModel);
+        search.candidates = enumerateCandidates(tl, options);
         for (CandidatePoint &cp : search.candidates)
             cp.predictedSeconds = predictSeconds(model, tl.costs, cp);
 
         // Stage 2: cost-model prune. Stable order on ties keeps the
         // search deterministic (the model cannot split CPU algorithms;
-        // measurement does). Budget-excluded points never make the
-        // cut — they stay in the audit list only.
-        std::vector<size_t> order;
-        order.reserve(search.candidates.size());
-        for (size_t i = 0; i < search.candidates.size(); ++i)
-            if (!search.candidates[i].budgetExcluded)
-                order.push_back(i);
+        // measurement does).
+        std::vector<size_t> order(search.candidates.size());
+        std::iota(order.begin(), order.end(), size_t{0});
         std::stable_sort(order.begin(), order.end(),
                          [&](size_t a, size_t b) {
                              return search.candidates[a]
@@ -424,13 +377,12 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
                           lm.scratchBytes};
             }
             for (size_t i = 0; i < search.candidates.size(); ++i) {
-                if (search.candidates[i].budgetExcluded || inTopK[i])
+                if (inTopK[i])
                     continue;
                 bool dominated = false;
                 for (size_t j = 0; j < search.candidates.size();
                      ++j) {
-                    if (j == i ||
-                        search.candidates[j].budgetExcluded)
+                    if (j == i)
                         continue;
                     if (mem[j].first <= mem[i].first &&
                         mem[j].second <= mem[i].second &&
@@ -446,29 +398,51 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
             }
         }
 
+        // Under an error budget, also measure the serial/direct point
+        // (grid index 0): it is the reference itself, deviation 0, so
+        // it wins when every cost-model survivor busts the budget.
+        const CandidatePoint &ref0 = search.candidates.front();
+        DLIS_CHECK(ref0.backend == Backend::Serial &&
+                       ref0.algo == ConvAlgo::Direct,
+                   "tuner: layer '", search.layer,
+                   "' grid does not start at serial/direct");
+        if (options.errorBudget > 0 &&
+            std::find(order.begin(), order.end(), 0) == order.end())
+            order.push_back(0);
+
         // Stage 3: measure the survivors on the real geometry with a
-        // per-layer deterministic input.
+        // per-layer deterministic input, and record each one's max
+        // |out - ref| against the layer's serial/direct output on the
+        // same input (computed once, untimed).
         Rng rng(options.seed, li + 1);
         Tensor layerInput(tl.input);
         layerInput.fillUniform(rng, -1.0f, 1.0f);
+        ExecContext refCtx;
+        const Tensor ref = tl.layer->forward(layerInput, refCtx);
         for (size_t idx : order) {
             CandidatePoint &cp = search.candidates[idx];
             mctx.backend = cp.backend;
             mctx.convAlgo = cp.algo;
             mctx.threads = cp.threads;
+            Tensor out;
             cp.measuredSeconds = measureMedianSeconds(
-                [&] { (void)tl.layer->forward(layerInput, mctx); },
+                [&] { out = tl.layer->forward(layerInput, mctx); },
                 mo);
             cp.measured = true;
+            cp.maxAbsDev = out.maxAbsDiff(ref);
+            cp.budgetExcluded = options.errorBudget > 0 &&
+                                cp.maxAbsDev > options.errorBudget;
         }
 
         const CandidatePoint *best = nullptr;
         for (size_t i = 0; i < search.candidates.size(); ++i) {
             const CandidatePoint &cp = search.candidates[i];
-            if (cp.measured && inTopK[i] &&
+            if (cp.measured && inTopK[i] && !cp.budgetExcluded &&
                 (!best || cp.measuredSeconds < best->measuredSeconds))
                 best = &cp;
         }
+        if (!best && options.errorBudget > 0)
+            best = &search.candidates[0];
         DLIS_CHECK(best, "tuner: layer '", search.layer,
                    "' has no measurable candidate");
 
@@ -483,7 +457,7 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
             std::isfinite(best->predictedSeconds)
                 ? best->predictedSeconds
                 : 0.0;
-        search.winner.errorBound = best->errorBound;
+        search.winner.maxAbsDev = best->maxAbsDev;
         plan.layers.push_back(search.winner);
         searches.push_back(std::move(search));
     }
@@ -515,7 +489,7 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
                 std::isfinite(cp.predictedSeconds)
                     ? cp.predictedSeconds
                     : 0.0;
-            lp.errorBound = cp.errorBound;
+            lp.maxAbsDev = cp.maxAbsDev;
             searches[li].winner = lp;
         }
     }
@@ -554,25 +528,6 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
                    "tuner: planner exceeded the mem budget");
     }
 
-    // Composed static bound of the chosen configuration: tuned units
-    // at their winner's effective algorithm, every other unit (BN,
-    // pooling, activations) at its fixed local term.
-    if (errModel.complete) {
-        std::unordered_map<const Layer *, ConvAlgo> chosen;
-        for (size_t li = 0; li < tunable.size(); ++li)
-            chosen[tunable[li].layer] =
-                analysis::NetworkErrorModel::effectiveAlgo(
-                    plan.layers[li].backend, plan.layers[li].algo);
-        double total = 0.0;
-        for (size_t i = 0; i < errModel.units.size(); ++i) {
-            const auto it = chosen.find(errModel.units[i].layer);
-            total += errModel.contribution(
-                i, it != chosen.end() ? it->second
-                                      : ConvAlgo::Direct);
-        }
-        plan.totalErrorBound = total;
-    }
-
     // The competition: best single global {backend, algo, threads},
     // scored from the same per-layer samples so the comparison is
     // apples-to-apples, then (optionally) both measured end-to-end.
@@ -602,14 +557,19 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
     for (const LayerPlan &lp : plan.layers)
         tunedScore += lp.measuredSeconds;
 
-    if (options.measureEndToEnd) {
-        Rng rng(options.seed, 0);
-        Tensor netInput(input);
-        netInput.fillUniform(rng, -1.0f, 1.0f);
+    // End-to-end deviation of the whole plan from the serial/direct
+    // forward on the seeded network input.
+    Rng rng(options.seed, 0);
+    Tensor netInput(input);
+    netInput.fillUniform(rng, -1.0f, 1.0f);
+    PlanRuntime runtime(plan);
+    ExecContext tunedCtx;
+    runtime.bind(tunedCtx);
+    ExecContext refCtx;
+    plan.maxAbsDev = net.forward(netInput, tunedCtx)
+                         .maxAbsDiff(net.forward(netInput, refCtx));
 
-        PlanRuntime runtime(plan);
-        ExecContext tunedCtx;
-        runtime.bind(tunedCtx);
+    if (options.measureEndToEnd) {
         plan.tunedP50 =
             measureForward(net, netInput, tunedCtx, options);
 

@@ -23,6 +23,8 @@
  *     with the shared warmup+median-of-k harness (tune/measure.hpp) —
  *     the same loop the GEMM-library auto-tuner runs, lifted to whole
  *     layers. An injected ClockFn makes the whole search replayable.
+ *     Each measured point also records its max |out - ref| against
+ *     the layer's serial/direct output, which --error-budget gates.
  *
  * Because per-layer winners differ (the paper's core observation: the
  * best configuration is not fixed across a network — depthwise layers
@@ -71,16 +73,13 @@ struct TuneOptions
     DeviceModel device = intelCoreI7();
 
     /**
-     * End-to-end absolute-error budget (0 = unlimited). When set,
-     * the static error model (analysis::buildErrorModel over the
-     * measurement input range [-1, 1]) gates enumeration: a
-     * candidate algorithm whose worst-case contribution cannot meet
-     * the budget even with best-case choices everywhere else is
-     * excluded before anything is timed. If every candidate of a
-     * layer busts the budget, the minimal-bound candidates stay
-     * eligible so tuning still completes (the plan's recorded
-     * total_error_bound then exceeds the budget, which the serving
-     * pre-flight surfaces).
+     * Per-layer absolute-deviation budget (0 = unlimited). Every
+     * measured candidate records max |out - ref| against the layer's
+     * serial/direct output on the same seeded input; under a budget,
+     * a candidate above it is excluded from winning, and the
+     * serial/direct point (deviation 0) is always measured so it can
+     * take over when every cost-model survivor is excluded. A budget
+     * no measured point exceeds leaves the winners unchanged.
      */
     double errorBudget = 0.0;
 
@@ -107,10 +106,9 @@ struct CandidatePoint
     double measuredSeconds = 0.0;  //!< valid when measured
     bool measured = false;         //!< survived the topK prune
 
-    /** Static e2e error contribution of this point (0 = no model). */
-    double errorBound = 0.0;
-    /** Statically excluded by --error-budget: never timed, never
-     *  wins; kept in the audit list so reports show the exclusion. */
+    /** max |out - ref| vs the serial/direct output (when measured). */
+    double maxAbsDev = 0.0;
+    /** maxAbsDev above --error-budget: measured, but never wins. */
     bool budgetExcluded = false;
 };
 

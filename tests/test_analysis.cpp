@@ -586,11 +586,10 @@ TEST(Verifier, DuplicateLayerNameIsAnError)
 // ---------------------------------------------------------------------
 
 analysis::AnalysisReport
-analyze(const Network &net, Shape input, double budget = 0.0)
+analyze(const Network &net, Shape input)
 {
     analysis::AnalyzeOptions opts;
     opts.input = std::move(input);
-    opts.errorBudget = budget;
     return analysis::analyzeNetwork(net, opts);
 }
 
@@ -605,7 +604,7 @@ TEST(NumericCorpus, NonFiniteWeightIsAnError)
         analyze(bad, Shape{1, 1, 8, 8});
     EXPECT_FALSE(rep.ok());
     EXPECT_TRUE(rep.has(Check::NonFiniteWeight));
-    EXPECT_FALSE(rep.model.complete); // no bound over NaN weights
+    EXPECT_FALSE(rep.ranges.complete); // walk stops at NaN weights
 
     // Negative running variance poisons the BN scale the same way.
     Network badBn("neg-var");
@@ -623,7 +622,7 @@ TEST(NumericCorpus, NonFiniteWeightIsAnError)
         analyze(good, Shape{1, 1, 8, 8});
     EXPECT_TRUE(cleanRep.ok());
     EXPECT_FALSE(cleanRep.has(Check::NonFiniteWeight));
-    EXPECT_TRUE(cleanRep.model.complete);
+    EXPECT_TRUE(cleanRep.ranges.complete);
 }
 
 TEST(NumericCorpus, ExplodingBnScaleOverflowsFloatRange)
@@ -644,7 +643,7 @@ TEST(NumericCorpus, ExplodingBnScaleOverflowsFloatRange)
         analyze(bad, Shape{1, 1, 8, 8});
     EXPECT_FALSE(rep.ok());
     EXPECT_TRUE(rep.has(Check::ActivationOverflow));
-    EXPECT_FALSE(rep.model.complete);
+    EXPECT_FALSE(rep.ranges.complete);
 
     // Clean twin: default gamma = 1 keeps everything representable.
     Network good("tame-bn");
@@ -692,38 +691,16 @@ TEST(NumericCorpus, DeadReluChainIsAWarningNotAnError)
     EXPECT_FALSE(cleanRep.has(Check::DeadOutput));
 }
 
-TEST(Analyzer, BudgetWarningTracksTheComposedBound)
-{
-    Network net("budgeted");
-    Rng rng(4);
-    net.emplace<Conv2d>("conv", 3, 8, 3, 1, 1)->initKaiming(rng);
-    net.emplace<ReLU>("relu");
-
-    // Impossible budget: warn (but never an Error — the bound is a
-    // worst case, not a failure).
-    const analysis::AnalysisReport tight =
-        analyze(net, Shape{1, 3, 8, 8}, 1e-30);
-    EXPECT_TRUE(tight.has(Check::ErrorBudgetExceeded));
-    EXPECT_TRUE(tight.ok());
-    EXPECT_GT(tight.e2eBound, 1e-30);
-
-    // Generous budget: silent.
-    const analysis::AnalysisReport loose =
-        analyze(net, Shape{1, 3, 8, 8}, 1e300);
-    EXPECT_FALSE(loose.has(Check::ErrorBudgetExceeded));
-
-    // No budget: no statement either way.
-    EXPECT_FALSE(analyze(net, Shape{1, 3, 8, 8})
-                     .has(Check::ErrorBudgetExceeded));
-}
-
 // ---------------------------------------------------------------------
-// Property: observed activations inside static intervals, observed
-// cross-algorithm divergence below the composed bounds.
+// Property: observed activations inside the static intervals.
 // ---------------------------------------------------------------------
 
 TEST(PropertyBounds, RandomConvChainsStayInsideStaticBounds)
 {
+    // The intervals are exact-arithmetic sets; float execution may
+    // land a rounding step outside, so each check allows a fixed
+    // relative slack of the interval's magnitude.
+    constexpr double kRelSlack = 1e-4;
     const ConvAlgo algos[] = {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
                               ConvAlgo::Winograd};
     size_t unitsChecked = 0;
@@ -737,7 +714,7 @@ TEST(PropertyBounds, RandomConvChainsStayInsideStaticBounds)
         const int depth = 2 + static_cast<int>(rng.uniformInt(3));
         for (int li = 0; li < depth; ++li) {
             // 3x3 stride-1 keeps every layer Winograd-eligible, so
-            // all three algorithm models are exercised end to end.
+            // all three algorithms run end to end.
             const size_t cout = 1 + rng.uniformInt(8);
             net.emplace<Conv2d>("c" + std::to_string(li), cin, cout,
                                 3, 1, 1)
@@ -748,68 +725,39 @@ TEST(PropertyBounds, RandomConvChainsStayInsideStaticBounds)
         }
 
         const Shape input{1, firstCin, side, side};
-        const analysis::NetworkErrorModel model =
-            analysis::buildErrorModel(net, input,
-                                      analysis::Interval{-1.0, 1.0});
-        ASSERT_TRUE(model.complete) << "seed " << seed;
-        ASSERT_EQ(net.layers().size(), model.units.size());
+        const analysis::RangeReport ranges = analysis::propagateRanges(
+            net, input, analysis::Interval{-1.0, 1.0});
+        ASSERT_TRUE(ranges.complete) << "seed " << seed;
+        ASSERT_EQ(net.layers().size(), ranges.units.size());
 
         Tensor in(input);
         in.fillUniform(rng, -1.0f, 1.0f);
 
-        std::vector<Tensor> finals;
         for (ConvAlgo algo : algos) {
             ExecContext ctx;
             ctx.convAlgo = algo;
             Tensor x = in;
-            // Running worst-case |float - exact| bound, composed the
-            // same way error_bounds.hpp composes the e2e bound:
-            // e_{i+1} = L_i * e_i + delta_i.
-            double err = 0.0;
             size_t violations = 0;
             for (size_t ui = 0; ui < net.layers().size(); ++ui) {
                 x = net.layers()[ui]->forward(x, ctx);
-                const analysis::UnitAnalysis &unit = model.units[ui];
-                err = err * unit.amplification +
-                      model.unitDelta(ui, algo);
-
+                const analysis::UnitAnalysis &unit = ranges.units[ui];
                 const auto &d = x.shape().dims();
                 const size_t hw = d.size() == 4 ? d[2] * d[3] : 1;
                 for (size_t i = 0; i < x.numel(); ++i) {
-                    const size_t c = (i / hw) % d[1];
-                    if (!unit.out.at(c).contains(x[i], err) &&
-                        violations++ == 0)
+                    const analysis::Interval &iv =
+                        unit.out.at((i / hw) % d[1]);
+                    const double pad =
+                        kRelSlack * std::max(1.0, iv.magnitude());
+                    if (!iv.contains(x[i], pad) && violations++ == 0)
                         ADD_FAILURE()
                             << "seed " << seed << " unit "
                             << unit.name << " algo "
                             << static_cast<int>(algo) << ": value "
-                            << x[i] << " outside "
-                            << unit.out.at(c).str() << " + " << err;
+                            << x[i] << " outside " << iv.str();
                 }
                 ++unitsChecked;
             }
             EXPECT_EQ(0u, violations) << "seed " << seed;
-            finals.push_back(std::move(x));
-        }
-
-        // Both executions deviate from exact arithmetic by at most
-        // their own bound, so they deviate from each other by at most
-        // the sum.
-        for (size_t ai = 1; ai < 3; ++ai) {
-            const double bound = model.endToEnd(algos[ai]) +
-                                 model.endToEnd(algos[0]);
-            size_t over = 0;
-            for (size_t i = 0; i < finals[0].numel(); ++i) {
-                const double diff =
-                    std::fabs(static_cast<double>(finals[ai][i]) -
-                              static_cast<double>(finals[0][i]));
-                if (diff > bound && over++ == 0)
-                    ADD_FAILURE() << "seed " << seed << " algo "
-                                  << static_cast<int>(algos[ai])
-                                  << ": |diff| " << diff
-                                  << " exceeds bound " << bound;
-            }
-            EXPECT_EQ(0u, over) << "seed " << seed;
         }
     }
     EXPECT_GE(unitsChecked, 20u * 3u * 2u);

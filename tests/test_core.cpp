@@ -172,6 +172,11 @@ TEST(Tensor, ArithmeticHelpers)
         EXPECT_FLOAT_EQ(sum[i], 0.5f * (a[i] + b[i]));
     EXPECT_GT(a.maxAbsDiff(b), 0.0f);
     EXPECT_FLOAT_EQ(a.maxAbsDiff(a), 0.0f);
+    // A NaN anywhere reads as an infinite difference, never as 0.
+    Tensor nan = a;
+    nan[3] = std::nanf("");
+    EXPECT_TRUE(std::isinf(nan.maxAbsDiff(a)));
+    EXPECT_TRUE(std::isinf(a.maxAbsDiff(nan)));
     EXPECT_THROW(a.addInPlace(Tensor(Shape{3})), FatalError);
 }
 

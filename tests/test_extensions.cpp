@@ -50,11 +50,11 @@ TEST_P(WinogradTest, MatchesDirectConvolution)
 
     Tensor direct(Shape{c.n, c.cout, p.hout(), p.wout()});
     kernels::convDirectDense(p, input.data(), weight.data(),
-                             bias.data(), direct.data(), {1, true});
+                             bias.data(), direct.data(), {1});
 
     Tensor wino(direct.shape());
     kernels::convWinograd(p, input.data(), weight.data(), bias.data(),
-                          wino.data(), {1, true});
+                          wino.data(), {1});
     expectClose(wino, direct, 5e-4f);
 }
 
@@ -145,13 +145,13 @@ TEST(PackedTernary, ConvKernelMatchesDense)
 
     Tensor dense(Shape{2, 4, 9, 9});
     kernels::convDirectDense(p, input.data(), ternary.data(),
-                             bias.data(), dense.data(), {1, true});
+                             bias.data(), dense.data(), {1});
 
     const PackedTernary packed = PackedTernary::pack(ternary);
     Tensor out(dense.shape());
     kernels::convDirectPackedTernary(p, input.data(), packed,
                                      bias.data(), out.data(),
-                                     {1, true});
+                                     {1});
     expectClose(out, dense, 5e-4f);
 }
 

@@ -35,7 +35,7 @@ TEST_P(TunedGemmTest, MatchesNaiveOnOddSizes)
 
     gemmlib::GemmLibrary lib(config);
     Tensor c(Shape{m, n});
-    lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1, true});
+    lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1});
     expectClose(c, ref, 1e-3f);
 }
 
@@ -67,7 +67,7 @@ TEST(GemmLibrary, StatsAccountPaddingWaste)
     Tensor a = randomTensor(Shape{m, k}, 3);
     Tensor b = randomTensor(Shape{k, n}, 4);
     Tensor c(Shape{m, n});
-    lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1, true});
+    lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1});
 
     const auto &stats = lib.stats();
     EXPECT_EQ(stats.kernelLaunches, 1u);
@@ -90,7 +90,7 @@ TEST(GemmLibrary, LargeMatricesAmortisePadding)
     Tensor a = randomTensor(Shape{m, k}, 5);
     Tensor b = randomTensor(Shape{k, n}, 6);
     Tensor c(Shape{m, n});
-    lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1, true});
+    lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1});
     EXPECT_EQ(lib.stats().paddedFlops, lib.stats().flops);
 }
 

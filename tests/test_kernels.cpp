@@ -97,12 +97,6 @@ TEST_P(ConvPathsTest, AllPathsMatchReference)
                              bias.data(), dense.data(), serial);
     expectClose(dense, ref);
 
-    const CsrMatrix flat = CsrMatrix::fromFilter(weight);
-    Tensor flat_out(ref.shape());
-    kernels::convDirectCsr(p, input.data(), flat, bias.data(),
-                           flat_out.data(), serial);
-    expectClose(flat_out, ref);
-
     const CsrFilterBank bank = CsrFilterBank::fromFilter(weight);
     Tensor bank_out(ref.shape());
     kernels::convDirectCsrBank(p, input.data(), bank, bias.data(),
@@ -165,9 +159,9 @@ TEST(ConvKernels, OpenMpMatchesSerial)
     Tensor serial_out(Shape{2, 8, 12, 12});
     Tensor omp_out(Shape{2, 8, 12, 12});
     kernels::convDirectDense(p, input.data(), weight.data(), nullptr,
-                             serial_out.data(), {1, true});
+                             serial_out.data(), {1});
     kernels::convDirectDense(p, input.data(), weight.data(), nullptr,
-                             omp_out.data(), {4, true});
+                             omp_out.data(), {4});
     expectClose(omp_out, serial_out, 0.0f);
 }
 
@@ -180,7 +174,7 @@ TEST(ConvKernels, DepthwiseMatchesGroupedReference)
 
     Tensor out(Shape{1, c, h, w});
     kernels::convDepthwiseDense(p, input.data(), weight.data(), nullptr,
-                                out.data(), {1, true});
+                                out.data(), {1});
 
     // Reference: per-channel standard conv with cin = cout = 1.
     for (size_t ch = 0; ch < c; ++ch) {
@@ -204,7 +198,7 @@ TEST(ConvKernels, DepthwiseStride2Shape)
     Tensor weight = randomTensor(Shape{4, 1, 3, 3}, 31);
     Tensor out(Shape{1, 4, 4, 4});
     kernels::convDepthwiseDense(p, input.data(), weight.data(), nullptr,
-                                out.data(), {1, true});
+                                out.data(), {1});
     EXPECT_NE(out.sum(), 0.0);
 }
 
@@ -228,12 +222,12 @@ TEST_P(GemmTest, BlockedAndTiledMatchNaive)
 
     Tensor blocked(Shape{m, n});
     kernels::gemmBlocked(a.data(), b.data(), blocked.data(), m, k, n,
-                         {1, true});
+                         {1});
     expectClose(blocked, ref, 1e-3f);
 
     Tensor blocked_small(Shape{m, n});
     kernels::gemmBlocked(a.data(), b.data(), blocked_small.data(), m, k,
-                         n, {1, true}, 8, 8, 8);
+                         n, {1}, 8, 8, 8);
     expectClose(blocked_small, ref, 1e-3f);
 
     oclsim::CommandQueue queue;
@@ -326,12 +320,12 @@ TEST(LinearKernels, CsrMatchesDense)
 
     Tensor dense(Shape{batch, out});
     kernels::linearDense(x.data(), w.data(), bias.data(), dense.data(),
-                         batch, in, out, {1, true});
+                         batch, in, out, {1});
 
     const CsrMatrix csr = CsrMatrix::fromDense(w.data(), out, in);
     Tensor sparse(Shape{batch, out});
     kernels::linearCsr(x.data(), csr, bias.data(), sparse.data(), batch,
-                       in, out, {1, true});
+                       in, out, {1});
     expectClose(sparse, dense, 1e-4f);
 }
 
@@ -339,7 +333,7 @@ TEST(Elementwise, ReluClampsNegatives)
 {
     Tensor t = randomTensor(Shape{64}, 80);
     Tensor copy = t;
-    kernels::reluInPlace(t.data(), t.numel(), {1, true});
+    kernels::reluInPlace(t.data(), t.numel(), {1});
     for (size_t i = 0; i < t.numel(); ++i)
         EXPECT_FLOAT_EQ(t[i], copy[i] > 0.0f ? copy[i] : 0.0f);
 }
@@ -383,7 +377,7 @@ TEST(Elementwise, MaxPoolPicksWindowMaxima)
     for (size_t i = 0; i < 16; ++i)
         in[i] = static_cast<float>(i);
     Tensor out(Shape{1, 1, 2, 2});
-    kernels::maxPool(in.data(), out.data(), 1, 1, 4, 4, 2, {1, true});
+    kernels::maxPool(in.data(), out.data(), 1, 1, 4, 4, 2, {1});
     EXPECT_FLOAT_EQ(out[0], 5.0f);
     EXPECT_FLOAT_EQ(out[1], 7.0f);
     EXPECT_FLOAT_EQ(out[2], 13.0f);
@@ -395,7 +389,7 @@ TEST(Elementwise, GlobalAvgPoolAverages)
     Tensor in(Shape{2, 3, 2, 2});
     in.fill(2.5f);
     Tensor out(Shape{2, 3});
-    kernels::globalAvgPool(in.data(), out.data(), 2, 3, 4, {1, true});
+    kernels::globalAvgPool(in.data(), out.data(), 2, 3, 4, {1});
     for (size_t i = 0; i < 6; ++i)
         EXPECT_FLOAT_EQ(out[i], 2.5f);
 }
@@ -410,7 +404,7 @@ TEST(Elementwise, BatchNormInferenceFormula)
     const float mean[] = {0.3f, -0.2f};
     const float var[] = {4.0f, 0.25f};
     kernels::batchNormInference(in.data(), out.data(), n, c, hw, gamma,
-                                beta, mean, var, 0.0f, {1, true});
+                                beta, mean, var, 0.0f, {1});
     for (size_t ch = 0; ch < c; ++ch)
         for (size_t i = 0; i < hw; ++i) {
             const float x = in[ch * hw + i];

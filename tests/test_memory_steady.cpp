@@ -162,7 +162,7 @@ TEST(MemorySteadyState, SmallGemmSkipsTileCarve)
     const auto runGemm = [](size_t m, size_t k, size_t n, int threads,
                             ScratchArena &arena) {
         std::vector<float> a(m * k, 0.5f), b(k * n, 0.25f), c(m * n);
-        KernelPolicy policy{threads, true};
+        KernelPolicy policy{threads};
         policy.arena = &arena;
         kernels::gemmBlocked(a.data(), b.data(), c.data(), m, k, n,
                              policy);

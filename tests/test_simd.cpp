@@ -131,13 +131,13 @@ TEST(SimdGemm, TailSizesMatchScalar)
                     simd::ScopedForceIsa f(simd::SimdIsa::Scalar);
                     kernels::gemmBlocked(a.data(), b.data(),
                                          scal.data(), m, k, n,
-                                         {1, true});
+                                         {1});
                 }
                 {
                     simd::ScopedForceIsa f(best);
                     kernels::gemmBlocked(a.data(), b.data(),
                                          vec.data(), m, k, n,
-                                         {1, true});
+                                         {1});
                 }
                 // Scalar-forced blocked GEMM reorders nothing vs the
                 // reference: bit-exact.
@@ -165,12 +165,12 @@ TEST(SimdGemm, BlockedShapesMatchScalar)
         {
             simd::ScopedForceIsa f(simd::SimdIsa::Scalar);
             kernels::gemmBlocked(a.data(), b.data(), scal.data(), m,
-                                 k, n, {1, true});
+                                 k, n, {1});
         }
         {
             simd::ScopedForceIsa f(best);
             kernels::gemmBlocked(a.data(), b.data(), vec.data(), m, k,
-                                 n, {1, true});
+                                 n, {1});
         }
         expectSpanClose(scal.data(), vec.data(), m * n, kTol,
                         "m=" + std::to_string(m));
@@ -191,12 +191,12 @@ TEST(SimdGemm, MisalignedBuffersMatchScalar)
     {
         simd::ScopedForceIsa f(simd::SimdIsa::Scalar);
         kernels::gemmBlocked(a.data() + 1, b.data() + 1,
-                             scal.data() + 1, m, k, n, {1, true});
+                             scal.data() + 1, m, k, n, {1});
     }
     {
         simd::ScopedForceIsa f(best);
         kernels::gemmBlocked(a.data() + 1, b.data() + 1,
-                             vec.data() + 1, m, k, n, {1, true});
+                             vec.data() + 1, m, k, n, {1});
     }
     expectSpanClose(scal.data() + 1, vec.data() + 1, m * n, kTol,
                     "misaligned gemm");
@@ -250,18 +250,18 @@ TEST(SimdGemm, NonFiniteInputsPropagateInEveryVariant)
     {
         simd::ScopedForceIsa f(simd::SimdIsa::Scalar);
         kernels::gemmBlocked(a.data(), b.data(), c.data(), m, k, n,
-                             {1, true});
+                             {1});
     }
     expectSameClass(c.data(), "gemmBlocked scalar");
     {
         simd::ScopedForceIsa f(best);
         kernels::gemmBlocked(a.data(), b.data(), c.data(), m, k, n,
-                             {1, true});
+                             {1});
     }
     expectSameClass(c.data(), "gemmBlocked native");
     {
         gemmlib::GemmLibrary lib;
-        lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1, true});
+        lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1});
         expectSameClass(c.data(), "GemmLibrary");
     }
     {
@@ -328,13 +328,13 @@ TEST(SimdConv, Direct3x3MatchesScalarAcrossGeometries)
             simd::ScopedForceIsa f(simd::SimdIsa::Scalar);
             kernels::convDirectDense(p, input.data(), weight.data(),
                                      bias.data(), scal.data(),
-                                     {1, true});
+                                     {1});
         }
         {
             simd::ScopedForceIsa f(best);
             kernels::convDirectDense(p, input.data(), weight.data(),
                                      bias.data(), vec.data(),
-                                     {1, true});
+                                     {1});
         }
         expectSpanClose(scal.data(), vec.data(), outCount, kTol,
                         c.str());
@@ -401,9 +401,9 @@ TEST(SimdConv, PackedTernaryBitExactAndDecodesDrop)
         std::vector<float> scal(outCount), vec(outCount);
 
         obs::Counter scalDecodes, vecDecodes;
-        KernelPolicy scalPolicy{1, true};
+        KernelPolicy scalPolicy{1};
         scalPolicy.counters.ternaryDecodes = &scalDecodes;
-        KernelPolicy vecPolicy{1, true};
+        KernelPolicy vecPolicy{1};
         vecPolicy.counters.ternaryDecodes = &vecDecodes;
         {
             simd::ScopedForceIsa f(simd::SimdIsa::Scalar);
@@ -448,13 +448,13 @@ TEST(SimdConv, MisalignedConvBuffersMatchScalar)
         simd::ScopedForceIsa f(simd::SimdIsa::Scalar);
         kernels::convDirectDense(p, input.data() + 1,
                                  weight.data() + 1, bias.data() + 1,
-                                 scal.data() + 1, {1, true});
+                                 scal.data() + 1, {1});
     }
     {
         simd::ScopedForceIsa f(best);
         kernels::convDirectDense(p, input.data() + 1,
                                  weight.data() + 1, bias.data() + 1,
-                                 vec.data() + 1, {1, true});
+                                 vec.data() + 1, {1});
     }
     expectSpanClose(scal.data() + 1, vec.data() + 1, outCount, kTol,
                     "misaligned conv");

@@ -286,74 +286,96 @@ TEST(Tuner, DepthwiseLayersNeverGetGemmBackends)
     }
 }
 
-TEST(Tuner, ErrorBudgetExcludesWinogradStatically)
+TEST(Tuner, ErrorBudgetGatesOnMeasuredDeviation)
 {
-    // VGG16 body convs are 3x3 stride-1, so every conv layer has
-    // Winograd candidates — the algorithm with the largest static
-    // error amplification. A budget tight enough that Winograd's
-    // contribution busts it must exclude those candidates before
-    // anything is timed; a loose budget must leave them eligible.
+    // Every measured candidate records max |out - ref| against the
+    // layer's serial/direct output; --error-budget excludes the
+    // points above it from winning. Three survivors per layer are
+    // OpenMP {direct, im2col, Winograd}; a clock under which every
+    // measurement reads shorter than the one before makes the last
+    // survivor measured (Winograd, where eligible) win.
+    const auto options = [] {
+        tune::TuneOptions o = fastOptions();
+        o.topK = 3;
+        auto t = std::make_shared<double>(0.0);
+        auto step = std::make_shared<double>(1e-3);
+        o.clock = [t, step] {
+            *step *= 0.99;
+            return *t += *step;
+        };
+        return o;
+    };
     InferenceStack stack = makeStack("vgg16");
+    std::vector<tune::LayerSearch> auditFree;
+    const tune::DeploymentPlan planFree =
+        tunePlan(stack, options(), &auditFree);
 
-    // "Loose" must clear the network's genuine worst-case bound,
-    // which compounds multiplicatively through the conv stack.
-    tune::TuneOptions loose = fastOptions();
+    // A budget no measured point exceeds changes no winner.
+    tune::TuneOptions loose = options();
     loose.errorBudget = 1e300;
-    std::vector<tune::LayerSearch> auditLoose;
-    const tune::DeploymentPlan planLoose =
-        tunePlan(stack, loose, &auditLoose);
+    const tune::DeploymentPlan planLoose = tunePlan(stack, loose);
+    ASSERT_EQ(planFree.layers.size(), planLoose.layers.size());
+    for (size_t i = 0; i < planFree.layers.size(); ++i) {
+        const tune::LayerPlan &a = planFree.layers[i];
+        const tune::LayerPlan &b = planLoose.layers[i];
+        EXPECT_EQ(a.backend, b.backend) << a.layer;
+        EXPECT_EQ(a.algo, b.algo) << a.layer;
+        EXPECT_EQ(a.threads, b.threads) << a.layer;
+    }
 
-    tune::TuneOptions tight = fastOptions();
-    tight.errorBudget = 1e-30;
+    // The serial/direct point is the reference itself.
+    double minDev = std::numeric_limits<double>::infinity();
+    for (const tune::LayerSearch &search : auditFree)
+        for (const tune::CandidatePoint &c : search.candidates) {
+            if (!c.measured)
+                continue;
+            EXPECT_FALSE(c.budgetExcluded) << search.layer;
+            if (c.backend == Backend::Serial &&
+                c.algo == ConvAlgo::Direct) {
+                EXPECT_EQ(0.0, c.maxAbsDev) << search.layer;
+            }
+            if (c.maxAbsDev > 0.0)
+                minDev = std::min(minDev, c.maxAbsDev);
+        }
+    ASSERT_TRUE(std::isfinite(minDev))
+        << "no measured candidate deviated from serial/direct";
+
+    // A budget just below the smallest nonzero deviation excludes
+    // every point that deviated at all.
+    tune::TuneOptions tight = options();
+    tight.errorBudget = std::nextafter(minDev, 0.0);
     std::vector<tune::LayerSearch> auditTight;
     const tune::DeploymentPlan planTight =
         tunePlan(stack, tight, &auditTight);
-
-    const auto countWinograd = [](const tune::LayerSearch &search,
-                                  bool excluded) {
-        size_t n = 0;
-        for (const tune::CandidatePoint &c : search.candidates)
-            if (c.algo == ConvAlgo::Winograd &&
-                c.budgetExcluded == excluded)
-                ++n;
-        return n;
-    };
-
-    size_t eligibleLoose = 0, excludedTight = 0;
-    ASSERT_EQ(auditLoose.size(), auditTight.size());
-    for (size_t i = 0; i < auditLoose.size(); ++i) {
-        eligibleLoose += countWinograd(auditLoose[i], false);
-        EXPECT_EQ(0u, countWinograd(auditLoose[i], true))
-            << auditLoose[i].layer;
-        excludedTight += countWinograd(auditTight[i], true);
-        EXPECT_EQ(0u, countWinograd(auditTight[i], false))
-            << auditTight[i].layer;
-    }
-    EXPECT_GT(eligibleLoose, 0u);
-    EXPECT_GT(excludedTight, 0u);
-
-    // An excluded candidate never wins: the tight plan is
-    // Winograd-free, and tuning still completed for every layer.
-    ASSERT_EQ(planLoose.layers.size(), planTight.layers.size());
+    size_t excluded = 0;
+    for (const tune::LayerSearch &search : auditTight)
+        for (const tune::CandidatePoint &c : search.candidates) {
+            if (!c.measured)
+                continue;
+            EXPECT_EQ(c.maxAbsDev > tight.errorBudget, c.budgetExcluded)
+                << search.layer;
+            excluded += c.budgetExcluded ? 1 : 0;
+        }
+    EXPECT_GT(excluded, 0u);
+    ASSERT_EQ(planFree.layers.size(), planTight.layers.size());
     for (const tune::LayerPlan &lp : planTight.layers)
-        EXPECT_NE(ConvAlgo::Winograd, lp.algo) << lp.layer;
+        EXPECT_LE(lp.maxAbsDev, tight.errorBudget) << lp.layer;
+    EXPECT_LE(planTight.maxAbsDev, tight.errorBudget);
 
-    // The bounds travel with the plan: budget + per-layer + total are
-    // serialized and survive a JSON round trip exactly.
-    EXPECT_DOUBLE_EQ(1e-30, planTight.errorBudget);
-    EXPECT_GT(planTight.totalErrorBound, 0.0);
-    bool anyLayerBound = false;
-    for (const tune::LayerPlan &lp : planTight.layers)
-        anyLayerBound = anyLayerBound || lp.errorBound > 0.0;
-    EXPECT_TRUE(anyLayerBound);
+    // Budget and deviations travel with the plan exactly.
     const tune::DeploymentPlan reparsed =
-        tune::planFromJson(tune::planToJson(planTight));
-    EXPECT_DOUBLE_EQ(planTight.errorBudget, reparsed.errorBudget);
-    EXPECT_DOUBLE_EQ(planTight.totalErrorBound,
-                     reparsed.totalErrorBound);
-    for (size_t i = 0; i < planTight.layers.size(); ++i)
-        EXPECT_DOUBLE_EQ(planTight.layers[i].errorBound,
-                         reparsed.layers[i].errorBound);
+        tune::planFromJson(tune::planToJson(planFree));
+    EXPECT_EQ(planFree.maxAbsDev, reparsed.maxAbsDev);
+    bool anyLayerDev = false;
+    for (size_t i = 0; i < planFree.layers.size(); ++i) {
+        anyLayerDev |= planFree.layers[i].maxAbsDev > 0.0;
+        EXPECT_EQ(planFree.layers[i].maxAbsDev,
+                  reparsed.layers[i].maxAbsDev);
+    }
+    EXPECT_TRUE(anyLayerDev);
+    EXPECT_EQ(tight.errorBudget,
+              tune::planFromJson(tune::planToJson(planTight))
+                  .errorBudget);
 }
 
 TEST(Tuner, CacheMissesWhenErrorBudgetChanges)
@@ -555,7 +577,7 @@ TEST(PlanEquivalence, RandomisedConvChainGeometries)
 // ---------------------------------------------------------------- //
 
 const char *const kGoldenPlan = R"({
-  "plan_version": 3,
+  "plan_version": 4,
   "model": "vgg16",
   "network_signature": "00000000deadbeef",
   "host_fingerprint": "golden-host/cpu8/avx2",
@@ -566,13 +588,13 @@ const char *const kGoldenPlan = R"({
   "best_global_p50_s": 0.046875,
   "best_global_config": "openmp/im2col/t4",
   "error_budget": 0.001953125,
-  "total_error_bound": 0.0009765625,
+  "max_abs_dev": 0.0009765625,
   "mem_budget": 4194304,
   "peak_bytes_bound": 3145728,
   "layers": [
-    {"layer": "conv1", "backend": "openmp", "algo": "im2col", "threads": 4, "measured_s": 0.001953125, "predicted_s": 0.00390625, "error_bound": 0.00048828125},
-    {"layer": "conv2", "backend": "serial", "algo": "winograd", "threads": 1, "measured_s": 0.0078125, "predicted_s": 0.015625, "error_bound": 0.000244140625},
-    {"layer": "fc1", "backend": "clblast", "algo": "im2col", "threads": 1, "measured_s": 0.5, "predicted_s": 2, "error_bound": 0.0001220703125}
+    {"layer": "conv1", "backend": "openmp", "algo": "im2col", "threads": 4, "measured_s": 0.001953125, "predicted_s": 0.00390625, "max_abs_dev": 0.00048828125},
+    {"layer": "conv2", "backend": "serial", "algo": "winograd", "threads": 1, "measured_s": 0.0078125, "predicted_s": 0.015625, "max_abs_dev": 0.000244140625},
+    {"layer": "fc1", "backend": "clblast", "algo": "im2col", "threads": 1, "measured_s": 0.5, "predicted_s": 2, "max_abs_dev": 0.0001220703125}
   ]
 }
 )";
@@ -591,7 +613,7 @@ goldenPlan()
     plan.bestGlobalP50 = 0.046875;
     plan.bestGlobalConfig = "openmp/im2col/t4";
     plan.errorBudget = 0.001953125;
-    plan.totalErrorBound = 0.0009765625;
+    plan.maxAbsDev = 0.0009765625;
     plan.memBudget = 4194304;
     plan.peakBytesBound = 3145728;
     plan.layers = {
@@ -629,20 +651,20 @@ TEST(PlanFile, ParseRenderRoundTripIsIdentity)
 TEST(PlanFile, ParsedFieldsSurviveTheTrip)
 {
     const tune::DeploymentPlan p = tune::planFromJson(kGoldenPlan);
-    EXPECT_EQ(3, p.version);
+    EXPECT_EQ(4, p.version);
     EXPECT_EQ("vgg16", p.model);
     EXPECT_EQ(7u, p.seed);
     EXPECT_EQ(Backend::OpenMP, p.defaultBackend);
     EXPECT_EQ(4, p.defaultThreads);
     EXPECT_DOUBLE_EQ(0.001953125, p.errorBudget);
-    EXPECT_DOUBLE_EQ(0.0009765625, p.totalErrorBound);
+    EXPECT_DOUBLE_EQ(0.0009765625, p.maxAbsDev);
     EXPECT_EQ(4194304u, p.memBudget);
     EXPECT_EQ(3145728u, p.peakBytesBound);
     ASSERT_EQ(3u, p.layers.size());
     EXPECT_EQ(Backend::OclGemmLib, p.layers[2].backend);
     EXPECT_EQ(ConvAlgo::Winograd, p.layers[1].algo);
     EXPECT_DOUBLE_EQ(0.001953125, p.layers[0].measuredSeconds);
-    EXPECT_DOUBLE_EQ(0.00048828125, p.layers[0].errorBound);
+    EXPECT_DOUBLE_EQ(0.00048828125, p.layers[0].maxAbsDev);
 }
 
 TEST(PlanFile, ControlCharactersEscapeAndRoundTrip)
@@ -786,77 +808,60 @@ TEST(PlanReject, ValidationCodesAreStable)
     EXPECT_TRUE(anyError(tune::validatePlan(plan, net, input)));
 }
 
-TEST(PlanReject, V1PlanFailsWithPlanVersionNotParse)
+TEST(PlanReject, OlderSchemaVersionsFailWithPlanVersionNotParse)
 {
-    // A genuine v1 document — no error fields, old version number —
-    // must still PARSE (the error fields are optional with defaults),
-    // then be refused by validatePlan with the stable PlanVersion
-    // code, so the operator sees "re-run --tune", not "corrupt file".
+    // Genuine v1-v3 documents must still PARSE (fields added later
+    // are optional; fields dropped since are ignored), then be
+    // refused by validatePlan with the stable PlanVersion code, so
+    // the operator sees "re-run --tune", not "corrupt file".
     InferenceStack stack = makeStack("mobilenet");
     tune::DeploymentPlan current = emptyValidPlan(stack);
     current.layers.push_back(
         {"stem", Backend::Serial, ConvAlgo::Direct, 1, 0.0, 0.0});
+    const std::string v4 = tune::planToJson(current);
 
-    std::string v1 = tune::planToJson(current);
-    const auto rewrite = [&v1](const std::string &from,
-                               const std::string &to) {
-        const size_t at = v1.find(from);
-        ASSERT_NE(std::string::npos, at) << from;
-        v1.replace(at, from.size(), to);
+    using Edit = std::pair<std::string, std::string>;
+    // v3 recorded static bounds where v4 records deviations; v2 had
+    // no mem fields; v1 had no numerical fields at all.
+    const std::vector<Edit> toV3 = {
+        {"\"plan_version\": 4", "\"plan_version\": 3"},
+        {"  \"max_abs_dev\": 0,\n", "  \"total_error_bound\": 0,\n"},
+        {", \"max_abs_dev\": 0}", ", \"error_bound\": 0}"},
     };
-    rewrite("\"plan_version\": 3", "\"plan_version\": 1");
-    rewrite("  \"error_budget\": 0,\n", "");
-    rewrite("  \"total_error_bound\": 0,\n", "");
-    rewrite("  \"mem_budget\": 0,\n", "");
-    rewrite("  \"peak_bytes_bound\": 0,\n", "");
-    rewrite(", \"error_bound\": 0}", "}");
-
-    tune::DeploymentPlan parsed;
-    ASSERT_NO_THROW(parsed = tune::planFromJson(v1))
-        << "v1 plan must parse, not throw PlanParse";
-    EXPECT_EQ(1, parsed.version);
-    EXPECT_DOUBLE_EQ(0.0, parsed.totalErrorBound);
-
-    const std::vector<analysis::Diagnostic> diags =
-        tune::validatePlan(parsed, stack.model().net,
-                           stack.inputShape(1));
-    EXPECT_TRUE(hasError(diags, analysis::Check::PlanVersion));
-}
-
-TEST(PlanReject, V2PlanFailsWithPlanVersionNotParse)
-{
-    // A genuine v2 document — version 2, no mem fields — must parse
-    // (the mem fields are optional, defaulting to 0) and then be
-    // refused by validatePlan with the stable PlanVersion code: its
-    // plans carry no peak bound, so the serving pre-flight could not
-    // size replicas from them.
-    InferenceStack stack = makeStack("mobilenet");
-    tune::DeploymentPlan current = emptyValidPlan(stack);
-    current.layers.push_back(
-        {"stem", Backend::Serial, ConvAlgo::Direct, 1, 0.0, 0.0});
-
-    std::string v2 = tune::planToJson(current);
-    const auto rewrite = [&v2](const std::string &from,
-                               const std::string &to) {
-        const size_t at = v2.find(from);
-        ASSERT_NE(std::string::npos, at) << from;
-        v2.replace(at, from.size(), to);
+    const std::vector<Edit> toV2 = {
+        {"\"plan_version\": 3", "\"plan_version\": 2"},
+        {"  \"mem_budget\": 0,\n", ""},
+        {"  \"peak_bytes_bound\": 0,\n", ""},
     };
-    rewrite("\"plan_version\": 3", "\"plan_version\": 2");
-    rewrite("  \"mem_budget\": 0,\n", "");
-    rewrite("  \"peak_bytes_bound\": 0,\n", "");
+    const std::vector<Edit> toV1 = {
+        {"\"plan_version\": 2", "\"plan_version\": 1"},
+        {"  \"error_budget\": 0,\n", ""},
+        {"  \"total_error_bound\": 0,\n", ""},
+        {", \"error_bound\": 0}", "}"},
+    };
 
-    tune::DeploymentPlan parsed;
-    ASSERT_NO_THROW(parsed = tune::planFromJson(v2))
-        << "v2 plan must parse, not throw PlanParse";
-    EXPECT_EQ(2, parsed.version);
-    EXPECT_EQ(0u, parsed.memBudget);
-    EXPECT_EQ(0u, parsed.peakBytesBound);
+    std::string doc = v4;
+    int version = 4;
+    for (const std::vector<Edit> *edits : {&toV3, &toV2, &toV1}) {
+        for (const Edit &e : *edits) {
+            const size_t at = doc.find(e.first);
+            ASSERT_NE(std::string::npos, at) << e.first;
+            doc.replace(at, e.first.size(), e.second);
+        }
+        --version;
 
-    const std::vector<analysis::Diagnostic> diags =
-        tune::validatePlan(parsed, stack.model().net,
-                           stack.inputShape(1));
-    EXPECT_TRUE(hasError(diags, analysis::Check::PlanVersion));
+        tune::DeploymentPlan parsed;
+        ASSERT_NO_THROW(parsed = tune::planFromJson(doc))
+            << "v" << version << " plan must parse, not throw";
+        EXPECT_EQ(version, parsed.version);
+        EXPECT_EQ(0.0, parsed.maxAbsDev);
+        EXPECT_EQ(0u, parsed.peakBytesBound);
+        EXPECT_TRUE(hasError(tune::validatePlan(parsed,
+                                                stack.model().net,
+                                                stack.inputShape(1)),
+                             analysis::Check::PlanVersion))
+            << "v" << version;
+    }
 }
 
 TEST(PlanReject, RecordedPeakBoundMustMatchThisBuild)
@@ -1173,14 +1178,14 @@ TEST(ServePlan, PreflightRejectsStaleForeignAndCorruptPlans)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ServePlan, PreflightWarnsWhenPlanBoundExceedsBudget)
+TEST(ServePlan, PreflightWarnsWhenPlanDeviationExceedsBudget)
 {
-    // A plan whose recorded static error bound busts the engine's
-    // budget is a warning, not a rejection: the bound is a provable
-    // worst case, so the deployment starts but the operator is told.
+    // A plan whose measured max_abs_dev busts the engine's budget is
+    // a warning, not a rejection: the deployment starts but the
+    // operator is told.
     InferenceStack stack = makeStack("mobilenet");
     tune::DeploymentPlan plan = emptyValidPlan(stack);
-    plan.totalErrorBound = 0.5;
+    plan.maxAbsDev = 0.5;
 
     serve::ServeConfig config;
     config.workers = 1;
