@@ -4,13 +4,13 @@
  * (the across-stack trade-off §V-D only gestures at: im2col buys
  * latency with scratch, direct and Winograd give the bytes back).
  *
- * One tuner search per model measures both the cost-model survivors
- * and every memory-Pareto-minimal candidate; the memory planner then
- * re-selects per-layer points at budgets swept from the minimum
- * feasible peak up to the unconstrained plan's footprint. Every plan
- * is EXECUTED — the peak column is the MemoryTracker's observation,
- * not the static bound — so each row is a realised (budget, peak,
- * p50) point, with the unconstrained plan as the budget=0 row.
+ * One tuner search per model measures every legal candidate; the
+ * memory planner then re-selects per-layer points at budgets swept
+ * from the minimum feasible peak up to the unconstrained plan's
+ * footprint. Every plan is EXECUTED — the peak column is the
+ * MemoryTracker's observation, not the static bound — so each row is
+ * a realised (budget, peak, p50) point, with the unconstrained plan
+ * as the budget=0 row.
  */
 
 #include <cstdio>
@@ -86,13 +86,11 @@ main()
         InferenceStack stack(bench::configFor(model, Technique::None,
                                               tableIII(model)));
 
-        // One search, priced for memory: the huge budget never binds
-        // but makes the tuner measure the memory-Pareto candidates.
+        // One search: every legal point is measured, so the audit
+        // holds every assignment the budgeted selections can reach.
         tune::TuneOptions opts;
         opts.reps = 2;
-        opts.topK = 3;
         opts.measureEndToEnd = false;
-        opts.memBudget = std::numeric_limits<size_t>::max();
         std::vector<tune::LayerSearch> audit;
         const tune::DeploymentPlan unconstrained =
             tunePlan(stack, opts, &audit);

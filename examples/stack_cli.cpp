@@ -10,7 +10,9 @@
  *             [--format dense|csr|packed]
  *             [--width <mult>]           width multiplier (default 0.5)
  *             [--threads <n>]            simulated OpenMP threads
- *             [--platform odroid|i7]
+ *             [--platform odroid|i7]     simulated device of the
+ *                                        default expected-vs-actual
+ *                                        report (default odroid)
  *             [--backend serial|openmp|opencl|clblast]
  *             [--algo direct|im2col|winograd]
  *             [--repeat <n>]             host-timing repeats (default 1)
@@ -41,14 +43,14 @@
  *             [--metrics <out.json>]     expected-vs-actual report JSON
  *             [--tune]                   search a per-layer deployment
  *                                        plan (algo x backend x
- *                                        threads per layer), cache it
+ *                                        threads per layer, every
+ *                                        legal point measured), cache it
  *                                        under --plan-dir, and report
  *                                        it against the best single
  *                                        global configuration
  *             [--plan-dir <dir>]         plan cache directory
  *                                        (default results/plans)
- *             [--tune-reps <n>] [--tune-topk <n>]
- *                                        tuner measurement budget
+ *             [--tune-reps <n>]          timed runs per tuner candidate
  *             [--mem-budget <bytes>]     with --tune: cap the plan's
  *                                        static peak working set; the
  *                                        planner trades latency for
@@ -131,6 +133,16 @@ parseBackend(const std::string &name)
     return backend;
 }
 
+DeviceModel
+parsePlatform(const std::string &name)
+{
+    if (name == "odroid")
+        return odroidXu4();
+    if (name == "i7")
+        return intelCoreI7();
+    fatal("unknown platform '", name, "'");
+}
+
 ConvAlgo
 parseConvAlgo(const std::string &name)
 {
@@ -208,15 +220,11 @@ fmtSig(double seconds)
 
 /** --tune mode: search, cache and report a per-layer plan. */
 int
-runTune(int argc, char **argv, InferenceStack &stack,
-        const DeviceModel &device)
+runTune(int argc, char **argv, InferenceStack &stack)
 {
     tune::TuneOptions opts;
-    opts.device = device;
     opts.reps = static_cast<size_t>(
         std::stoul(argValue(argc, argv, "--tune-reps", "5")));
-    opts.topK = static_cast<size_t>(
-        std::stoul(argValue(argc, argv, "--tune-topk", "8")));
     opts.errorBudget =
         std::stod(argValue(argc, argv, "--error-budget", "0"));
     opts.memBudget = static_cast<size_t>(
@@ -242,13 +250,12 @@ runTune(int argc, char **argv, InferenceStack &stack,
     TablePrinter table("per-layer deployment plan (" +
                        stack.config().modelName + ")");
     table.setHeader({"layer", "backend", "algo", "threads",
-                     "measured s", "predicted s", "max |dev|"});
+                     "measured s", "max |dev|"});
     for (const tune::LayerPlan &lp : plan.layers)
         table.addRow({lp.layer, tune::backendToken(lp.backend),
                       tune::algoToken(lp.algo),
                       std::to_string(lp.threads),
                       fmtSig(lp.measuredSeconds),
-                      fmtSig(lp.predictedSeconds),
                       fmtSig(lp.maxAbsDev)});
     table.print();
     std::printf("measured e2e max |dev| %.6g", plan.maxAbsDev);
@@ -285,8 +292,7 @@ runTune(int argc, char **argv, InferenceStack &stack,
  *  peak-memory budget against achievable latency, written to
  *  results/ for the paper-style trade-off curve. */
 int
-runMemReport(int argc, char **argv, InferenceStack &stack,
-             const DeviceModel &device)
+runMemReport(int argc, char **argv, InferenceStack &stack)
 {
     Network &net = stack.model().net;
     const Shape input = stack.inputShape(1);
@@ -320,18 +326,13 @@ runMemReport(int argc, char **argv, InferenceStack &stack,
     }
     table.print();
 
-    // One tuner pass with the memory-Pareto candidates measured; the
-    // huge budget never binds, so the audit carries the unconstrained
-    // winners plus every memory-minimal point the sweep can retreat
-    // to.
+    // One tuner pass: it measures every legal point, so the audit
+    // carries the unconstrained winners plus every point the sweep
+    // can retreat to.
     tune::TuneOptions opts;
-    opts.device = device;
     opts.reps = static_cast<size_t>(
         std::stoul(argValue(argc, argv, "--tune-reps", "3")));
-    opts.topK = static_cast<size_t>(
-        std::stoul(argValue(argc, argv, "--tune-topk", "4")));
     opts.measureEndToEnd = false;
-    opts.memBudget = std::numeric_limits<size_t>::max();
     std::vector<tune::LayerSearch> audit;
     const tune::DeploymentPlan plan =
         tune::tunePlan(stack, opts, &audit);
@@ -474,8 +475,8 @@ main(int argc, char **argv)
         std::stod(argValue(argc, argv, "--width", "0.5"));
     const int threads =
         std::stoi(argValue(argc, argv, "--threads", "4"));
-    const std::string platform =
-        argValue(argc, argv, "--platform", "odroid");
+    const DeviceModel device =
+        parsePlatform(argValue(argc, argv, "--platform", "odroid"));
     const std::string backend =
         argValue(argc, argv, "--backend", "openmp");
 
@@ -516,14 +517,11 @@ main(int argc, char **argv)
                           argValue(argc, argv, "--algo", "direct"),
                           threads);
 
-    const DeviceModel device =
-        platform == "i7" ? intelCoreI7() : odroidXu4();
-
     if (hasFlag(argc, argv, "--tune"))
-        return runTune(argc, argv, stack, device);
+        return runTune(argc, argv, stack);
 
     if (hasFlag(argc, argv, "--mem-report"))
-        return runMemReport(argc, argv, stack, device);
+        return runMemReport(argc, argv, stack);
 
     const std::string planPath = argValue(argc, argv, "--plan", "");
     if (!planPath.empty())

@@ -33,6 +33,12 @@ clConvDirect(CommandQueue &queue, const ConvParams &p, const float *input,
     const size_t reduce_len = p.cin * p.kh * p.kw;
     const size_t vw = cfg.vectorWidth;
 
+    // One work-item's gathered receptive field (its register tile),
+    // simulated device memory like clGemmTiled's accumulator tile. The
+    // queue runs work-items one at a time on this thread, so one
+    // buffer sized to the layer serves them all.
+    std::vector<float> patch(reduce_len); // dlis-lint: allow(kernel-heap-alloc)
+
     queue.enqueue(range, [&, ho, wo, reduce_len, vw](const WorkItem &wi) {
         const size_t ox = wi.global[0];
         const size_t oy = wi.global[1];
@@ -47,9 +53,6 @@ clConvDirect(CommandQueue &queue, const ConvParams &p, const float *input,
         // Gather the receptive field into a contiguous register tile,
         // then reduce in vector-width chunks — this mirrors the
         // float16 vectorisation of the hand-tuned kernel.
-        float patch[4096];
-        DLIS_ASSERT(reduce_len <= sizeof(patch) / sizeof(float),
-                    "receptive field too large for register tile");
         size_t idx = 0;
         for (size_t ci = 0; ci < p.cin; ++ci) {
             const float *in_ch = in_img + ci * p.hin * p.win;

@@ -1,11 +1,13 @@
 #include "serve/telemetry_server.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,14 +19,40 @@ namespace dlis::serve {
 
 namespace {
 
-/** Read until the end of the request headers (or the peer closes). */
+/**
+ * Whole-request deadline. The server answers one connection at a
+ * time, so a client that never finishes its request would otherwise
+ * hold every other scraper (and stop()) hostage.
+ */
+constexpr std::chrono::milliseconds kRequestDeadline{2000};
+
+/**
+ * Read until the end of the request headers (or the peer closes).
+ * Empty when the deadline passes first: the deadline covers the whole
+ * request, so a client trickling one byte at a time cannot extend it.
+ */
 std::string
 readRequest(int fd)
 {
+    const auto deadline =
+        std::chrono::steady_clock::now() + kRequestDeadline;
     std::string request;
     char buf[2048];
     while (request.find("\r\n\r\n") == std::string::npos &&
            request.size() < 16 * 1024) {
+        const auto left =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - std::chrono::steady_clock::now());
+        if (left.count() <= 0)
+            return "";
+        pollfd pfd{fd, POLLIN, 0};
+        const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+        if (ready < 0 && errno == EINTR)
+            continue;
+        if (ready == 0)
+            return ""; // deadline
+        if (ready < 0)
+            break;
         const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
         if (n < 0 && errno == EINTR)
             continue; // signal mid-read, not a peer close: retry

@@ -11,7 +11,9 @@
  * of one MetricsRegistry. Implementation is plain blocking POSIX
  * sockets on a single accept thread: a scrape is a few milliseconds of
  * rendering once every scrape interval, so an event loop would be
- * machinery without a workload. Scrapes never touch engine locks —
+ * machinery without a workload. Each connection gets a fixed 2 s
+ * whole-request deadline (answered 400 on expiry), so one stalled
+ * client cannot block the others. Scrapes never touch engine locks —
  * rendering reads lock-free instruments plus the registry's
  * registration mutex.
  *

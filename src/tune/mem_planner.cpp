@@ -66,7 +66,7 @@ planUnderMemBudget(const Network &net, const Shape &input,
             PricedLayer &pl = priced[it->second];
             for (size_t ci = 0; ci < search.candidates.size(); ++ci) {
                 const CandidatePoint &cp = search.candidates[ci];
-                if (!cp.measured || cp.budgetExcluded)
+                if (cp.budgetExcluded)
                     continue;
                 const analysis::LayerMemory lm =
                     analysis::layerForwardMemory(layer, cur,

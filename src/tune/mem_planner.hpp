@@ -69,11 +69,10 @@ struct MemPlanOutcome
 /**
  * Select, for every search in @p searches, the fastest measured
  * candidate assignment whose static peak fits @p budget. Only
- * measured candidates within the error budget participate (tunePlan
- * measures every memory-Pareto-minimal point when a budget is set, so
- * the minimum feasible peak is realisable unless --error-budget
- * excludes the points that reach it). @p input is the
- * batch-1 input shape the tuner priced (the same shape
+ * candidates within the error budget participate (tunePlan measures
+ * every legal point, so the minimum feasible peak is realisable
+ * unless --error-budget excludes the points that reach it). @p input
+ * is the batch-1 input shape the tuner priced (the same shape
  * analysis::memoryEstimateForPlan reproduces the tracker for).
  */
 MemPlanOutcome planUnderMemBudget(

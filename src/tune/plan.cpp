@@ -459,7 +459,6 @@ renderLayer(std::ostringstream &oss, const LayerPlan &lp)
         << "\", \"algo\": \"" << algoToken(lp.algo)
         << "\", \"threads\": " << lp.threads
         << ", \"measured_s\": " << renderDouble(lp.measuredSeconds)
-        << ", \"predicted_s\": " << renderDouble(lp.predictedSeconds)
         << ", \"max_abs_dev\": " << renderDouble(lp.maxAbsDev)
         << "}";
 }
@@ -592,7 +591,6 @@ planFromJson(const std::string &json)
             parseFail("field 'algo' names no algorithm");
         lp.threads = intField(item, "threads");
         lp.measuredSeconds = numField(item, "measured_s");
-        lp.predictedSeconds = numField(item, "predicted_s");
         lp.maxAbsDev = optNumField(item, "max_abs_dev", 0.0);
         plan.layers.push_back(std::move(lp));
     }

@@ -40,13 +40,13 @@ namespace dlis::tune {
 
 /**
  * Schema version written to (and required of) every plan file.
- * v4 replaced the static error bounds with measured deviations
- * (top-level and per-layer max_abs_dev); v3 added the
- * memory-planning fields (mem_budget, peak_bytes_bound); v2 added
- * error_budget. Older plans parse but fail validatePlan with
- * PlanVersion — re-run --tune.
+ * v5 dropped the per-layer cost-model seed; v4 replaced the static
+ * error bounds with measured deviations (top-level and per-layer
+ * max_abs_dev); v3 added the memory-planning fields (mem_budget,
+ * peak_bytes_bound); v2 added error_budget. Older plans parse but
+ * fail validatePlan with PlanVersion — re-run --tune.
  */
-constexpr int kPlanVersion = 4;
+constexpr int kPlanVersion = 5;
 
 /** @name Plan-file tokens (the CLI spellings, not display names). */
 /** @{ */
@@ -63,8 +63,7 @@ struct LayerPlan
     Backend backend = Backend::Serial;
     ConvAlgo algo = ConvAlgo::Direct;
     int threads = 1;
-    double measuredSeconds = 0.0;  //!< median of the winning point
-    double predictedSeconds = 0.0; //!< cost-model seed for the point
+    double measuredSeconds = 0.0; //!< median of the winning point
 
     /**
      * Measured max |out - ref| of this layer's point against its

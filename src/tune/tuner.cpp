@@ -1,16 +1,13 @@
 #include "tune/tuner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <limits>
-#include <numeric>
 
 #include "analysis/memory_estimate.hpp"
 #include "analysis/verifier.hpp"
 #include "tune/mem_planner.hpp"
 #include "core/error.hpp"
-#include "hw/cost_model.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/depthwise_conv2d.hpp"
 #include "nn/linear.hpp"
@@ -29,7 +26,7 @@ enum class LayerKind
     Block,     //!< ResidualBlock, tuned as one unit
 };
 
-/** One layer the tuner searches, with its geometry and cost facts. */
+/** One layer the tuner searches, with its geometry. */
 struct TunableLayer
 {
     Layer *layer = nullptr;
@@ -38,7 +35,6 @@ struct TunableLayer
     bool sparse = false; //!< any inner weight in a non-dense format
     /** True when a Winograd point differs from the Direct point. */
     bool winogradDistinct = false;
-    std::vector<LayerCost> costs; //!< facts at `input` (block: stages)
 };
 
 bool
@@ -69,16 +65,13 @@ collectTunable(Network &net, const Shape &input)
             tl.sparse = convSparse(*conv);
             tl.winogradDistinct =
                 !tl.sparse && convWinogradEligible(*conv);
-            tl.costs = {conv->cost(cur)};
             out.push_back(std::move(tl));
         } else if (dynamic_cast<DepthwiseConv2d *>(layer)) {
             tl.kind = LayerKind::Depthwise;
-            tl.costs = {layer->cost(cur)};
             out.push_back(std::move(tl));
         } else if (auto *fc = dynamic_cast<Linear *>(layer)) {
             tl.kind = LayerKind::Fc;
             tl.sparse = fc->format() != WeightFormat::Dense;
-            tl.costs = {fc->cost(cur)};
             out.push_back(std::move(tl));
         } else if (auto *block =
                        dynamic_cast<ResidualBlock *>(layer)) {
@@ -91,7 +84,6 @@ collectTunable(Network &net, const Shape &input)
                 !tl.sparse &&
                 (convWinogradEligible(block->conv1()) ||
                  convWinogradEligible(block->conv2()));
-            tl.costs = block->stageCosts(cur);
             out.push_back(std::move(tl));
         }
         cur = layer->outputShape(cur);
@@ -121,23 +113,19 @@ enumerateCandidates(const TunableLayer &tl, const TuneOptions &options)
 
     std::vector<CandidatePoint> grid;
     for (ConvAlgo algo : cpuAlgos)
-        grid.push_back({Backend::Serial, algo, 1, 0.0, 0.0, false});
+        grid.push_back({Backend::Serial, algo, 1});
     for (int t : options.threadCandidates) {
         if (t <= 1)
             continue; // OpenMP x 1 duplicates Serial
         for (ConvAlgo algo : cpuAlgos)
-            grid.push_back(
-                {Backend::OpenMP, algo, t, 0.0, 0.0, false});
+            grid.push_back({Backend::OpenMP, algo, t});
     }
     if (convLike && !tl.sparse) {
-        grid.push_back({Backend::OclHandTuned, ConvAlgo::Direct, 1,
-                        0.0, 0.0, false});
-        grid.push_back({Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1,
-                        0.0, 0.0, false});
+        grid.push_back({Backend::OclHandTuned, ConvAlgo::Direct, 1});
+        grid.push_back({Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1});
     }
     if (tl.kind == LayerKind::Fc && !tl.sparse)
-        grid.push_back({Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1,
-                        0.0, 0.0, false});
+        grid.push_back({Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1});
 
     // Capability gate: a candidate the verifier rejects would panic
     // mid-measurement — drop it before anything is timed. The grid
@@ -158,33 +146,6 @@ enumerateCandidates(const TunableLayer &tl, const TuneOptions &options)
     return legal;
 }
 
-/** Cost-model seed of one candidate on the configured device. */
-double
-predictSeconds(const CostModel &model,
-               const std::vector<LayerCost> &costs,
-               const CandidatePoint &cp)
-{
-    // A device without a GPU model cannot price the simulated OpenCL
-    // backends; infinity sorts those candidates last, so they only
-    // get measured when topK exceeds the priceable grid.
-    const bool gpuPriced = model.device().gpu.has_value();
-    switch (cp.backend) {
-      case Backend::Serial:
-        return model.estimateCpu(costs, 1).total();
-      case Backend::OpenMP:
-        return model.estimateCpu(costs, cp.threads).total();
-      case Backend::OclHandTuned:
-        return gpuPriced
-                   ? model.estimateOclHandTuned(costs).total()
-                   : std::numeric_limits<double>::infinity();
-      case Backend::OclGemmLib:
-        return gpuPriced
-                   ? model.estimateOclGemmLib(costs).total()
-                   : std::numeric_limits<double>::infinity();
-    }
-    return std::numeric_limits<double>::infinity();
-}
-
 /**
  * The canonical candidate a whole-network global configuration
  * {@p b, @p a, @p t} resolves to at @p tl — the dispatch rules of the
@@ -199,36 +160,32 @@ effectivePoint(const TunableLayer &tl, Backend b, ConvAlgo a, int t)
         tl.kind == LayerKind::Conv || tl.kind == LayerKind::Block;
     if (convLike && !tl.sparse) {
         if (b == Backend::OclHandTuned)
-            return {Backend::OclHandTuned, ConvAlgo::Direct, 1, 0.0,
-                    0.0, false};
+            return {Backend::OclHandTuned, ConvAlgo::Direct, 1};
         if (b == Backend::OclGemmLib)
-            return {Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1, 0.0,
-                    0.0, false};
+            return {Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1};
         ConvAlgo algo = a;
         if (a == ConvAlgo::Winograd && !tl.winogradDistinct)
             algo = ConvAlgo::Direct;
         const int threads = b == Backend::OpenMP ? t : 1;
         return {threads > 1 ? Backend::OpenMP : Backend::Serial, algo,
-                threads, 0.0, 0.0, false};
+                threads};
     }
     if (tl.kind == LayerKind::Fc && !tl.sparse &&
         b == Backend::OclGemmLib)
-        return {Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1, 0.0,
-                0.0, false};
+        return {Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1};
     const int threads = b == Backend::OpenMP ? t : 1;
     return {threads > 1 ? Backend::OpenMP : Backend::Serial,
-            ConvAlgo::Direct, threads, 0.0, 0.0, false};
+            ConvAlgo::Direct, threads};
 }
 
-/** Score of @p tl under the candidate key: measured when available. */
+/** Measured score of @p search's point matching the candidate key. */
 double
 layerScore(const LayerSearch &search, const CandidatePoint &key)
 {
     for (const CandidatePoint &cp : search.candidates)
         if (cp.backend == key.backend && cp.algo == key.algo &&
             cp.threads == key.threads)
-            return cp.measured ? cp.measuredSeconds
-                               : cp.predictedSeconds;
+            return cp.measuredSeconds;
     DLIS_CHECK(false, "tuner: global config resolves to a point ",
                "missing from layer '", search.layer, "' grid");
     return std::numeric_limits<double>::infinity();
@@ -302,7 +259,6 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
 {
     Network &net = stack.model().net;
     const Shape input = stack.inputShape(1);
-    const CostModel model(options.device);
 
     // Shared measurement state: one arena (steady-state, no kernel
     // heap allocations after warmup), one simulated queue and GEMM
@@ -317,6 +273,28 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
     mo.warmup = options.warmup;
     mo.reps = options.reps;
     mo.clock = options.clock;
+
+    // Seeded whole-network input: the untimed OpenMP warm-up below,
+    // the end-to-end deviation and the e2e measurements all read it.
+    Rng netRng(options.seed, 0);
+    Tensor netInput(input);
+    netInput.fillUniform(netRng, -1.0f, 1.0f);
+
+    // One untimed forward per OpenMP width before anything is timed.
+    // A fresh worker team can start with busy-waiting workers sharing
+    // a core with the thread that holds the work; until the scheduler
+    // spreads the team, every parallel region waits out whole
+    // scheduler ticks, and the first candidates timed at that width
+    // read milliseconds for sub-millisecond work. A forward with real
+    // work gives the scheduler the chance to spread the team first.
+    for (int t : options.threadCandidates) {
+        if (t <= 1)
+            continue;
+        ExecContext warm;
+        warm.backend = Backend::OpenMP;
+        warm.threads = t;
+        (void)net.forward(netInput, warm);
+    }
 
     std::vector<TunableLayer> tunable = collectTunable(net, input);
     std::vector<LayerSearch> searches;
@@ -334,93 +312,17 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
         LayerSearch search;
         search.layer = tl.layer->name();
         search.candidates = enumerateCandidates(tl, options);
-        for (CandidatePoint &cp : search.candidates)
-            cp.predictedSeconds = predictSeconds(model, tl.costs, cp);
 
-        // Stage 2: cost-model prune. Stable order on ties keeps the
-        // search deterministic (the model cannot split CPU algorithms;
-        // measurement does).
-        std::vector<size_t> order(search.candidates.size());
-        std::iota(order.begin(), order.end(), size_t{0});
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                             return search.candidates[a]
-                                        .predictedSeconds <
-                                    search.candidates[b]
-                                        .predictedSeconds;
-                         });
-        if (order.size() > options.topK)
-            order.resize(options.topK);
-
-        // The unconstrained winner is picked from the cost-model
-        // survivors only — a memory budget must not change which
-        // point wins when the budget is not binding.
-        std::vector<char> inTopK(search.candidates.size(), 0);
-        for (size_t idx : order)
-            inTopK[idx] = 1;
-
-        // Under a memory budget, also measure every legal candidate
-        // that is Pareto-minimal in (activation, scratch) bytes: the
-        // planner may have to retreat to a point the cost model
-        // pruned, and the minimum feasible peak must be realisable
-        // from measured points.
-        if (options.memBudget > 0) {
-            std::vector<std::pair<size_t, size_t>> mem(
-                search.candidates.size());
-            for (size_t i = 0; i < search.candidates.size(); ++i) {
-                const CandidatePoint &cp = search.candidates[i];
-                const analysis::LayerMemory lm =
-                    analysis::layerForwardMemory(*tl.layer, tl.input,
-                                                 cp.backend, cp.algo,
-                                                 cp.threads);
-                mem[i] = {lm.inputBytes + lm.transientBytes,
-                          lm.scratchBytes};
-            }
-            for (size_t i = 0; i < search.candidates.size(); ++i) {
-                if (inTopK[i])
-                    continue;
-                bool dominated = false;
-                for (size_t j = 0; j < search.candidates.size();
-                     ++j) {
-                    if (j == i)
-                        continue;
-                    if (mem[j].first <= mem[i].first &&
-                        mem[j].second <= mem[i].second &&
-                        (mem[j].first < mem[i].first ||
-                         mem[j].second < mem[i].second ||
-                         (inTopK[j] && j < i))) {
-                        dominated = true;
-                        break;
-                    }
-                }
-                if (!dominated)
-                    order.push_back(i);
-            }
-        }
-
-        // Under an error budget, also measure the serial/direct point
-        // (grid index 0): it is the reference itself, deviation 0, so
-        // it wins when every cost-model survivor busts the budget.
-        const CandidatePoint &ref0 = search.candidates.front();
-        DLIS_CHECK(ref0.backend == Backend::Serial &&
-                       ref0.algo == ConvAlgo::Direct,
-                   "tuner: layer '", search.layer,
-                   "' grid does not start at serial/direct");
-        if (options.errorBudget > 0 &&
-            std::find(order.begin(), order.end(), 0) == order.end())
-            order.push_back(0);
-
-        // Stage 3: measure the survivors on the real geometry with a
-        // per-layer deterministic input, and record each one's max
-        // |out - ref| against the layer's serial/direct output on the
-        // same input (computed once, untimed).
+        // Stage 2: measure every legal candidate on the real geometry
+        // with a per-layer deterministic input, and record each one's
+        // max |out - ref| against the layer's serial/direct output on
+        // the same input (computed once, untimed).
         Rng rng(options.seed, li + 1);
         Tensor layerInput(tl.input);
         layerInput.fillUniform(rng, -1.0f, 1.0f);
         ExecContext refCtx;
         const Tensor ref = tl.layer->forward(layerInput, refCtx);
-        for (size_t idx : order) {
-            CandidatePoint &cp = search.candidates[idx];
+        for (CandidatePoint &cp : search.candidates) {
             mctx.backend = cp.backend;
             mctx.convAlgo = cp.algo;
             mctx.threads = cp.threads;
@@ -428,21 +330,18 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
             cp.measuredSeconds = measureMedianSeconds(
                 [&] { out = tl.layer->forward(layerInput, mctx); },
                 mo);
-            cp.measured = true;
             cp.maxAbsDev = out.maxAbsDiff(ref);
             cp.budgetExcluded = options.errorBudget > 0 &&
                                 cp.maxAbsDev > options.errorBudget;
         }
 
+        // Serial/direct is in every grid with deviation 0, so a
+        // budget never excludes every point.
         const CandidatePoint *best = nullptr;
-        for (size_t i = 0; i < search.candidates.size(); ++i) {
-            const CandidatePoint &cp = search.candidates[i];
-            if (cp.measured && inTopK[i] && !cp.budgetExcluded &&
+        for (const CandidatePoint &cp : search.candidates)
+            if (!cp.budgetExcluded &&
                 (!best || cp.measuredSeconds < best->measuredSeconds))
                 best = &cp;
-        }
-        if (!best && options.errorBudget > 0)
-            best = &search.candidates[0];
         DLIS_CHECK(best, "tuner: layer '", search.layer,
                    "' has no measurable candidate");
 
@@ -451,12 +350,6 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
         search.winner.algo = best->algo;
         search.winner.threads = best->threads;
         search.winner.measuredSeconds = best->measuredSeconds;
-        // An unpriceable candidate (no GPU model) carries an infinite
-        // prediction; record 0 so the plan JSON stays parseable.
-        search.winner.predictedSeconds =
-            std::isfinite(best->predictedSeconds)
-                ? best->predictedSeconds
-                : 0.0;
         search.winner.maxAbsDev = best->maxAbsDev;
         plan.layers.push_back(search.winner);
         searches.push_back(std::move(search));
@@ -485,10 +378,6 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
             lp.algo = cp.algo;
             lp.threads = cp.threads;
             lp.measuredSeconds = cp.measuredSeconds;
-            lp.predictedSeconds =
-                std::isfinite(cp.predictedSeconds)
-                    ? cp.predictedSeconds
-                    : 0.0;
             lp.maxAbsDev = cp.maxAbsDev;
             searches[li].winner = lp;
         }
@@ -559,9 +448,6 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
 
     // End-to-end deviation of the whole plan from the serial/direct
     // forward on the seeded network input.
-    Rng rng(options.seed, 0);
-    Tensor netInput(input);
-    netInput.fillUniform(rng, -1.0f, 1.0f);
     PlanRuntime runtime(plan);
     ExecContext tunedCtx;
     runtime.bind(tunedCtx);

@@ -10,20 +10,21 @@
  * GEMM library) x thread count — and emits the fastest point per
  * layer as a DeploymentPlan.
  *
- * The search is staged the way the paper's Fig 6 motivates:
+ * The search has two stages:
  *
  *  1. enumerate only LEGAL candidates — the analysis verifier's
  *     capability rules (checkLayerExecution) gate the grid, so a point
  *     that would panic (sparse weights on an OpenCL backend) or
  *     duplicate another point (Winograd on an ineligible geometry,
  *     im2col on CSR weights) is never timed;
- *  2. seed with the src/hw cost model and keep only the topK
- *     candidates per layer, pruning the grid before any measurement;
- *  3. refine by measuring the survivors on the real layer geometry
- *     with the shared warmup+median-of-k harness (tune/measure.hpp) —
- *     the same loop the GEMM-library auto-tuner runs, lifted to whole
- *     layers. An injected ClockFn makes the whole search replayable.
- *     Each measured point also records its max |out - ref| against
+ *  2. measure every legal candidate, in enumeration order, on the
+ *     real layer geometry with the shared warmup+median-of-k harness
+ *     (tune/measure.hpp) — the same loop the GEMM-library auto-tuner
+ *     runs, lifted to whole layers. The grid holds at most a dozen
+ *     points per layer, so nothing is pruned by prediction: a cost
+ *     model that cannot tell the CPU algorithms apart would decide
+ *     what gets measured. An injected ClockFn makes the whole search
+ *     replayable. Each point also records its max |out - ref| against
  *     the layer's serial/direct output, which --error-budget gates.
  *
  * Because per-layer winners differ (the paper's core observation: the
@@ -40,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "hw/device.hpp"
 #include "tune/measure.hpp"
 #include "tune/plan.hpp"
 
@@ -57,7 +57,6 @@ struct TuneOptions
     std::vector<int> threadCandidates = {2, 4};
     size_t warmup = 1; //!< untimed runs before each measurement
     size_t reps = 5;   //!< timed runs per candidate (median taken)
-    size_t topK = 8;   //!< cost-model survivors measured per layer
     uint64_t seed = 42; //!< measurement-input seed (recorded in plan)
     ClockFn clock;      //!< null = steady clock; tests inject one
 
@@ -69,17 +68,14 @@ struct TuneOptions
      */
     bool measureEndToEnd = true;
 
-    /** Device the cost-model seeding stage prices candidates on. */
-    DeviceModel device = intelCoreI7();
-
     /**
      * Per-layer absolute-deviation budget (0 = unlimited). Every
      * measured candidate records max |out - ref| against the layer's
      * serial/direct output on the same seeded input; under a budget,
-     * a candidate above it is excluded from winning, and the
-     * serial/direct point (deviation 0) is always measured so it can
-     * take over when every cost-model survivor is excluded. A budget
-     * no measured point exceeds leaves the winners unchanged.
+     * a candidate above it is excluded from winning. The
+     * serial/direct point has deviation 0, so it is never excluded
+     * and every layer keeps a winner. A budget no point exceeds
+     * leaves the winners unchanged.
      */
     double errorBudget = 0.0;
 
@@ -87,8 +83,7 @@ struct TuneOptions
      * Hard peak-RAM budget in bytes (0 = unconstrained). When set,
      * the memory planner (tune/mem_planner.hpp) re-selects each
      * layer's point after measurement so the plan's static peak
-     * footprint fits the budget, and every memory-Pareto-minimal
-     * candidate is measured in addition to the cost-model survivors
+     * footprint fits the budget. Every legal candidate is measured,
      * so the minimum feasible peak is always realisable. An
      * infeasible budget throws PlanError with the stable
      * `plan-mem-infeasible` code, naming the minimum feasible peak.
@@ -102,11 +97,9 @@ struct CandidatePoint
     Backend backend = Backend::Serial;
     ConvAlgo algo = ConvAlgo::Direct;
     int threads = 1;
-    double predictedSeconds = 0.0; //!< cost-model seed
-    double measuredSeconds = 0.0;  //!< valid when measured
-    bool measured = false;         //!< survived the topK prune
+    double measuredSeconds = 0.0; //!< median of the timed runs
 
-    /** max |out - ref| vs the serial/direct output (when measured). */
+    /** max |out - ref| vs the serial/direct output. */
     double maxAbsDev = 0.0;
     /** maxAbsDev above --error-budget: measured, but never wins. */
     bool budgetExcluded = false;
@@ -129,7 +122,7 @@ struct TuneOutcome
 };
 
 /**
- * Run the staged search over every tunable layer of @p stack and
+ * Run the two-stage search over every tunable layer of @p stack and
  * return the winning plan. @p audit, when non-null, receives one
  * LayerSearch per tunable layer. Deterministic for a fixed options
  * struct whenever options.clock is.

@@ -9,6 +9,7 @@
 
 #include "backend/gemmlib/tuned_gemm.hpp"
 #include "backend/oclsim/ndrange.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/models/model.hpp"
 #include "test_helpers.hpp"
 
@@ -141,6 +142,25 @@ TEST(Backends, ResNetAndMobileNetAgreeAcrossBackends)
         EXPECT_LE(m.net.forward(in, omp).maxAbsDiff(ref), 1e-6f)
             << name;
     }
+}
+
+TEST(Backends, HandTunedConvTakesWideReceptiveFields)
+{
+    // Full-width VGG-16's late convs reduce 512 x 3 x 3 = 4608 terms
+    // per output; the hand-tuned backend must run them and match
+    // serial/direct.
+    Rng rng(7);
+    Conv2d conv("wide", 512, 2, 3, 1, 1);
+    conv.initKaiming(rng);
+    const Tensor in = test::randomTensor(Shape{1, 512, 4, 4}, 8);
+
+    ExecContext serial;
+    const Tensor ref = conv.forward(in, serial);
+    oclsim::CommandQueue queue;
+    ExecContext ocl;
+    ocl.backend = Backend::OclHandTuned;
+    ocl.queue = &queue;
+    EXPECT_LE(conv.forward(in, ocl).maxAbsDiff(ref), 1e-4f);
 }
 
 TEST(Backends, MissingContextPiecesAreRejected)

@@ -26,6 +26,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "core/error.hpp"
@@ -732,6 +733,64 @@ TEST(Telemetry, HttpRequestSplitAcrossPacketsStillParses)
         << response;
     EXPECT_NE(httpBody(response).find("ok"), std::string::npos)
         << response;
+}
+
+TEST(Telemetry, StalledClientDoesNotBlockOtherScrapes)
+{
+    // A client that starts a request and never finishes it must not
+    // stop /healthz answering, nor stop() returning: the server gives
+    // each connection one whole-request deadline.
+    obs::MetricsRegistry registry;
+    serve::TelemetryServer server(registry);
+    ASSERT_NE(server.port(), 0);
+
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server.port());
+    const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(stalled, 0);
+    ASSERT_EQ(::connect(stalled, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    const char partial[] = "GET /metr";
+    ASSERT_EQ(static_cast<ssize_t>(sizeof(partial) - 1),
+              ::send(stalled, partial, sizeof(partial) - 1, 0));
+
+    // The probe's own receive timeout makes a blocked server fail
+    // this test instead of hanging it.
+    const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(probe, 0);
+    timeval tv{5, 0};
+    ASSERT_EQ(0, ::setsockopt(probe, SOL_SOCKET, SO_RCVTIMEO, &tv,
+                              sizeof(tv)));
+    ASSERT_EQ(::connect(probe, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    const std::string get =
+        "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+    ASSERT_EQ(static_cast<ssize_t>(get.size()),
+              ::send(probe, get.data(), get.size(), 0));
+    std::string response;
+    char buf[1024];
+    for (;;) {
+        const ssize_t n = ::recv(probe, buf, sizeof(buf), 0);
+        if (n <= 0)
+            break;
+        response.append(buf, static_cast<size_t>(n));
+    }
+    ::close(probe);
+    EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos)
+        << "/healthz got no answer behind a stalled client";
+
+    auto stopped = std::async(std::launch::async, [&] { server.stop(); });
+    EXPECT_EQ(std::future_status::ready,
+              stopped.wait_for(std::chrono::seconds(5)))
+        << "stop() blocked behind a stalled client";
+    // Closing the stalled client frees a blocked server thread, so
+    // the test ends either way.
+    ::close(stalled);
+    stopped.get();
 }
 
 TEST(Telemetry, HttpQuitEndpointReleasesWait)
