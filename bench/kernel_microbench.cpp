@@ -179,6 +179,53 @@ DLIS_BENCHMARK(BM_GemmBlockedScalar)
     ->Arg(512);
 
 /**
+ * Blocked GEMM at the (M, K, N) shapes of the 2x2-spatial late
+ * layers, where N < 8 runs entirely in the micro-kernel's column
+ * remainder: VGG-16 conv11 (256, 2304, 4), MobileNet pw7 (256, 256,
+ * 4) and a single column (256, 2304, 1). Square BM_GemmBlocked never
+ * reaches that path.
+ */
+void
+gemmSmallN(benchmark::State &state)
+{
+    const size_t m = static_cast<size_t>(state.range(0));
+    const size_t k = static_cast<size_t>(state.range(1));
+    const size_t n = static_cast<size_t>(state.range(2));
+    Tensor a = randomTensor(Shape{m, k}, 18);
+    Tensor b = randomTensor(Shape{k, n}, 19);
+    Tensor c(Shape{m, n});
+    for (auto _ : state) {
+        kernels::gemmBlocked(a.data(), b.data(), c.data(), m, k, n,
+                             {1});
+        benchmark::DoNotOptimize(c.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * m * k * n));
+}
+
+void
+BM_GemmSmallN(benchmark::State &state)
+{
+    gemmSmallN(state);
+}
+DLIS_BENCHMARK(BM_GemmSmallN)
+    ->Args({256, 2304, 4})
+    ->Args({256, 256, 4})
+    ->Args({256, 2304, 1});
+
+/** Scalar-pinned twin of BM_GemmSmallN (see BM_GemmBlockedScalar). */
+void
+BM_GemmSmallNScalar(benchmark::State &state)
+{
+    simd::ScopedForceIsa force(simd::SimdIsa::Scalar);
+    gemmSmallN(state);
+}
+DLIS_BENCHMARK(BM_GemmSmallNScalar)
+    ->Args({256, 2304, 4})
+    ->Args({256, 256, 4})
+    ->Args({256, 2304, 1});
+
+/**
  * The GEMM library's fixed packing/padding work: tiny (CIFAR-shaped)
  * calls waste most of their time, large calls amortise it — the
  * crossover behind Fig 6 vs the ImageNet extension.

@@ -10,11 +10,16 @@
  *
  * Tail-handling contract (what keeps parity tests honest):
  *  - every variant accepts any size; lanes that do not fill a vector
- *    run a scalar tail *inside the variant*;
- *  - GEMM and conv variants may use FMA, but then their scalar tails
- *    use std::fma too, so every element of a vector-ISA result is
- *    single-rounded and independent of which lane (vector or tail) it
- *    landed in — batch-size invariance holds at tolerance 0;
+ *    are handled *inside the variant*. On AVX2 the GEMM column
+ *    remainder and the conv's leftover interior span are one masked
+ *    8-lane block (dead lanes neither read nor write memory); scalar
+ *    std::fma tails remain only in the NEON GEMM (cols % 4) and at
+ *    conv pixel borders;
+ *  - GEMM and conv variants may use FMA, but then their tails fuse
+ *    too, so every element of a vector-ISA result is single-rounded
+ *    and independent of which lane (full block, masked block or
+ *    scalar tail) it landed in — batch-size invariance holds at
+ *    tolerance 0;
  *  - per output element, floating-point additions run in the same
  *    ascending order as the reference loop (GEMM: ascending k;
  *    convs: the ci/ky/kx tap order), so results stay deterministic

@@ -44,8 +44,10 @@ spanMask(size_t span)
  * One MR-row panel of a C tile: dst[r][j] += sum_p a[r][p] * b[p][j]
  * over p in [p0, p1). Columns run eight at a time with one register
  * accumulator per row (MR <= 8 keeps all live values in ymm); the
- * column tail uses std::fma so every element is single-rounded no
- * matter which lane it landed in.
+ * 1..7-column remainder is one masked 8-lane block, so an N<8 GEMM
+ * (the 2x2-spatial late layers, N = 4) stays vectorised. Dead lanes
+ * neither read nor write memory, and every live lane runs the same
+ * single-rounded ascending-p fmadd chain as a full block.
  */
 template <int MR>
 void
@@ -67,13 +69,19 @@ gemmPanelAvx2(const float *a, size_t lda, const float *b, size_t ldb,
         for (int r = 0; r < MR; ++r)
             _mm256_storeu_ps(dst + r * ldc + j, acc[r]);
     }
-    for (; j < cols; ++j) {
-        for (int r = 0; r < MR; ++r) {
-            float acc = dst[r * ldc + j];
-            for (size_t p = p0; p < p1; ++p)
-                acc = std::fma(a[r * lda + p], b[p * ldb + j], acc);
-            dst[r * ldc + j] = acc;
+    if (j < cols) {
+        const __m256i mask = spanMask(cols - j);
+        __m256 acc[MR];
+        for (int r = 0; r < MR; ++r)
+            acc[r] = _mm256_maskload_ps(dst + r * ldc + j, mask);
+        for (size_t p = p0; p < p1; ++p) {
+            const __m256 bv = _mm256_maskload_ps(b + p * ldb + j, mask);
+            for (int r = 0; r < MR; ++r)
+                acc[r] = _mm256_fmadd_ps(
+                    _mm256_broadcast_ss(a + r * lda + p), bv, acc[r]);
         }
+        for (int r = 0; r < MR; ++r)
+            _mm256_maskstore_ps(dst + r * ldc + j, mask, acc[r]);
     }
 }
 

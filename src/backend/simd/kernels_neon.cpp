@@ -23,7 +23,10 @@ namespace dlis::simd {
 
 namespace {
 
-/** See gemmPanelAvx2: MR rows, 4-wide columns, std::fma tail. */
+/**
+ * Like gemmPanelAvx2 (MR rows, ascending-p FMA chain), but 4-wide
+ * columns and a scalar std::fma tail for the cols % 4 remainder.
+ */
 template <int MR>
 void
 gemmPanelNeon(const float *a, size_t lda, const float *b, size_t ldb,

@@ -99,6 +99,16 @@ TEST(BatchSemantics, OpenMpDirect)
         checkBatchInvariance(model, ctx, "OpenMP direct");
 }
 
+TEST(BatchSemantics, OpenMpIm2colGemm)
+{
+    ExecContext ctx;
+    ctx.backend = Backend::OpenMP;
+    ctx.threads = 4;
+    ctx.convAlgo = ConvAlgo::Im2colGemm;
+    for (const char *model : {"mobilenet", "resnet18", "vgg16"})
+        checkBatchInvariance(model, ctx, "OpenMP im2col+GEMM");
+}
+
 TEST(BatchSemantics, CsrFormat)
 {
     // The deployment format the paper ships: CSR weights, direct

@@ -203,6 +203,48 @@ TEST(SimdGemm, MisalignedBuffersMatchScalar)
 }
 
 /**
+ * The exact GEMM contract of a vector ISA: every output element is
+ * the single-rounded std::fma chain over ascending k, whichever lane
+ * (full block or column remainder) and thread computed it. Every
+ * n % 8 remainder appears twice. B and C hold exactly k*n and m*n
+ * floats, so a live lane reading past the last column trips ASan.
+ */
+TEST(SimdGemm, VectorGemmIsTheAscendingFmaChain)
+{
+    if (simd::activeIsa() == simd::SimdIsa::Scalar)
+        GTEST_SKIP() << "the scalar table has no fused contract";
+    uint64_t seed = 5000;
+    for (size_t m : {size_t{1}, size_t{5}, size_t{8}, size_t{13},
+                     size_t{256}}) {
+        for (size_t k : {size_t{1}, size_t{7}, size_t{64}, size_t{65},
+                         size_t{2304}}) {
+            for (size_t n = 1; n <= 17; ++n) {
+                const auto a = randomVec(m * k, seed++);
+                const auto b = randomVec(k * n, seed++);
+                std::vector<float> ref(m * n);
+                for (size_t i = 0; i < m; ++i)
+                    for (size_t j = 0; j < n; ++j) {
+                        float acc = 0.0f;
+                        for (size_t p = 0; p < k; ++p)
+                            acc = std::fma(a[i * k + p], b[p * n + j],
+                                           acc);
+                        ref[i * n + j] = acc;
+                    }
+                for (int threads : {1, 4}) {
+                    std::vector<float> c(m * n);
+                    kernels::gemmBlocked(a.data(), b.data(), c.data(),
+                                         m, k, n, {threads});
+                    for (size_t i = 0; i < m * n; ++i)
+                        ASSERT_EQ(ref[i], c[i])
+                            << "m=" << m << " k=" << k << " n=" << n
+                            << " threads=" << threads << " i=" << i;
+                }
+            }
+        }
+    }
+}
+
+/**
  * Regression test for the gemmNaive zero-skip: skipping `av == 0`
  * products also skipped 0 * Inf and 0 * NaN, silently laundering
  * non-finite inputs into finite outputs. Every GEMM variant must
