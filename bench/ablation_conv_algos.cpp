@@ -1,9 +1,9 @@
 /**
  * @file
  * Ablation — convolution algorithm choice (the paper's layer-3
- * candidates, §II-B): direct convolution vs im2col+GEMM vs Winograd
- * F(2x2, 3x3), measured on this host for real across the VGG-16 conv
- * layer shapes, with multiply counts and scratch-memory footprints.
+ * candidates, §II-B): direct convolution vs im2col+GEMM, measured on
+ * this host for real across the VGG-16 conv layer shapes, with the
+ * im2col scratch-memory footprint.
  */
 
 #include <chrono>
@@ -13,7 +13,6 @@
 #include "backend/conv_kernels.hpp"
 #include "backend/gemm.hpp"
 #include "backend/im2col.hpp"
-#include "backend/winograd.hpp"
 #include "core/rng.hpp"
 #include "bench_common.hpp"
 #include "stack/report.hpp"
@@ -44,8 +43,7 @@ main()
     TablePrinter table("Ablation — conv algorithm per VGG-16 layer "
                        "shape (host-measured, serial)");
     table.setHeader({"layer (cinxH@cout)", "direct (ms)",
-                     "im2col+gemm (ms)", "winograd (ms)",
-                     "wino multiply savings", "im2col scratch (KB)"});
+                     "im2col+gemm (ms)", "im2col scratch (KB)"});
 
     struct LayerShape
     {
@@ -91,32 +89,14 @@ main()
             }) *
             1e3;
 
-        const double wino_ms =
-            timeIt([&] {
-                kernels::convWinograd(p, input.data(), weight.data(),
-                                      nullptr, out.data(), {1});
-            }) *
-            1e3;
-
-        const double savings =
-            static_cast<double>(p.macs()) /
-            static_cast<double>(kernels::winogradMultiplies(p));
-
         char label[64];
         std::snprintf(label, sizeof(label), "%zux%zu@%zu", shape.cin,
                       shape.h, shape.cout);
         table.addRow({label, fmtDouble(direct_ms, 2),
-                      fmtDouble(im2col_ms, 2), fmtDouble(wino_ms, 2),
-                      fmtDouble(savings, 2) + "x",
+                      fmtDouble(im2col_ms, 2),
                       fmtDouble(cols.size() * 4.0 / 1024.0, 1)});
     }
     table.print();
     bench::writeBenchOutputs(table, "ablation_conv_algos");
-
-    std::printf("\nWinograd multiplies are 2.25x fewer by "
-                "construction; whether that wins wall-clock depends "
-                "on the transform overhead per tile — the exact "
-                "algorithm-choice trade-off the paper's layer 3 "
-                "characterises.\n");
     return 0;
 }

@@ -21,7 +21,6 @@
 #include "backend/im2col.hpp"
 #include "backend/simd/dispatch.hpp"
 #include "backend/simd/isa.hpp"
-#include "backend/winograd.hpp"
 #include "core/rng.hpp"
 #include "core/scratch_arena.hpp"
 #include "core/tensor.hpp"
@@ -247,25 +246,6 @@ BM_GemmLibraryCall(benchmark::State &state)
         static_cast<int64_t>(state.iterations() * m * k * n));
 }
 DLIS_BENCHMARK(BM_GemmLibraryCall)->Arg(16)->Arg(64)->Arg(1024);
-
-/** Winograd F(2x2,3x3) vs the direct kernel on the same layer. */
-void
-BM_ConvWinograd(benchmark::State &state)
-{
-    const size_t c = static_cast<size_t>(state.range(0));
-    ConvParams p{1, c, 32, 32, c, 3, 3, 1, 1};
-    Tensor in = randomTensor(Shape{1, c, 32, 32}, 11);
-    Tensor w = randomTensor(Shape{c, c, 3, 3}, 12);
-    Tensor out(Shape{1, c, 32, 32});
-    for (auto _ : state) {
-        kernels::convWinograd(p, in.data(), w.data(), nullptr,
-                              out.data(), {1});
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(
-        state.iterations() * kernels::winogradMultiplies(p)));
-}
-DLIS_BENCHMARK(BM_ConvWinograd)->Arg(16)->Arg(32)->Arg(64);
 
 /** Packed-ternary decode-on-the-fly conv (the §V-D declined path). */
 void

@@ -2,7 +2,7 @@
  * @file
  * Memory-budget → latency Pareto sweep over the paper's three models
  * (the across-stack trade-off §V-D only gestures at: im2col buys
- * latency with scratch, direct and Winograd give the bytes back).
+ * latency with scratch, direct gives the bytes back).
  *
  * One tuner search per model measures every legal candidate; the
  * memory planner then re-selects per-layer points at budgets swept
@@ -137,7 +137,7 @@ main()
 
     std::printf("\nBudgets at the minimum feasible peak force direct "
                 "convolution everywhere the scratch does not fit; "
-                "loosening the budget buys back the im2col and "
-                "Winograd latency the unconstrained plan chose.\n");
+                "loosening the budget buys back the im2col latency "
+                "the unconstrained plan chose.\n");
     return 0;
 }

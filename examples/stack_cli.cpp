@@ -14,7 +14,7 @@
  *                                        default expected-vs-actual
  *                                        report (default odroid)
  *             [--backend serial|openmp|opencl|clblast]
- *             [--algo direct|im2col|winograd]
+ *             [--algo direct|im2col]
  *             [--repeat <n>]             host-timing repeats (default 1)
  *             [--verify]                 statically verify the stack
  *                                        configuration (shapes, backend
@@ -42,7 +42,7 @@
  *             [--trace <out.json>]       Chrome/Perfetto span trace
  *             [--metrics <out.json>]     expected-vs-actual report JSON
  *             [--tune]                   search a per-layer deployment
- *                                        plan (algo x backend x
+ *                                        plan (algo x CPU backend x
  *                                        threads per layer, every
  *                                        legal point measured), cache it
  *                                        under --plan-dir, and report
@@ -60,7 +60,7 @@
  *                                        naming the minimum feasible
  *                                        peak
  *             [--mem-report]             per-layer memory breakdown
- *                                        (direct / im2col / winograd)
+ *                                        (direct / im2col)
  *                                        plus a budget -> latency
  *                                        Pareto sweep written as CSV
  *                                        under results/
@@ -128,7 +128,7 @@ Backend
 parseBackend(const std::string &name)
 {
     Backend backend{};
-    if (!tune::backendFromToken(name, backend))
+    if (!backendFromToken(name, backend))
         fatal("unknown backend '", name, "'");
     return backend;
 }
@@ -147,7 +147,7 @@ ConvAlgo
 parseConvAlgo(const std::string &name)
 {
     ConvAlgo algo{};
-    if (!tune::algoFromToken(name, algo))
+    if (!algoFromToken(name, algo))
         fatal("unknown algorithm '", name, "'");
     return algo;
 }
@@ -252,8 +252,8 @@ runTune(int argc, char **argv, InferenceStack &stack)
     table.setHeader({"layer", "backend", "algo", "threads",
                      "measured s", "max |dev|"});
     for (const tune::LayerPlan &lp : plan.layers)
-        table.addRow({lp.layer, tune::backendToken(lp.backend),
-                      tune::algoToken(lp.algo),
+        table.addRow({lp.layer, backendToken(lp.backend),
+                      algoToken(lp.algo),
                       std::to_string(lp.threads),
                       fmtSig(lp.measuredSeconds),
                       fmtSig(lp.maxAbsDev)});
@@ -265,17 +265,13 @@ runTune(int argc, char **argv, InferenceStack &stack)
                                                        : "EXCEEDED");
     std::printf("\n");
 
-    if (plan.peakBytesBound > 0) {
-        std::printf("static peak footprint bound %zu bytes",
-                    plan.peakBytesBound);
-        if (plan.memBudget > 0)
-            std::printf(" | mem budget %zu bytes (%s)",
-                        plan.memBudget,
-                        plan.peakBytesBound <= plan.memBudget
-                            ? "met"
-                            : "EXCEEDED");
-        std::printf("\n");
-    }
+    std::printf("static peak footprint bound %zu bytes",
+                plan.peakBytesBound);
+    if (plan.memBudget > 0)
+        std::printf(" | mem budget %zu bytes (%s)", plan.memBudget,
+                    plan.peakBytesBound <= plan.memBudget ? "met"
+                                                          : "EXCEEDED");
+    std::printf("\n");
 
     std::printf("tuned p50 %.6f s | best global (%s) %.6f s | "
                 "speedup %.2fx\n",
@@ -303,8 +299,7 @@ runMemReport(int argc, char **argv, InferenceStack &stack)
     TablePrinter table("per-layer memory breakdown (" +
                        stack.config().modelName +
                        ", transient+scratch bytes)");
-    table.setHeader({"layer", "input", "output", "direct", "im2col",
-                     "winograd"});
+    table.setHeader({"layer", "input", "output", "direct", "im2col"});
     Shape cur = input;
     for (const auto &layerPtr : net.layers()) {
         const Layer &layer = *layerPtr;
@@ -320,8 +315,7 @@ runMemReport(int argc, char **argv, InferenceStack &stack)
         table.addRow({layer.name(), std::to_string(lm.inputBytes),
                       std::to_string(lm.outputBytes),
                       algoCell(ConvAlgo::Direct),
-                      algoCell(ConvAlgo::Im2colGemm),
-                      algoCell(ConvAlgo::Winograd)});
+                      algoCell(ConvAlgo::Im2colGemm)});
         cur = layer.outputShape(cur);
     }
     table.print();

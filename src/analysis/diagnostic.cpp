@@ -28,7 +28,6 @@ static constexpr const char *kCheckNames[] = {
     "pool-truncation",
     "unsupported-format",
     "algo-ignored",
-    "winograd-inapplicable",
     "bad-row-ptr",
     "unsorted-columns",
     "column-out-of-range",

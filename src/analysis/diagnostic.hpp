@@ -37,9 +37,8 @@ enum class Check
     PoolTruncation,    //!< pool window does not divide the input
 
     // Backend / algorithm capability rules
-    UnsupportedFormat,    //!< backend has no kernel for the format
-    AlgoIgnored,          //!< requested algorithm silently ignored
-    WinogradInapplicable, //!< Winograd requested, no eligible layer
+    UnsupportedFormat, //!< backend has no kernel for the format
+    AlgoIgnored,       //!< requested algorithm silently ignored
 
     // Sparse-format invariants
     BadRowPtr,         //!< row_ptr not monotone / wrong length

@@ -84,9 +84,9 @@ gemmLibDemand(size_t m, size_t k, size_t n, size_t threads)
  *  paths pay for it *plus* their own result tensor. Scratch is the
  *  layer's total scratch-arena demand — the sum of the aligned block
  *  sizes its kernels bump-allocate within one scope (im2col columns,
- *  GEMM C tiles, library packing buffers, Winograd filter
- *  transforms); the arena's grow-only capacity, and therefore the
- *  tracker's Scratch class, peaks at the largest layer demand. */
+ *  GEMM C tiles, library packing buffers); the arena's grow-only
+ *  capacity, and therefore the tracker's Scratch class, peaks at the
+ *  largest layer demand. */
 struct Transient
 {
     size_t act = 0;
@@ -116,10 +116,6 @@ convTransient(const Conv2d &conv, const Shape &in, Backend backend,
                                                kernels::kGemmTileM,
                                                kernels::kGemmTileN,
                                                eff)};
-    if (algo == ConvAlgo::Winograd && conv.kernel() == 3 &&
-        conv.stride() == 1)
-        return {out, ScratchArena::alignUp(conv.cout() * conv.cin() *
-                                           16 * sizeof(float))};
     return {out, 0}; // direct writes the outer tensor, no workspace
 }
 

@@ -45,8 +45,7 @@ struct LayerMemory
     /**
      * The layer's scratch-arena demand: the sum of the aligned blocks
      * its kernels bump-allocate within one arena scope (im2col
-     * columns, per-thread GEMM C tiles, library packing buffers,
-     * Winograd filter transforms).
+     * columns, per-thread GEMM C tiles, library packing buffers).
      */
     size_t scratchBytes = 0;
 };

@@ -22,29 +22,20 @@ convCapabilityDiags(const Conv2d &conv, Backend backend,
                     ConvAlgo algo, std::vector<Diagnostic> &out)
 {
     const WeightFormat fmt = conv.format();
-    const bool ocl = backend == Backend::OclHandTuned ||
-                     backend == Backend::OclGemmLib;
-    if (fmt == WeightFormat::Dense) {
-        const bool eligible =
-            conv.kernel() == 3 && conv.stride() == 1;
-        if (!eligible && algo == ConvAlgo::Winograd)
-            diag(out, Severity::Info, Check::WinogradInapplicable,
-                 conv.name(),
-                 "not 3x3 stride-1; falls back to direct");
-    } else {
-        if (ocl)
-            diag(out, Severity::Error, Check::UnsupportedFormat,
-                 conv.name(),
-                 std::string(backendName(backend)) +
-                     " backend has no " + weightFormatName(fmt) +
-                     " kernel (runtime would panic mid-run)");
-        else if (algo != ConvAlgo::Direct)
-            diag(out, Severity::Warning, Check::AlgoIgnored,
-                 conv.name(),
-                 std::string(weightFormatName(fmt)) +
-                     " weights dispatch the direct sparse kernel; "
-                     "the requested algorithm is ignored");
-    }
+    if (fmt == WeightFormat::Dense)
+        return;
+    if (backend == Backend::OclHandTuned ||
+        backend == Backend::OclGemmLib)
+        diag(out, Severity::Error, Check::UnsupportedFormat,
+             conv.name(),
+             std::string(backendName(backend)) + " backend has no " +
+                 weightFormatName(fmt) +
+                 " kernel (runtime would panic mid-run)");
+    else if (algo != ConvAlgo::Direct)
+        diag(out, Severity::Warning, Check::AlgoIgnored, conv.name(),
+             std::string(weightFormatName(fmt)) +
+                 " weights dispatch the direct sparse kernel; "
+                 "the requested algorithm is ignored");
 }
 
 /** Walks a network symbolically, collecting diagnostics. */
@@ -93,22 +84,10 @@ class NetworkVerifier
         }
 
         checkFoldBnPairs(net);
-
-        // A Winograd request that no layer can serve is a stack
-        // misconfiguration: every conv would silently fall back and
-        // the measured numbers would not be Winograd's.
-        if (opt_.convAlgo == ConvAlgo::Winograd && denseConvs_ > 0 &&
-            winogradEligible_ == 0)
-            diag(diags, Severity::Error, Check::WinogradInapplicable,
-                 "",
-                 "Winograd requested but no convolution is 3x3 "
-                 "stride-1 (every layer would fall back to direct)");
     }
 
   private:
     const VerifyOptions &opt_;
-    size_t denseConvs_ = 0;       //!< dense-format standard convs seen
-    size_t winogradEligible_ = 0; //!< ...of which 3x3 stride-1
 
     static std::string
     shapeStr(const Shape &s)
@@ -166,11 +145,6 @@ class NetworkVerifier
         }
 
         const WeightFormat fmt = conv.format();
-        if (fmt == WeightFormat::Dense) {
-            ++denseConvs_;
-            if (conv.kernel() == 3 && conv.stride() == 1)
-                ++winogradEligible_;
-        }
         convCapabilityDiags(conv, opt_.backend, opt_.convAlgo, diags);
 
         if (fmt == WeightFormat::Csr) {

@@ -11,9 +11,9 @@
  *
  *  - NCHW shape/channel inference for every layer, including the
  *    layers nested inside residual blocks;
- *  - backend/algorithm capability rules (Winograd needs a 3x3 stride-1
- *    layer; the simulated OpenCL backends have no sparse kernels; CSR
- *    and packed weights pin the direct algorithm);
+ *  - backend/algorithm capability rules (the simulated OpenCL
+ *    backends have no sparse kernels; CSR and packed weights pin the
+ *    direct algorithm);
  *  - sparse-format invariants (row_ptr monotone, columns sorted and in
  *    range, byte accounting, ternary codebook well-formed);
  *  - aliasing/in-place hazards (the residual skip-add shape contract,
@@ -81,10 +81,9 @@ VerifyReport verifyNetwork(const Network &net,
  * applies net-wide, scoped to a single layer. Residual blocks check
  * every inner convolution. Error severity means the point would
  * panic at runtime (e.g. sparse weights on an OpenCL backend);
- * Warning/Info mean the point executes but not as requested (sparse
- * weights pin the direct kernel, an ineligible geometry falls back
- * from Winograd) — the per-layer auto-tuner uses this to drop
- * illegal or duplicate candidate points before timing anything.
+ * Warning means the point executes but not as requested (sparse
+ * weights pin the direct kernel) — the per-layer auto-tuner uses
+ * this to drop illegal candidate points before timing anything.
  */
 std::vector<Diagnostic> checkLayerExecution(const Layer &layer,
                                             Backend backend,

@@ -3,12 +3,12 @@
  * Reusable per-context scratch arena for kernel workspaces.
  *
  * The conv/GEMM hot path used to allocate a fresh im2col column
- * buffer, GEMM packing buffers, and Winograd filter transforms on
- * every forward — thousands of heap allocations per request at
- * steady state. The arena replaces them with one grow-only buffer
- * owned by the ExecContext (one per serving worker): the first
- * forward grows it to the model's high-water scratch demand, and
- * every later forward runs allocation-free.
+ * buffer and GEMM packing buffers on every forward — thousands of
+ * heap allocations per request at steady state. The arena replaces
+ * them with one grow-only buffer owned by the ExecContext (one per
+ * serving worker): the first forward grows it to the model's
+ * high-water scratch demand, and every later forward runs
+ * allocation-free.
  *
  * Contract:
  *  - grow-only: capacity never shrinks until destruction, and growth

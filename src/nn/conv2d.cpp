@@ -5,7 +5,6 @@
 #include "backend/conv_kernels.hpp"
 #include "backend/gemm.hpp"
 #include "backend/im2col.hpp"
-#include "backend/winograd.hpp"
 #include "backend/oclsim/cl_kernels.hpp"
 #include "core/scratch_arena.hpp"
 #include "obs/metrics.hpp"
@@ -100,11 +99,6 @@ Conv2d::forward(const Tensor &input, ExecContext &ctx)
                                              kernelPolicy(ctx));
         } else if (ctx.convAlgo == ConvAlgo::Im2colGemm) {
             return forwardIm2col(input, ctx);
-        } else if (ctx.convAlgo == ConvAlgo::Winograd &&
-                   kernels::winogradApplicable(p)) {
-            kernels::convWinograd(p, input.data(), weight_.data(),
-                                  bias_ptr, out.data(),
-                                  kernelPolicy(ctx));
         } else {
             kernels::convDirectDense(p, input.data(), weight_.data(),
                                      bias_ptr, out.data(),

@@ -53,12 +53,19 @@ enum class ConvAlgo
 {
     Direct,     //!< direct convolution (the paper's baseline path)
     Im2colGemm, //!< im2col + GEMM
-    Winograd,   //!< F(2x2, 3x3) transform (3x3 stride-1 layers only;
-                //!< other geometries fall back to Direct)
 };
 
 /** Human-readable algorithm name. */
 const char *convAlgoName(ConvAlgo algo);
+
+/** @name CLI and plan-file tokens (the spellings `--backend`, `--algo`
+ *  and DeploymentPlan files use, not display names). */
+/** @{ */
+const char *backendToken(Backend b);
+bool backendFromToken(const std::string &token, Backend &out);
+const char *algoToken(ConvAlgo algo);
+bool algoFromToken(const std::string &token, ConvAlgo &out);
+/** @} */
 
 /**
  * One layer's {backend, algorithm, threads} override from a tuned

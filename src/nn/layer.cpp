@@ -33,9 +33,60 @@ convAlgoName(ConvAlgo algo)
     switch (algo) {
       case ConvAlgo::Direct:     return "direct";
       case ConvAlgo::Im2colGemm: return "im2col-gemm";
-      case ConvAlgo::Winograd:   return "winograd";
     }
     return "?";
+}
+
+const char *
+backendToken(Backend b)
+{
+    switch (b) {
+      case Backend::Serial:       return "serial";
+      case Backend::OpenMP:       return "openmp";
+      case Backend::OclHandTuned: return "opencl";
+      case Backend::OclGemmLib:   return "clblast";
+    }
+    return "?";
+}
+
+bool
+backendFromToken(const std::string &token, Backend &out)
+{
+    if (token == "serial") {
+        out = Backend::Serial;
+    } else if (token == "openmp") {
+        out = Backend::OpenMP;
+    } else if (token == "opencl") {
+        out = Backend::OclHandTuned;
+    } else if (token == "clblast") {
+        out = Backend::OclGemmLib;
+    } else {
+        return false;
+    }
+    return true;
+}
+
+const char *
+algoToken(ConvAlgo algo)
+{
+    switch (algo) {
+      case ConvAlgo::Direct:     return "direct";
+      case ConvAlgo::Im2colGemm: return "im2col";
+    }
+    return "?";
+}
+
+bool
+algoFromToken(const std::string &token, ConvAlgo &out)
+{
+    if (token == "direct") {
+        out = ConvAlgo::Direct;
+    } else if (token == "im2col") {
+        out = ConvAlgo::Im2colGemm;
+    } else {
+        return false;
+    }
+    return true;
 }
 
 Tensor

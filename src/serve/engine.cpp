@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "analysis/memory_estimate.hpp"
 #include "analysis/verifier.hpp"
@@ -91,30 +92,30 @@ InferenceEngine::InferenceEngine(InferenceStack &stack,
     // apply to THIS host and THIS network before any worker executes
     // through it. Any defect — unreadable/corrupt JSON, stale schema
     // version, foreign host fingerprint, different network, illegal
-    // per-layer point — rejects the whole deployment here; a bad plan
-    // is never partially applied.
+    // per-layer point, a peak_bytes_bound this build does not reproduce
+    // — rejects the whole deployment here; a bad plan is never
+    // partially applied.
+    std::optional<tune::DeploymentPlan> plan;
     if (!config_.planFile.empty() || config_.plan) {
         try {
-            tune::DeploymentPlan plan =
-                config_.planFile.empty()
-                    ? *config_.plan
-                    : tune::loadPlanFile(config_.planFile);
+            plan = config_.planFile.empty()
+                       ? *config_.plan
+                       : tune::loadPlanFile(config_.planFile);
             const auto diags = tune::validatePlan(
-                plan, stack.model().net, stack.inputShape(1));
+                *plan, stack.model().net, stack.inputShape(1));
             for (const analysis::Diagnostic &d : diags)
                 if (d.severity == analysis::Severity::Error)
                     throw RejectedError(RejectReason::BadConfig,
                                         d.str());
-            plan_ = std::make_unique<tune::DeploymentPlan>(
-                std::move(plan));
         } catch (const tune::PlanError &e) {
             throw RejectedError(RejectReason::BadConfig, e.what());
         }
+        planRuntime_ = std::make_unique<const tune::PlanRuntime>(*plan);
     }
 
     // Memory pre-flight: right-size the worker pool against the
     // node's RAM budget. Each worker is one replica of the model's
-    // peak footprint — the plan's recorded peak_bytes_bound when a
+    // peak footprint — the plan's validated peak_bytes_bound when a
     // plan drives the pool, otherwise the static estimate of the
     // configured global point. Shedding replicas is a warning (the
     // engine still serves, just narrower); zero fitting replicas is
@@ -122,13 +123,11 @@ InferenceEngine::InferenceEngine(InferenceStack &stack,
     activeWorkers_ = config_.workers;
     if (config_.nodeMemBudget > 0) {
         const size_t perReplica =
-            plan_ && plan_->peakBytesBound > 0
-                ? plan_->peakBytesBound
-                : analysis::estimateForwardMemory(
-                      stack.model().net, stack.inputShape(1),
-                      config_.backend, config_.convAlgo,
-                      config_.threads)
-                      .total();
+            plan ? plan->peakBytesBound
+                 : analysis::estimateForwardMemory(
+                       stack.model().net, stack.inputShape(1),
+                       config_.backend, config_.convAlgo, config_.threads)
+                       .total();
         if (perReplica > config_.nodeMemBudget)
             throw RejectedError(
                 RejectReason::BadConfig,
@@ -160,14 +159,14 @@ InferenceEngine::InferenceEngine(InferenceStack &stack,
     // seeded input, not proven for every input — surfaced through
     // preflightWarnings() so the operator hears about it before
     // traffic does.
-    if (config_.errorBudget > 0.0 && plan_ &&
-        plan_->maxAbsDev > config_.errorBudget) {
+    if (config_.errorBudget > 0.0 && plan &&
+        plan->maxAbsDev > config_.errorBudget) {
         char msg[160];
         std::snprintf(msg, sizeof(msg),
                       "plan's measured e2e max |dev| %.6g exceeds "
                       "the serving budget %.6g — retune with "
                       "--error-budget or relax the budget",
-                      plan_->maxAbsDev, config_.errorBudget);
+                      plan->maxAbsDev, config_.errorBudget);
         analysis::diag(preflightWarnings_,
                        analysis::Severity::Warning,
                        analysis::Check::ErrorBudgetExceeded, "", msg);
@@ -378,15 +377,10 @@ InferenceEngine::workerLoop(size_t workerId)
     ctx.metrics = metrics_;
     ctx.tracer = tracer_;
 
-    // When a tuned plan is deployed, every worker builds its OWN
-    // runtime from the validated copy: the runtime owns the mutable
-    // backend state the overridden layers need (GEMM library, command
-    // queue), which must not be shared across worker threads.
-    std::unique_ptr<tune::PlanRuntime> planRuntime;
-    if (plan_) {
-        planRuntime = std::make_unique<tune::PlanRuntime>(*plan_);
-        planRuntime->bind(ctx);
-    }
+    // A tuned plan is one immutable override table shared by every
+    // worker; each worker's context (and so its arena) stays its own.
+    if (planRuntime_)
+        planRuntime_->bind(ctx);
 
     // Registered once per worker at spawn (allocates); the per-batch
     // updates below are plain atomic stores.

@@ -303,12 +303,11 @@ class InferenceEngine
     /** Pool size after the nodeMemBudget right-sizing pre-flight. */
     size_t activeWorkers_ = 0;
     /**
-     * Validated copy of the deployment plan the pool executes (null =
-     * global config). Workers each build their own tune::PlanRuntime
-     * from it — the runtime owns per-thread backend state (GEMM
-     * library, command queue) that must not be shared across workers.
+     * Runtime of the validated deployment plan the pool executes
+     * (null = global config). Immutable, so every worker binds the
+     * same one.
      */
-    std::unique_ptr<tune::DeploymentPlan> plan_;
+    std::unique_ptr<const tune::PlanRuntime> planRuntime_;
     std::vector<analysis::Diagnostic> preflightWarnings_;
     obs::Metrics *metrics_;
     obs::Tracer *tracer_;

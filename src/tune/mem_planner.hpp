@@ -6,11 +6,10 @@
  *
  * The paper characterises the latency/memory trade each conv
  * algorithm makes (direct's zero workspace vs im2col's K*N column
- * blowup vs Winograd's transform scratch); TASO (PAPERS.md) turns
- * that into an optimisation problem — on a memory-constrained target,
- * run im2col where it fits and fall back to direct/Winograd where it
- * doesn't. This planner solves exactly that over the tuner's measured
- * candidate database.
+ * blowup); TASO (PAPERS.md) turns that into an optimisation problem —
+ * on a memory-constrained target, run im2col where it fits and fall
+ * back to direct where it doesn't. This planner solves exactly that
+ * over the tuner's measured candidate database.
  *
  * The peak model is the static estimator's, which the tests pin
  * byte-exact against MemoryTracker: with B = weights + sparse

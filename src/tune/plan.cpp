@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -18,61 +19,6 @@
 #include "obs/trace.hpp"
 
 namespace dlis::tune {
-
-const char *
-backendToken(Backend b)
-{
-    switch (b) {
-      case Backend::Serial:       return "serial";
-      case Backend::OpenMP:       return "openmp";
-      case Backend::OclHandTuned: return "opencl";
-      case Backend::OclGemmLib:   return "clblast";
-    }
-    return "?";
-}
-
-bool
-backendFromToken(const std::string &token, Backend &out)
-{
-    if (token == "serial") {
-        out = Backend::Serial;
-    } else if (token == "openmp") {
-        out = Backend::OpenMP;
-    } else if (token == "opencl") {
-        out = Backend::OclHandTuned;
-    } else if (token == "clblast") {
-        out = Backend::OclGemmLib;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-const char *
-algoToken(ConvAlgo algo)
-{
-    switch (algo) {
-      case ConvAlgo::Direct:     return "direct";
-      case ConvAlgo::Im2colGemm: return "im2col";
-      case ConvAlgo::Winograd:   return "winograd";
-    }
-    return "?";
-}
-
-bool
-algoFromToken(const std::string &token, ConvAlgo &out)
-{
-    if (token == "direct") {
-        out = ConvAlgo::Direct;
-    } else if (token == "im2col") {
-        out = ConvAlgo::Im2colGemm;
-    } else if (token == "winograd") {
-        out = ConvAlgo::Winograd;
-    } else {
-        return false;
-    }
-    return true;
-}
 
 namespace {
 
@@ -451,6 +397,22 @@ backendField(const JValue &obj, const char *key)
     return b;
 }
 
+/** The per-layer override table @p plan stands for. */
+std::unordered_map<std::string, LayerExecOverride>
+overridesOf(const DeploymentPlan &plan)
+{
+    std::unordered_map<std::string, LayerExecOverride> ov;
+    for (const LayerPlan &lp : plan.layers)
+        ov[lp.layer] = LayerExecOverride{lp.backend, lp.algo, lp.threads};
+    return ov;
+}
+
+bool
+cpuBackend(Backend b)
+{
+    return b == Backend::Serial || b == Backend::OpenMP;
+}
+
 void
 renderLayer(std::ostringstream &oss, const LayerPlan &lp)
 {
@@ -509,6 +471,17 @@ networkSignature(const Network &net, const Shape &input)
         fnv.str(cur.str());
     }
     return fnv.hex();
+}
+
+size_t
+planPeakBytes(const DeploymentPlan &plan, const Network &net,
+              const Shape &input)
+{
+    return analysis::memoryEstimateForPlan(net, input, overridesOf(plan),
+                                           plan.defaultBackend,
+                                           ConvAlgo::Direct,
+                                           plan.defaultThreads)
+        .total();
 }
 
 std::string
@@ -660,8 +633,7 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
                        "plan signature " + plan.networkSignature +
                            " does not match this network (" + sig +
                            "); model, width, format or input differ");
-    if (plan.defaultBackend != Backend::Serial &&
-        plan.defaultBackend != Backend::OpenMP)
+    if (!cpuBackend(plan.defaultBackend))
         analysis::diag(out, Severity::Error, Check::BadConfig, "",
                        "default_backend must be a CPU backend");
     if (plan.defaultThreads < 1)
@@ -685,6 +657,17 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
                            lp.layer, "threads must be >= 1");
             continue;
         }
+        // The tuner measures only the host's CPU backends; a layer on
+        // a simulated OpenCL backend was never measured here.
+        if (!cpuBackend(lp.backend)) {
+            analysis::diag(out, Severity::Error, Check::BadConfig,
+                           lp.layer,
+                           std::string("backend '") +
+                               backendToken(lp.backend) +
+                               "' is not a CPU backend; plan layers "
+                               "run on serial or openmp");
+            continue;
+        }
         const auto it = byName.find(lp.layer);
         if (it == byName.end()) {
             analysis::diag(out, Severity::Error,
@@ -692,8 +675,8 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
                            "network has no layer of this name");
             continue;
         }
-        // Capability rules: an Error here (e.g. sparse weights on an
-        // OpenCL backend) would panic a worker mid-request.
+        // Capability rules: an Error here would panic a worker
+        // mid-request; a Warning (sparse weights pin direct) runs.
         for (analysis::Diagnostic &d : analysis::checkLayerExecution(
                  *it->second, lp.backend, lp.algo))
             out.push_back(std::move(d));
@@ -707,25 +690,16 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
                            std::to_string(plan.memBudget));
 
     // The serving pre-flight sizes replicas from peak_bytes_bound, so
-    // a recorded bound must match what this build's estimator prices
-    // the plan's assignment at. Only checked once everything else is
-    // clean (same network, same schema) — on a foreign plan the
-    // recompute would just echo the mismatch diagnostics above.
-    if (plan.peakBytesBound != 0 && out.empty()) {
-        std::unordered_map<std::string, LayerExecOverride> ov;
-        for (const LayerPlan &lp : plan.layers) {
-            LayerExecOverride o;
-            o.backend = lp.backend;
-            o.convAlgo = lp.algo;
-            o.threads = lp.threads;
-            ov.emplace(lp.layer, o);
-        }
-        const size_t bound =
-            analysis::memoryEstimateForPlan(net, input, ov,
-                                            plan.defaultBackend,
-                                            ConvAlgo::Direct,
-                                            plan.defaultThreads)
-                .total();
+    // every plan's bound (0 included) must match what this build's
+    // estimator prices the plan's assignment at. Only checked once no
+    // error has fired (same network, same schema) — on a foreign plan
+    // the recompute would just echo the mismatch diagnostics above.
+    const bool clean = std::none_of(
+        out.begin(), out.end(), [](const analysis::Diagnostic &d) {
+            return d.severity == Severity::Error;
+        });
+    if (clean) {
+        const size_t bound = planPeakBytes(plan, net, input);
         if (bound != plan.peakBytesBound)
             analysis::diag(out, Severity::Error, Check::BadConfig, "",
                            "recorded peak_bytes_bound " +
@@ -747,33 +721,18 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
 
 PlanRuntime::PlanRuntime(const DeploymentPlan &plan)
     : defaultBackend_(plan.defaultBackend),
-      defaultThreads_(plan.defaultThreads)
+      defaultThreads_(plan.defaultThreads),
+      overrides_(overridesOf(plan))
 {
-    bool needsGemmLib = false;
-    bool needsQueue = false;
-    for (const LayerPlan &lp : plan.layers) {
-        overrides_[lp.layer] =
-            LayerExecOverride{lp.backend, lp.algo, lp.threads};
-        needsGemmLib |= lp.backend == Backend::OclGemmLib;
-        needsQueue |= lp.backend == Backend::OclHandTuned;
-    }
-    if (needsGemmLib)
-        gemmLib_ = std::make_unique<gemmlib::GemmLibrary>();
-    if (needsQueue)
-        queue_ = std::make_unique<oclsim::CommandQueue>();
 }
 
 void
-PlanRuntime::bind(ExecContext &ctx)
+PlanRuntime::bind(ExecContext &ctx) const
 {
     ctx.backend = defaultBackend_;
     ctx.threads = defaultThreads_;
     ctx.convAlgo = ConvAlgo::Direct;
     ctx.layerOverrides = &overrides_;
-    if (gemmLib_)
-        ctx.gemmLib = gemmLib_.get();
-    if (queue_)
-        ctx.queue = queue_.get();
 }
 
 } // namespace dlis::tune

@@ -25,36 +25,30 @@
 #ifndef DLIS_TUNE_PLAN_HPP
 #define DLIS_TUNE_PLAN_HPP
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "backend/gemmlib/tuned_gemm.hpp"
-#include "backend/oclsim/ndrange.hpp"
 #include "nn/network.hpp"
 
 namespace dlis::tune {
 
 /**
  * Schema version written to (and required of) every plan file.
- * v5 dropped the per-layer cost-model seed; v4 replaced the static
- * error bounds with measured deviations (top-level and per-layer
+ * v6 restricted layer entries to the CPU backends (an
+ * `opencl`/`clblast` layer is BadConfig), made peak_bytes_bound
+ * mandatory and dropped one algorithm token (DESIGN.md §13); v5
+ * dropped the per-layer cost-model seed; v4 replaced the static error
+ * bounds with measured deviations (top-level and per-layer
  * max_abs_dev); v3 added the memory-planning fields (mem_budget,
  * peak_bytes_bound); v2 added error_budget. Older plans parse but
- * fail validatePlan with PlanVersion — re-run --tune.
+ * fail validatePlan with PlanVersion — re-run --tune — except one
+ * naming the dropped algorithm token, which fails to parse
+ * (PlanParse).
  */
-constexpr int kPlanVersion = 5;
-
-/** @name Plan-file tokens (the CLI spellings, not display names). */
-/** @{ */
-const char *backendToken(Backend b);
-bool backendFromToken(const std::string &token, Backend &out);
-const char *algoToken(ConvAlgo algo);
-bool algoFromToken(const std::string &token, ConvAlgo &out);
-/** @} */
+constexpr int kPlanVersion = 6;
 
 /** One tuned layer: the winning point of its search. */
 struct LayerPlan
@@ -83,9 +77,9 @@ struct DeploymentPlan
 
     /**
      * Base configuration the non-overridden layers (elementwise, BN,
-     * pooling) run under. Restricted to the CPU backends: the base
-     * config only decides whether those layers join the parallel
-     * loop.
+     * pooling) run under. Restricted to the CPU backends, like every
+     * layer entry: the base config only decides whether those layers
+     * join the parallel loop.
      */
     Backend defaultBackend = Backend::Serial;
     int defaultThreads = 1;
@@ -112,14 +106,23 @@ struct DeploymentPlan
      * Static peak total footprint (weights + sparse metadata +
      * activation high-water + scratch high-water, batch 1) of the
      * chosen per-layer assignment, from
-     * analysis::memoryEstimateForPlan — an upper bound on the
-     * MemoryTracker-observed peak of executing this plan. The serving
-     * pre-flight sizes replicas from it; 0 only in hand-made plans.
+     * planPeakBytes — an upper bound on the MemoryTracker-observed
+     * peak of executing this plan. The serving pre-flight sizes
+     * replicas from it, so validatePlan requires it to equal this
+     * build's estimate.
      */
     size_t peakBytesBound = 0;
 
     std::vector<LayerPlan> layers;
 };
+
+/**
+ * Static peak total footprint of executing @p plan on @p net at
+ * @p input (analysis::memoryEstimateForPlan over the plan's per-layer
+ * points and base config): the value peak_bytes_bound must record.
+ */
+size_t planPeakBytes(const DeploymentPlan &plan, const Network &net,
+                     const Shape &input);
 
 /**
  * Thrown when a plan cannot be parsed or loaded at all (truncated or
@@ -183,8 +186,10 @@ std::string planCacheFile(const std::string &dir,
  * Returns diagnostics — version mismatch (PlanVersion), foreign host
  * (PlanHostMismatch), different network (PlanNetworkMismatch), layer
  * names the network lacks (PlanUnknownLayer), illegal per-layer
- * points and bad thread counts (the verifier capability codes /
- * BadConfig). Error severity means the plan must not execute.
+ * points (the verifier capability codes), and BadConfig for bad
+ * thread counts, non-CPU layer backends and a peak_bytes_bound that
+ * is not planPeakBytes. Error severity means the plan must not
+ * execute.
  */
 std::vector<analysis::Diagnostic>
 validatePlan(const DeploymentPlan &plan, const Network &net,
@@ -196,14 +201,13 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
              const Shape &input);
 
 /**
- * Executable form of a validated plan: owns the per-layer override
- * table plus whatever backend state the overridden layers need (a
- * GEMM library instance, a simulated command queue). bind() points
- * an ExecContext at all of it.
+ * Executable form of a validated plan: the per-layer override table
+ * plus the base config. bind() points an ExecContext at it.
  *
- * Not thread-safe: one PlanRuntime per executing thread (the serving
- * engine builds one per worker). The runtime must outlive every
- * forward made through a context it is bound to.
+ * Immutable after construction, so one runtime may be bound by any
+ * number of threads at once (the serving engine shares one across
+ * its workers). The runtime must outlive every forward made through
+ * a context it is bound to.
  */
 class PlanRuntime
 {
@@ -211,12 +215,11 @@ class PlanRuntime
     explicit PlanRuntime(const DeploymentPlan &plan);
 
     /**
-     * Point @p ctx at this plan: base backend/threads, the per-layer
-     * override table, and the owned gemmLib/queue if any override
-     * needs them. Fields the plan does not speak to (tracer, metrics,
-     * arena) are left as the caller set them.
+     * Point @p ctx at this plan: base backend/threads and the
+     * per-layer override table. Fields the plan does not speak to
+     * (tracer, metrics, arena) are left as the caller set them.
      */
-    void bind(ExecContext &ctx);
+    void bind(ExecContext &ctx) const;
 
     /** The override table (for tests and reporting). */
     const std::unordered_map<std::string, LayerExecOverride> &
@@ -229,8 +232,6 @@ class PlanRuntime
     Backend defaultBackend_;
     int defaultThreads_;
     std::unordered_map<std::string, LayerExecOverride> overrides_;
-    std::unique_ptr<gemmlib::GemmLibrary> gemmLib_;
-    std::unique_ptr<oclsim::CommandQueue> queue_;
 };
 
 } // namespace dlis::tune

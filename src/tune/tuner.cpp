@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <limits>
 
-#include "analysis/memory_estimate.hpp"
 #include "analysis/verifier.hpp"
 #include "tune/mem_planner.hpp"
 #include "core/error.hpp"
@@ -32,21 +31,13 @@ struct TunableLayer
     Layer *layer = nullptr;
     LayerKind kind = LayerKind::Conv;
     Shape input;
-    bool sparse = false; //!< any inner weight in a non-dense format
-    /** True when a Winograd point differs from the Direct point. */
-    bool winogradDistinct = false;
+    bool sparse = false; //!< any inner conv weight not dense
 };
 
 bool
 convSparse(const Conv2d &conv)
 {
     return conv.format() != WeightFormat::Dense;
-}
-
-bool
-convWinogradEligible(const Conv2d &conv)
-{
-    return conv.kernel() == 3 && conv.stride() == 1;
 }
 
 /** Walk @p net, collecting the layers the tuner searches. */
@@ -63,15 +54,12 @@ collectTunable(Network &net, const Shape &input)
         if (auto *conv = dynamic_cast<Conv2d *>(layer)) {
             tl.kind = LayerKind::Conv;
             tl.sparse = convSparse(*conv);
-            tl.winogradDistinct =
-                !tl.sparse && convWinogradEligible(*conv);
             out.push_back(std::move(tl));
         } else if (dynamic_cast<DepthwiseConv2d *>(layer)) {
             tl.kind = LayerKind::Depthwise;
             out.push_back(std::move(tl));
-        } else if (auto *fc = dynamic_cast<Linear *>(layer)) {
+        } else if (dynamic_cast<Linear *>(layer)) {
             tl.kind = LayerKind::Fc;
-            tl.sparse = fc->format() != WeightFormat::Dense;
             out.push_back(std::move(tl));
         } else if (auto *block =
                        dynamic_cast<ResidualBlock *>(layer)) {
@@ -80,10 +68,6 @@ collectTunable(Network &net, const Shape &input)
                         convSparse(block->conv2()) ||
                         (block->projection() &&
                          convSparse(*block->projection()));
-            tl.winogradDistinct =
-                !tl.sparse &&
-                (convWinogradEligible(block->conv1()) ||
-                 convWinogradEligible(block->conv2()));
             out.push_back(std::move(tl));
         }
         cur = layer->outputShape(cur);
@@ -91,41 +75,40 @@ collectTunable(Network &net, const Shape &input)
     return out;
 }
 
+/** True when @p tl has an im2col point distinct from its direct one:
+ *  a dense standard or residual-block convolution. */
+bool
+hasIm2col(const TunableLayer &tl)
+{
+    return (tl.kind == LayerKind::Conv || tl.kind == LayerKind::Block) &&
+           !tl.sparse;
+}
+
 /**
- * Enumerate the canonical candidate grid of one layer. The grid only
- * contains distinct executions: sparse weights pin the direct kernel
- * (so only Direct appears), Winograd appears only where it actually
- * engages, the OpenCL backends appear with the one algorithm each
- * runs, and OpenMP x 1 thread (identical to Serial) is skipped.
+ * Enumerate the canonical candidate grid of one layer: the host's CPU
+ * backends only, {serial, openmp x threads} x {direct, im2col}. The
+ * grid only contains distinct executions: im2col appears only on
+ * dense convolutions (sparse weights, depthwise and linear layers pin
+ * the direct kernel), and OpenMP x 1 thread (identical to Serial) is
+ * skipped. The simulated OpenCL backends are CPU-run emulations of
+ * another device, so their timings say nothing about this host.
  */
 std::vector<CandidatePoint>
 enumerateCandidates(const TunableLayer &tl, const TuneOptions &options)
 {
-    const bool convLike =
-        tl.kind == LayerKind::Conv || tl.kind == LayerKind::Block;
-
-    std::vector<ConvAlgo> cpuAlgos = {ConvAlgo::Direct};
-    if (convLike && !tl.sparse) {
-        cpuAlgos.push_back(ConvAlgo::Im2colGemm);
-        if (tl.winogradDistinct)
-            cpuAlgos.push_back(ConvAlgo::Winograd);
-    }
+    std::vector<ConvAlgo> algos = {ConvAlgo::Direct};
+    if (hasIm2col(tl))
+        algos.push_back(ConvAlgo::Im2colGemm);
 
     std::vector<CandidatePoint> grid;
-    for (ConvAlgo algo : cpuAlgos)
+    for (ConvAlgo algo : algos)
         grid.push_back({Backend::Serial, algo, 1});
     for (int t : options.threadCandidates) {
         if (t <= 1)
             continue; // OpenMP x 1 duplicates Serial
-        for (ConvAlgo algo : cpuAlgos)
+        for (ConvAlgo algo : algos)
             grid.push_back({Backend::OpenMP, algo, t});
     }
-    if (convLike && !tl.sparse) {
-        grid.push_back({Backend::OclHandTuned, ConvAlgo::Direct, 1});
-        grid.push_back({Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1});
-    }
-    if (tl.kind == LayerKind::Fc && !tl.sparse)
-        grid.push_back({Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1});
 
     // Capability gate: a candidate the verifier rejects would panic
     // mid-measurement — drop it before anything is timed. The grid
@@ -149,33 +132,15 @@ enumerateCandidates(const TunableLayer &tl, const TuneOptions &options)
 /**
  * The canonical candidate a whole-network global configuration
  * {@p b, @p a, @p t} resolves to at @p tl — the dispatch rules of the
- * runtime collapsed onto the enumerated grid (sparse pins direct, an
- * OpenCL backend fixes its algorithm, non-conv layers run the CPU
- * kernel under the OpenCL backends, OpenMP x 1 is Serial).
+ * runtime collapsed onto the enumerated grid (only dense convolutions
+ * run im2col, OpenMP x 1 is Serial).
  */
 CandidatePoint
 effectivePoint(const TunableLayer &tl, Backend b, ConvAlgo a, int t)
 {
-    const bool convLike =
-        tl.kind == LayerKind::Conv || tl.kind == LayerKind::Block;
-    if (convLike && !tl.sparse) {
-        if (b == Backend::OclHandTuned)
-            return {Backend::OclHandTuned, ConvAlgo::Direct, 1};
-        if (b == Backend::OclGemmLib)
-            return {Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1};
-        ConvAlgo algo = a;
-        if (a == ConvAlgo::Winograd && !tl.winogradDistinct)
-            algo = ConvAlgo::Direct;
-        const int threads = b == Backend::OpenMP ? t : 1;
-        return {threads > 1 ? Backend::OpenMP : Backend::Serial, algo,
-                threads};
-    }
-    if (tl.kind == LayerKind::Fc && !tl.sparse &&
-        b == Backend::OclGemmLib)
-        return {Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1};
     const int threads = b == Backend::OpenMP ? t : 1;
     return {threads > 1 ? Backend::OpenMP : Backend::Serial,
-            ConvAlgo::Direct, threads};
+            hasIm2col(tl) ? a : ConvAlgo::Direct, threads};
 }
 
 /** Measured score of @p search's point matching the candidate key. */
@@ -211,8 +176,7 @@ enumerateGlobals(const Network &net, const Shape &input,
                  const TuneOptions &options)
 {
     std::vector<GlobalSpec> specs;
-    const ConvAlgo algos[] = {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
-                              ConvAlgo::Winograd};
+    const ConvAlgo algos[] = {ConvAlgo::Direct, ConvAlgo::Im2colGemm};
     for (ConvAlgo algo : algos)
         specs.push_back({Backend::Serial, algo, 1});
     for (int t : options.threadCandidates) {
@@ -221,8 +185,6 @@ enumerateGlobals(const Network &net, const Shape &input,
         for (ConvAlgo algo : algos)
             specs.push_back({Backend::OpenMP, algo, t});
     }
-    specs.push_back({Backend::OclHandTuned, ConvAlgo::Direct, 1});
-    specs.push_back({Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1});
 
     std::vector<GlobalSpec> legal;
     for (const GlobalSpec &spec : specs) {
@@ -260,14 +222,9 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
     Network &net = stack.model().net;
     const Shape input = stack.inputShape(1);
 
-    // Shared measurement state: one arena (steady-state, no kernel
-    // heap allocations after warmup), one simulated queue and GEMM
-    // library for the OpenCL-backed candidates.
-    gemmlib::GemmLibrary gemmLib;
-    oclsim::CommandQueue queue;
+    // Shared measurement context: one arena (steady-state, no kernel
+    // heap allocations after warmup) for every candidate.
     ExecContext mctx;
-    mctx.queue = &queue;
-    mctx.gemmLib = &gemmLib;
 
     MeasureOptions mo;
     mo.warmup = options.warmup;
@@ -397,25 +354,10 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
     // Static peak footprint of the chosen assignment — recorded in
     // every plan (the serving pre-flight sizes replicas from it) and
     // required under the recorded budget when one was set.
-    {
-        std::unordered_map<std::string, LayerExecOverride> ov;
-        for (const LayerPlan &lp : plan.layers) {
-            LayerExecOverride o;
-            o.backend = lp.backend;
-            o.convAlgo = lp.algo;
-            o.threads = lp.threads;
-            ov.emplace(lp.layer, o);
-        }
-        plan.peakBytesBound =
-            analysis::memoryEstimateForPlan(net, input, ov,
-                                            plan.defaultBackend,
-                                            ConvAlgo::Direct,
-                                            plan.defaultThreads)
-                .total();
-        DLIS_CHECK(options.memBudget == 0 ||
-                       plan.peakBytesBound <= options.memBudget,
-                   "tuner: planner exceeded the mem budget");
-    }
+    plan.peakBytesBound = planPeakBytes(plan, net, input);
+    DLIS_CHECK(options.memBudget == 0 ||
+                   plan.peakBytesBound <= options.memBudget,
+               "tuner: planner exceeded the mem budget");
 
     // The competition: best single global {backend, algo, threads},
     // scored from the same per-layer samples so the comparison is
@@ -448,7 +390,7 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
 
     // End-to-end deviation of the whole plan from the serial/direct
     // forward on the seeded network input.
-    PlanRuntime runtime(plan);
+    const PlanRuntime runtime(plan);
     ExecContext tunedCtx;
     runtime.bind(tunedCtx);
     ExecContext refCtx;
@@ -463,8 +405,6 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
         globalCtx.backend = bestGlobal->backend;
         globalCtx.convAlgo = bestGlobal->algo;
         globalCtx.threads = bestGlobal->threads;
-        globalCtx.queue = &queue;
-        globalCtx.gemmLib = &gemmLib;
         plan.bestGlobalP50 =
             measureForward(net, netInput, globalCtx, options);
     } else {

@@ -4,35 +4,37 @@
  *
  * For every tunable layer of a built InferenceStack (standard,
  * depthwise and residual-block convolutions, linear layers) the tuner
- * searches the cross-stack deployment space the paper characterises —
- * algorithm (direct / im2col / Winograd / format-pinned sparse) x
- * backend (serial / OpenMP / simulated OpenCL hand-tuned / simulated
- * GEMM library) x thread count — and emits the fastest point per
- * layer as a DeploymentPlan.
+ * searches the part of the paper's cross-stack deployment space this
+ * host actually runs — algorithm (direct / im2col, sparse formats
+ * pinned to direct) x CPU backend (serial / OpenMP) x thread count —
+ * and emits the fastest point per layer as a DeploymentPlan. The
+ * simulated OpenCL backends are CPU-run emulations of the paper's
+ * Mali GPU: they stay available for whole-network runs and the
+ * expected-vs-actual figures, but a host timing of them is not a
+ * measurement of any device, so they are never tuned.
  *
  * The search has two stages:
  *
- *  1. enumerate only LEGAL candidates — the analysis verifier's
- *     capability rules (checkLayerExecution) gate the grid, so a point
- *     that would panic (sparse weights on an OpenCL backend) or
- *     duplicate another point (Winograd on an ineligible geometry,
- *     im2col on CSR weights) is never timed;
+ *  1. enumerate only LEGAL, distinct candidates — the analysis
+ *     verifier's capability rules (checkLayerExecution) gate the
+ *     grid, and a point that would duplicate another (im2col on CSR
+ *     weights, OpenMP x 1) is never generated;
  *  2. measure every legal candidate, in enumeration order, on the
  *     real layer geometry with the shared warmup+median-of-k harness
  *     (tune/measure.hpp) — the same loop the GEMM-library auto-tuner
- *     runs, lifted to whole layers. The grid holds at most a dozen
- *     points per layer, so nothing is pruned by prediction: a cost
- *     model that cannot tell the CPU algorithms apart would decide
- *     what gets measured. An injected ClockFn makes the whole search
- *     replayable. Each point also records its max |out - ref| against
- *     the layer's serial/direct output, which --error-budget gates.
+ *     runs, lifted to whole layers. The grid holds at most six
+ *     points per layer at the default thread candidates, so nothing
+ *     is pruned by prediction: a cost model that cannot tell the CPU
+ *     algorithms apart would decide what gets measured. An injected
+ *     ClockFn makes the whole search replayable. Each point also
+ *     records its max |out - ref| against the layer's serial/direct
+ *     output, which --error-budget gates.
  *
  * Because per-layer winners differ (the paper's core observation: the
  * best configuration is not fixed across a network — depthwise layers
- * hate fork/join, 1x1 convolutions hate CSR, big convolutions love
- * the GEMM library), the emitted plan routinely beats the best single
- * global configuration, which tunePlan also identifies and records in
- * the plan for comparison.
+ * hate fork/join, 1x1 convolutions hate CSR), the emitted plan
+ * routinely beats the best single global configuration, which
+ * tunePlan also identifies and records in the plan for comparison.
  */
 
 #ifndef DLIS_TUNE_TUNER_HPP

@@ -1,7 +1,7 @@
 /**
  * @file
- * Cross-backend differential tests: the four Conv2D execution paths
- * (direct dense, direct CSR, im2col+GEMM, Winograd) must agree
+ * Cross-backend differential tests: the three Conv2D execution paths
+ * (direct dense, direct CSR, im2col+GEMM) must agree
  * numerically on randomized geometries, or the serving engine's
  * freedom to pick any backend per worker silently changes answers.
  *
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "backend/winograd.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/depthwise_conv2d.hpp"
 #include "test_helpers.hpp"
@@ -101,13 +100,6 @@ TEST(BackendParity, RandomizedConvGeometries)
         ctx.convAlgo = ConvAlgo::Im2colGemm;
         expectRelClose(ref, conv.forward(input, ctx), kTol,
                        "im2col+GEMM");
-
-        ctx.convAlgo = ConvAlgo::Winograd;
-        const ConvParams p{g.batch, g.cin, g.h,      g.w, g.cout,
-                           g.kernel, g.kernel, g.stride, g.pad};
-        const bool wino = kernels::winogradApplicable(p);
-        expectRelClose(ref, conv.forward(input, ctx), kTol,
-                       wino ? "Winograd" : "Winograd-fallback");
         ctx.convAlgo = ConvAlgo::Direct;
 
         // OpenMP direct (degrades to the serial loop without OpenMP).
@@ -128,44 +120,11 @@ TEST(BackendParity, RandomizedConvGeometries)
     }
 }
 
-TEST(BackendParity, WinogradEligibleLayersAgree)
-{
-    // Force the geometry Winograd actually accelerates (3x3 stride 1)
-    // so the transform path itself is exercised, not the fallback.
-    Rng rng(kSeed + 1);
-    for (int trial = 0; trial < 8; ++trial) {
-        const size_t cin = 1 + rng.uniformInt(6);
-        const size_t cout = 1 + rng.uniformInt(6);
-        const size_t h = 4 + rng.uniformInt(12);
-        const size_t w = 4 + rng.uniformInt(12);
-        SCOPED_TRACE("trial=" + std::to_string(trial) + " cin=" +
-                     std::to_string(cin) + " cout=" +
-                     std::to_string(cout) + " in=" +
-                     std::to_string(h) + "x" + std::to_string(w));
-
-        Conv2d conv("wino", cin, cout, 3, 1, 1);
-        Rng winit = rng.split();
-        conv.initKaiming(winit);
-        const Tensor input =
-            test::randomTensor(Shape{1, cin, h, w}, rng.nextU64());
-
-        const ConvParams p{1, cin, h, w, cout, 3, 3, 1, 1};
-        ASSERT_TRUE(kernels::winogradApplicable(p));
-
-        ExecContext ctx;
-        const Tensor ref = conv.forward(input, ctx);
-        ctx.convAlgo = ConvAlgo::Winograd;
-        expectRelClose(ref, conv.forward(input, ctx), kTol,
-                       "Winograd");
-    }
-}
-
 TEST(BackendParity, MobileNetDepthwisePointwisePair)
 {
     // The MobileNet building block: depthwise 3x3 feeding a pointwise
     // 1x1. Depthwise has one (direct) algorithm, so its parity axis is
-    // serial vs OpenMP; the pointwise 1x1 runs all four conv paths
-    // (Winograd falls back to direct for 1x1 — asserted identical).
+    // serial vs OpenMP; the pointwise 1x1 runs all three conv paths.
     Rng rng(kSeed + 2);
     for (const size_t channels : {3u, 8u, 16u}) {
         for (const size_t stride : {1u, 2u}) {
@@ -194,9 +153,6 @@ TEST(BackendParity, MobileNetDepthwisePointwisePair)
             ctx.convAlgo = ConvAlgo::Im2colGemm;
             expectRelClose(pwRef, pw.forward(dwRef, ctx), kTol,
                            "pointwise im2col+GEMM");
-            ctx.convAlgo = ConvAlgo::Winograd; // 1x1: direct fallback
-            expectRelClose(pwRef, pw.forward(dwRef, ctx), 0.0f,
-                           "pointwise Winograd fallback");
             ctx.convAlgo = ConvAlgo::Direct;
 
             pw.setFormat(WeightFormat::Csr);

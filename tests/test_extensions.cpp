@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the extension subsystems: Winograd convolution, bit-packed
- * ternary weights, Huffman-coded storage (Deep Compression stage 3),
- * the iterative Deep Compression driver, random channel pruning, and
- * model serialisation.
+ * Tests for the extension subsystems: bit-packed ternary weights,
+ * Huffman-coded storage (Deep Compression stage 3), the iterative Deep
+ * Compression driver, random channel pruning, and model
+ * serialisation.
  */
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "backend/conv_kernels.hpp"
-#include "backend/winograd.hpp"
 #include "compress/deep_compression.hpp"
 #include "compress/huffman.hpp"
 #include "compress/random_pruner.hpp"
@@ -28,87 +27,6 @@ namespace {
 
 using test::expectClose;
 using test::randomTensor;
-
-struct WinoCase
-{
-    size_t n, cin, h, w, cout, pad;
-};
-
-class WinogradTest : public ::testing::TestWithParam<WinoCase>
-{
-};
-
-TEST_P(WinogradTest, MatchesDirectConvolution)
-{
-    const WinoCase c = GetParam();
-    ConvParams p{c.n, c.cin, c.h, c.w, c.cout, 3, 3, 1, c.pad};
-    ASSERT_TRUE(kernels::winogradApplicable(p));
-
-    Tensor input = randomTensor(Shape{c.n, c.cin, c.h, c.w}, 1);
-    Tensor weight = randomTensor(Shape{c.cout, c.cin, 3, 3}, 2);
-    Tensor bias = randomTensor(Shape{c.cout}, 3);
-
-    Tensor direct(Shape{c.n, c.cout, p.hout(), p.wout()});
-    kernels::convDirectDense(p, input.data(), weight.data(),
-                             bias.data(), direct.data(), {1});
-
-    Tensor wino(direct.shape());
-    kernels::convWinograd(p, input.data(), weight.data(), bias.data(),
-                          wino.data(), {1});
-    expectClose(wino, direct, 5e-4f);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, WinogradTest,
-    ::testing::Values(WinoCase{1, 1, 4, 4, 1, 1},
-                      WinoCase{1, 3, 8, 8, 4, 1},
-                      WinoCase{2, 2, 7, 9, 3, 1}, // odd output dims
-                      WinoCase{1, 4, 6, 6, 2, 0},
-                      WinoCase{1, 8, 16, 16, 8, 1}));
-
-TEST(Winograd, ApplicabilityRules)
-{
-    EXPECT_TRUE(kernels::winogradApplicable(
-        {1, 3, 8, 8, 4, 3, 3, 1, 1}));
-    EXPECT_FALSE(kernels::winogradApplicable(
-        {1, 3, 8, 8, 4, 3, 3, 2, 1})); // stride 2
-    EXPECT_FALSE(kernels::winogradApplicable(
-        {1, 3, 8, 8, 4, 1, 1, 1, 0})); // 1x1
-}
-
-TEST(Winograd, CutsMultipliesByFactor2Point25)
-{
-    ConvParams p{1, 64, 32, 32, 64, 3, 3, 1, 1};
-    const double ratio = static_cast<double>(p.macs()) /
-                         static_cast<double>(
-                             kernels::winogradMultiplies(p));
-    EXPECT_NEAR(ratio, 2.25, 1e-9);
-}
-
-TEST(Winograd, ConvAlgoDispatchFallsBackWhenInapplicable)
-{
-    Rng rng(4);
-    // MobileNet has 1x1 and strided convs that must fall back.
-    Model m = makeMobileNet(10, 0.25, rng);
-    Tensor in = randomTensor(Shape{1, 3, 32, 32}, 5);
-    ExecContext direct;
-    ExecContext wino;
-    wino.convAlgo = ConvAlgo::Winograd;
-    expectClose(m.net.forward(in, wino), m.net.forward(in, direct),
-                2e-3f);
-}
-
-TEST(Winograd, WholeVggAgrees)
-{
-    Rng rng(6);
-    Model m = makeVgg16(10, 0.125, rng);
-    Tensor in = randomTensor(Shape{1, 3, 32, 32}, 7);
-    ExecContext direct;
-    ExecContext wino;
-    wino.convAlgo = ConvAlgo::Winograd;
-    expectClose(m.net.forward(in, wino), m.net.forward(in, direct),
-                5e-3f);
-}
 
 TEST(PackedTernary, RoundTripAndBytes)
 {

@@ -69,10 +69,8 @@ TEST(MemorySteadyState, SecondForwardAllocatesNothingPerBackendAlgo)
     const Combo combos[] = {
         {Backend::Serial, 1, ConvAlgo::Direct, "serial/direct"},
         {Backend::Serial, 1, ConvAlgo::Im2colGemm, "serial/im2col"},
-        {Backend::Serial, 1, ConvAlgo::Winograd, "serial/winograd"},
         {Backend::OpenMP, 2, ConvAlgo::Direct, "omp2/direct"},
         {Backend::OpenMP, 2, ConvAlgo::Im2colGemm, "omp2/im2col"},
-        {Backend::OpenMP, 2, ConvAlgo::Winograd, "omp2/winograd"},
     };
 
     for (const char *model : {"vgg16", "resnet18", "mobilenet"}) {

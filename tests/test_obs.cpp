@@ -170,33 +170,6 @@ TEST(Metrics, CsrKernelCountMatchesFormulaAcrossOmpThreads)
     }
 }
 
-TEST(Metrics, WinogradCountsOneOmpRegionPerForward)
-{
-    // Every parallel kernel charges omp_regions once per parallel
-    // region; Winograd runs through the same driver as the others.
-    Rng rng(6);
-    Conv2d conv("wino", 8, 8, 3, 1, 1);
-    conv.initKaiming(rng);
-    const Tensor in = randomTensor(Shape{1, 8, 12, 12}, 7);
-
-    obs::Metrics metrics;
-    ExecContext ctx;
-    ctx.backend = Backend::OpenMP;
-    ctx.threads = 2;
-    ctx.convAlgo = ConvAlgo::Winograd;
-    ctx.metrics = &metrics;
-#if DLIS_HAVE_OPENMP
-    const uint64_t perForward = 1;
-#else
-    const uint64_t perForward = 0; // threads > 1 runs serially
-#endif
-    for (uint64_t forwards = 1; forwards <= 2; ++forwards) {
-        (void)conv.forward(in, ctx);
-        EXPECT_EQ(metrics.value("wino.omp_regions"),
-                  forwards * perForward);
-    }
-}
-
 TEST(Stats, PercentileInterpolatesBetweenRanks)
 {
     std::vector<double> sorted(100);

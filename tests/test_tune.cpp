@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -37,8 +38,7 @@
 
 #include "analysis/diagnostic.hpp"
 #include "analysis/memory_estimate.hpp"
-#include "backend/gemmlib/tuned_gemm.hpp"
-#include "backend/oclsim/ndrange.hpp"
+#include "backend/simd/isa.hpp"
 #include "core/rng.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
@@ -114,8 +114,6 @@ Tensor
 forwardManually(Network &net, const tune::DeploymentPlan &plan,
                 const Tensor &input)
 {
-    gemmlib::GemmLibrary gemmLib;
-    oclsim::CommandQueue queue;
     Tensor x = input;
     for (const auto &layer : net.layers()) {
         ExecContext ctx;
@@ -128,8 +126,6 @@ forwardManually(Network &net, const tune::DeploymentPlan &plan,
                 ctx.threads = lp.threads;
                 break;
             }
-        ctx.gemmLib = &gemmLib;
-        ctx.queue = &queue;
         x = layer->forward(x, ctx);
     }
     return x;
@@ -166,6 +162,15 @@ anyError(const std::vector<analysis::Diagnostic> &diags)
     return false;
 }
 
+/** Record this build's static peak bound in a hand-built @p plan
+ *  (call again after changing its layers or base config). */
+void
+seal(tune::DeploymentPlan &plan, InferenceStack &stack)
+{
+    plan.peakBytesBound = tune::planPeakBytes(plan, stack.model().net,
+                                              stack.inputShape(1));
+}
+
 /** A plan skeleton that validates cleanly against @p stack. */
 tune::DeploymentPlan
 emptyValidPlan(InferenceStack &stack)
@@ -175,6 +180,7 @@ emptyValidPlan(InferenceStack &stack)
     plan.hostFingerprint = tune::hostFingerprint();
     plan.networkSignature = tune::networkSignature(
         stack.model().net, stack.inputShape(1));
+    seal(plan, stack);
     return plan;
 }
 
@@ -280,12 +286,8 @@ TEST(Tuner, EveryLegalVggConvPointIsMeasured)
     } grid[] = {
         {Backend::Serial, ConvAlgo::Direct, 1},
         {Backend::Serial, ConvAlgo::Im2colGemm, 1},
-        {Backend::Serial, ConvAlgo::Winograd, 1},
         {Backend::OpenMP, ConvAlgo::Direct, 2},
         {Backend::OpenMP, ConvAlgo::Im2colGemm, 2},
-        {Backend::OpenMP, ConvAlgo::Winograd, 2},
-        {Backend::OclHandTuned, ConvAlgo::Direct, 1},
-        {Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1},
     };
     size_t convs = 0;
     for (const tune::LayerSearch &search : audit) {
@@ -304,6 +306,40 @@ TEST(Tuner, EveryLegalVggConvPointIsMeasured)
         }
     }
     EXPECT_EQ(13u, convs);
+}
+
+TEST(Tuner, DefaultGridIsHostCpuOnly)
+{
+    // Only what the host runs is searched: at the default thread
+    // candidates every point of every paper model is serial or
+    // OpenMP, direct or im2col, and nothing else is measured.
+    const struct
+    {
+        const char *model;
+        size_t points;
+    } models[] = {{"vgg16", 84}, {"resnet18", 57}, {"mobilenet", 126}};
+    for (const auto &m : models) {
+        InferenceStack stack = makeStack(m.model);
+        tune::TuneOptions options; // default grid
+        options.warmup = 0;
+        options.reps = 1;
+        options.measureEndToEnd = false;
+        options.clock = makeFakeClock();
+        std::vector<tune::LayerSearch> audit;
+        tunePlan(stack, options, &audit);
+        size_t points = 0;
+        for (const tune::LayerSearch &search : audit)
+            for (const tune::CandidatePoint &c : search.candidates) {
+                ++points;
+                EXPECT_TRUE(c.backend == Backend::Serial ||
+                            c.backend == Backend::OpenMP)
+                    << m.model << " " << search.layer;
+                EXPECT_TRUE(c.algo == ConvAlgo::Direct ||
+                            c.algo == ConvAlgo::Im2colGemm)
+                    << m.model << " " << search.layer;
+            }
+        EXPECT_EQ(m.points, points) << m.model;
+    }
 }
 
 TEST(Tuner, DepthwiseLayersNeverGetGemmBackends)
@@ -329,13 +365,11 @@ TEST(Tuner, ErrorBudgetGatesOnMeasuredDeviation)
 {
     // Every candidate records max |out - ref| against the layer's
     // serial/direct output; --error-budget excludes the points above
-    // it from winning. Under a clock that shrinks every reading the
-    // last point measured — the last in enumeration order, the GEMM
-    // library — would win everywhere, and under DLIS_FORCE_ISA=scalar
-    // that point matches serial/direct bit for bit. A seeded clock
-    // that reads a pseudo-random duration per measurement instead
-    // spreads the winners over the grid, Winograd and opencl
-    // included, so some winners deviate on every ISA.
+    // it from winning. A seeded clock that reads a pseudo-random
+    // duration per measurement spreads the winners over the grid.
+    // MobileNet's stem and pointwise convs are where a vector ISA's
+    // im2col GEMM rounds differently from the direct loop (VGG-16's
+    // 3x3 convs agree bit for bit on both paths).
     const auto options = [] {
         tune::TuneOptions o = fastOptions();
         auto t = std::make_shared<double>(0.0);
@@ -343,23 +377,26 @@ TEST(Tuner, ErrorBudgetGatesOnMeasuredDeviation)
         o.clock = [t, rng] { return *t += rng->uniform(1e-6, 1e-3); };
         return o;
     };
-    InferenceStack stack = makeStack("vgg16");
+    InferenceStack stack = makeStack("mobilenet");
     std::vector<tune::LayerSearch> auditFree;
     const tune::DeploymentPlan planFree =
         tunePlan(stack, options(), &auditFree);
 
+    const auto expectSameWinners = [&](const tune::DeploymentPlan &p) {
+        ASSERT_EQ(planFree.layers.size(), p.layers.size());
+        for (size_t i = 0; i < planFree.layers.size(); ++i) {
+            const tune::LayerPlan &a = planFree.layers[i];
+            const tune::LayerPlan &b = p.layers[i];
+            EXPECT_EQ(a.backend, b.backend) << a.layer;
+            EXPECT_EQ(a.algo, b.algo) << a.layer;
+            EXPECT_EQ(a.threads, b.threads) << a.layer;
+        }
+    };
+
     // A budget no measured point exceeds changes no winner.
     tune::TuneOptions loose = options();
     loose.errorBudget = 1e300;
-    const tune::DeploymentPlan planLoose = tunePlan(stack, loose);
-    ASSERT_EQ(planFree.layers.size(), planLoose.layers.size());
-    for (size_t i = 0; i < planFree.layers.size(); ++i) {
-        const tune::LayerPlan &a = planFree.layers[i];
-        const tune::LayerPlan &b = planLoose.layers[i];
-        EXPECT_EQ(a.backend, b.backend) << a.layer;
-        EXPECT_EQ(a.algo, b.algo) << a.layer;
-        EXPECT_EQ(a.threads, b.threads) << a.layer;
-    }
+    expectSameWinners(tunePlan(stack, loose));
 
     // The serial/direct point is the reference itself.
     double minDev = std::numeric_limits<double>::infinity();
@@ -373,6 +410,31 @@ TEST(Tuner, ErrorBudgetGatesOnMeasuredDeviation)
             if (c.maxAbsDev > 0.0)
                 minDev = std::min(minDev, c.maxAbsDev);
         }
+
+    if (simd::activeIsa() == simd::SimdIsa::Scalar) {
+        // The scalar reference loops give im2col's GEMM and every
+        // OpenMP kernel the same ascending-k chain per output as
+        // serial/direct: no point deviates at all, so even the
+        // tightest budget excludes nothing.
+        EXPECT_FALSE(std::isfinite(minDev))
+            << "a candidate deviated from serial/direct: " << minDev;
+        EXPECT_EQ(0.0, planFree.maxAbsDev);
+        tune::TuneOptions tiny = options();
+        tiny.errorBudget = 1e-30;
+        std::vector<tune::LayerSearch> auditTiny;
+        const tune::DeploymentPlan planTiny =
+            tunePlan(stack, tiny, &auditTiny);
+        for (const tune::LayerSearch &search : auditTiny)
+            for (const tune::CandidatePoint &c : search.candidates) {
+                EXPECT_EQ(0.0, c.maxAbsDev) << search.layer;
+                EXPECT_FALSE(c.budgetExcluded) << search.layer;
+            }
+        expectSameWinners(planTiny);
+        return;
+    }
+
+    // On a vector ISA the im2col GEMM accumulates in a different
+    // order than the direct loop, so some points deviate.
     ASSERT_TRUE(std::isfinite(minDev))
         << "no candidate deviated from serial/direct";
 
@@ -486,6 +548,7 @@ TEST(PlanEquivalence, ThreadsOnlyPlanIsBitwiseExact)
             lp.threads = 3;
             plan.layers.push_back(lp);
         }
+        seal(plan, stack);
         ASSERT_FALSE(anyError(tune::validatePlan(
             plan, stack.model().net, stack.inputShape(1))));
 
@@ -502,8 +565,8 @@ TEST(PlanEquivalence, ThreadsOnlyPlanIsBitwiseExact)
 
 TEST(PlanEquivalence, MixedPlanAdjacentLayersOnDifferentBackends)
 {
-    // The issue's core differential: adjacent layers running under
-    // different algorithm/backend combinations in ONE forward.
+    // The core differential: adjacent layers running under different
+    // algorithm/backend/thread combinations in ONE forward.
     InferenceStack stack = makeStack("vgg16");
     tune::DeploymentPlan plan = emptyValidPlan(stack);
 
@@ -515,11 +578,11 @@ TEST(PlanEquivalence, MixedPlanAdjacentLayersOnDifferentBackends)
         int threads;
     } picks[] = {
         {"conv1", Backend::OpenMP, ConvAlgo::Im2colGemm, 2},
-        {"conv2", Backend::Serial, ConvAlgo::Winograd, 1},
-        {"conv3", Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1},
-        {"conv4", Backend::OclHandTuned, ConvAlgo::Direct, 1},
-        {"conv5", Backend::Serial, ConvAlgo::Direct, 1},
-        {"fc1", Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1},
+        {"conv2", Backend::Serial, ConvAlgo::Direct, 1},
+        {"conv3", Backend::Serial, ConvAlgo::Im2colGemm, 1},
+        {"conv4", Backend::OpenMP, ConvAlgo::Direct, 3},
+        {"conv5", Backend::OpenMP, ConvAlgo::Im2colGemm, 4},
+        {"fc1", Backend::Serial, ConvAlgo::Direct, 1},
         {"fc2", Backend::OpenMP, ConvAlgo::Direct, 4},
     };
     for (const auto &p : picks) {
@@ -530,6 +593,7 @@ TEST(PlanEquivalence, MixedPlanAdjacentLayersOnDifferentBackends)
         lp.threads = p.threads;
         plan.layers.push_back(lp);
     }
+    seal(plan, stack);
     ASSERT_FALSE(anyError(tune::validatePlan(
         plan, stack.model().net, stack.inputShape(1))));
 
@@ -549,10 +613,8 @@ TEST(PlanEquivalence, RandomisedConvChainGeometries)
 {
     // Random conv-chain networks with hand-built mixed plans: the
     // equivalence must hold for geometries nobody curated.
-    const Backend backends[] = {Backend::Serial, Backend::OpenMP,
-                                Backend::OclGemmLib};
-    const ConvAlgo algos[] = {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
-                              ConvAlgo::Winograd};
+    const Backend backends[] = {Backend::Serial, Backend::OpenMP};
+    const ConvAlgo algos[] = {ConvAlgo::Direct, ConvAlgo::Im2colGemm};
 
     for (uint64_t seed : {1u, 2u, 3u}) {
         Rng rng(seed);
@@ -575,10 +637,8 @@ TEST(PlanEquivalence, RandomisedConvChainGeometries)
 
             tune::LayerPlan lp;
             lp.layer = conv->name();
-            lp.backend = backends[rng.uniformInt(3)];
-            lp.algo = lp.backend == Backend::OclGemmLib
-                          ? ConvAlgo::Im2colGemm
-                          : algos[rng.uniformInt(3)];
+            lp.backend = backends[rng.uniformInt(2)];
+            lp.algo = algos[rng.uniformInt(2)];
             lp.threads = lp.backend == Backend::OpenMP
                              ? 2 + static_cast<int>(rng.uniformInt(3))
                              : 1;
@@ -589,6 +649,7 @@ TEST(PlanEquivalence, RandomisedConvChainGeometries)
         plan.networkSignature =
             tune::networkSignature(net, realInput);
         plan.hostFingerprint = tune::hostFingerprint();
+        plan.peakBytesBound = tune::planPeakBytes(plan, net, realInput);
         ASSERT_FALSE(anyError(
             tune::validatePlan(plan, net, realInput)))
             << "seed " << seed;
@@ -611,7 +672,7 @@ TEST(PlanEquivalence, RandomisedConvChainGeometries)
 // ---------------------------------------------------------------- //
 
 const char *const kGoldenPlan = R"({
-  "plan_version": 5,
+  "plan_version": 6,
   "model": "vgg16",
   "network_signature": "00000000deadbeef",
   "host_fingerprint": "golden-host/cpu8/avx2",
@@ -627,7 +688,7 @@ const char *const kGoldenPlan = R"({
   "peak_bytes_bound": 3145728,
   "layers": [
     {"layer": "conv1", "backend": "openmp", "algo": "im2col", "threads": 4, "measured_s": 0.001953125, "max_abs_dev": 0.00048828125},
-    {"layer": "conv2", "backend": "serial", "algo": "winograd", "threads": 1, "measured_s": 0.0078125, "max_abs_dev": 0.000244140625},
+    {"layer": "conv2", "backend": "serial", "algo": "direct", "threads": 1, "measured_s": 0.0078125, "max_abs_dev": 0.000244140625},
     {"layer": "fc1", "backend": "clblast", "algo": "im2col", "threads": 1, "measured_s": 0.5, "max_abs_dev": 0.0001220703125}
   ]
 }
@@ -653,7 +714,7 @@ goldenPlan()
     plan.layers = {
         {"conv1", Backend::OpenMP, ConvAlgo::Im2colGemm, 4,
          0.001953125, 0.00048828125},
-        {"conv2", Backend::Serial, ConvAlgo::Winograd, 1, 0.0078125,
+        {"conv2", Backend::Serial, ConvAlgo::Direct, 1, 0.0078125,
          0.000244140625},
         {"fc1", Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1, 0.5,
          0.0001220703125},
@@ -685,7 +746,7 @@ TEST(PlanFile, ParseRenderRoundTripIsIdentity)
 TEST(PlanFile, ParsedFieldsSurviveTheTrip)
 {
     const tune::DeploymentPlan p = tune::planFromJson(kGoldenPlan);
-    EXPECT_EQ(5, p.version);
+    EXPECT_EQ(6, p.version);
     EXPECT_EQ("vgg16", p.model);
     EXPECT_EQ(7u, p.seed);
     EXPECT_EQ(Backend::OpenMP, p.defaultBackend);
@@ -696,7 +757,7 @@ TEST(PlanFile, ParsedFieldsSurviveTheTrip)
     EXPECT_EQ(3145728u, p.peakBytesBound);
     ASSERT_EQ(3u, p.layers.size());
     EXPECT_EQ(Backend::OclGemmLib, p.layers[2].backend);
-    EXPECT_EQ(ConvAlgo::Winograd, p.layers[1].algo);
+    EXPECT_EQ(ConvAlgo::Direct, p.layers[1].algo);
     EXPECT_DOUBLE_EQ(0.001953125, p.layers[0].measuredSeconds);
     EXPECT_DOUBLE_EQ(0.00048828125, p.layers[0].maxAbsDev);
 }
@@ -844,7 +905,7 @@ TEST(PlanReject, ValidationCodesAreStable)
 
 TEST(PlanReject, OlderSchemaVersionsFailWithPlanVersionNotParse)
 {
-    // Genuine v1-v4 documents must still PARSE (fields added later
+    // Genuine v1-v5 documents must still PARSE (fields added later
     // are optional; fields dropped since are ignored), then be
     // refused by validatePlan with the stable PlanVersion code, so
     // the operator sees "re-run --tune", not "corrupt file".
@@ -852,14 +913,21 @@ TEST(PlanReject, OlderSchemaVersionsFailWithPlanVersionNotParse)
     tune::DeploymentPlan current = emptyValidPlan(stack);
     current.layers.push_back(
         {"stem", Backend::Serial, ConvAlgo::Direct, 1});
-    const std::string v5 = tune::planToJson(current);
+    seal(current, stack);
+    const std::string v6 = tune::planToJson(current);
+    const std::string bound =
+        std::to_string(current.peakBytesBound);
 
     using Edit = std::pair<std::string, std::string>;
-    // v4 differs from v5 only by a per-layer cost-model seed, a
-    // dropped field the reader skips like v3's error bounds below
-    // (left out here); v3 recorded static bounds where v4 records
-    // deviations; v2 had no mem fields; v1 had no numerical fields
-    // at all.
+    // v5 differs from v6 only in what v6 validates (one algorithm
+    // fewer, CPU layers, a mandatory bound); v4 only by a per-layer cost-model
+    // seed, a dropped field the reader skips like v3's error bounds
+    // below (left out here); v3 recorded static bounds where v4
+    // records deviations; v2 had no mem fields; v1 had no numerical
+    // fields at all.
+    const std::vector<Edit> toV5 = {
+        {"\"plan_version\": 6", "\"plan_version\": 5"},
+    };
     const std::vector<Edit> toV4 = {
         {"\"plan_version\": 5", "\"plan_version\": 4"},
     };
@@ -871,7 +939,7 @@ TEST(PlanReject, OlderSchemaVersionsFailWithPlanVersionNotParse)
     const std::vector<Edit> toV2 = {
         {"\"plan_version\": 3", "\"plan_version\": 2"},
         {"  \"mem_budget\": 0,\n", ""},
-        {"  \"peak_bytes_bound\": 0,\n", ""},
+        {"  \"peak_bytes_bound\": " + bound + ",\n", ""},
     };
     const std::vector<Edit> toV1 = {
         {"\"plan_version\": 2", "\"plan_version\": 1"},
@@ -880,28 +948,53 @@ TEST(PlanReject, OlderSchemaVersionsFailWithPlanVersionNotParse)
         {", \"error_bound\": 0}", "}"},
     };
 
-    std::string doc = v5;
-    int version = 5;
+    std::string doc = v6;
+    int version = 6;
+    std::string v5;
     for (const std::vector<Edit> *edits :
-         {&toV4, &toV3, &toV2, &toV1}) {
+         {&toV5, &toV4, &toV3, &toV2, &toV1}) {
         for (const Edit &e : *edits) {
             const size_t at = doc.find(e.first);
             ASSERT_NE(std::string::npos, at) << e.first;
             doc.replace(at, e.first.size(), e.second);
         }
         --version;
+        if (version == 5)
+            v5 = doc;
 
         tune::DeploymentPlan parsed;
         ASSERT_NO_THROW(parsed = tune::planFromJson(doc))
             << "v" << version << " plan must parse, not throw";
         EXPECT_EQ(version, parsed.version);
         EXPECT_EQ(0.0, parsed.maxAbsDev);
-        EXPECT_EQ(0u, parsed.peakBytesBound);
+        EXPECT_EQ(version >= 3 ? current.peakBytesBound : 0u,
+                  parsed.peakBytesBound);
         EXPECT_TRUE(hasError(tune::validatePlan(parsed,
                                                 stack.model().net,
                                                 stack.inputShape(1)),
                              analysis::Check::PlanVersion))
             << "v" << version;
+    }
+
+    // A v5 plan that picked Winograd names a token this build no
+    // longer has: a parse failure, not a stale version.
+    const std::string direct = "\"algo\": \"direct\"";
+    v5.replace(v5.find(direct), direct.size(), "\"algo\": \"winograd\"");
+    expectPlanError(v5, analysis::Check::PlanParse);
+
+    // A v6 layer on a simulated OpenCL backend parses (the token
+    // still names a backend) but fails validation: plans run only
+    // the CPU backends the tuner measured.
+    for (Backend ocl : {Backend::OclHandTuned, Backend::OclGemmLib}) {
+        tune::DeploymentPlan plan = current;
+        plan.layers[0].backend = ocl;
+        const tune::DeploymentPlan parsed =
+            tune::planFromJson(tune::planToJson(plan));
+        EXPECT_TRUE(hasError(tune::validatePlan(parsed,
+                                                stack.model().net,
+                                                stack.inputShape(1)),
+                             analysis::Check::BadConfig))
+            << backendToken(ocl);
     }
 }
 
@@ -940,8 +1033,9 @@ TEST(PlanReject, RecordedPeakBoundMustMatchThisBuild)
 
 TEST(PlanReject, IllegalPointOnSparseWeightsIsAnError)
 {
-    // CSR weights cannot run on the simulated OpenCL backends; a plan
-    // claiming otherwise must be rejected, not timed or executed.
+    // CSR weights cannot run on the simulated OpenCL backends (and no
+    // plan layer may name one); a plan claiming otherwise must be
+    // rejected, not timed or executed.
     StackConfig config;
     config.modelName = "vgg16";
     config.widthMult = 0.25;
@@ -1216,6 +1310,30 @@ TEST(ServePlan, PreflightRejectsStaleForeignAndCorruptPlans)
     std::filesystem::remove_all(dir);
 }
 
+TEST(ServePlan, ZeroPeakBoundIsPricedAndRefused)
+{
+    // A current-version plan cannot opt out of its memory check by
+    // recording bound 0: the serving pre-flight would size replicas
+    // for a different assignment than the one that runs.
+    InferenceStack stack = makeStack("mobilenet");
+    tune::DeploymentPlan plan = emptyValidPlan(stack);
+    plan.layers.push_back(
+        {"stem", Backend::OpenMP, ConvAlgo::Im2colGemm, 2});
+    seal(plan, stack);
+    ASSERT_FALSE(anyError(tune::validatePlan(
+        plan, stack.model().net, stack.inputShape(1))));
+
+    plan.peakBytesBound = 0;
+    EXPECT_TRUE(hasError(tune::validatePlan(plan, stack.model().net,
+                                            stack.inputShape(1)),
+                         analysis::Check::BadConfig));
+
+    serve::ServeConfig config;
+    config.workers = 1;
+    config.plan = &plan;
+    expectServeRejects(stack, config);
+}
+
 TEST(ServePlan, PreflightWarnsWhenPlanDeviationExceedsBudget)
 {
     // A plan whose measured max_abs_dev busts the engine's budget is
@@ -1319,13 +1437,7 @@ TEST(ServePlan, NodeMemBudgetSizesReplicasFromPlanBound)
     Network &net = stack.model().net;
     const Shape input = stack.inputShape(1);
 
-    tune::DeploymentPlan plan = emptyValidPlan(stack);
-    plan.peakBytesBound =
-        analysis::memoryEstimateForPlan(net, input, {},
-                                        plan.defaultBackend,
-                                        ConvAlgo::Direct,
-                                        plan.defaultThreads)
-            .total();
+    const tune::DeploymentPlan plan = emptyValidPlan(stack);
     ASSERT_FALSE(anyError(tune::validatePlan(plan, net, input)));
 
     serve::ServeConfig config;
@@ -1362,6 +1474,7 @@ TEST(ServePlan, ValidPlanServesIdenticallyToPlanBoundForward)
         {"stem", Backend::OpenMP, ConvAlgo::Im2colGemm, 2, 0.0, 0.0});
     plan.layers.push_back(
         {"fc", Backend::Serial, ConvAlgo::Direct, 1, 0.0, 0.0});
+    seal(plan, stack);
     ASSERT_FALSE(anyError(tune::validatePlan(
         plan, stack.model().net, stack.inputShape(1))));
 
@@ -1369,15 +1482,18 @@ TEST(ServePlan, ValidPlanServesIdenticallyToPlanBoundForward)
     const Tensor expected =
         forwardWithPlan(stack.model().net, plan, input);
 
+    // Two workers share the engine's one plan runtime.
     serve::ServeConfig config;
-    config.workers = 1;
+    config.workers = 2;
     config.maxBatch = 1;
     config.plan = &plan;
     serve::InferenceEngine engine(stack, config);
-    const Tensor served = engine.submit(input).get();
+    std::vector<std::future<Tensor>> replies;
+    for (int i = 0; i < 8; ++i)
+        replies.push_back(engine.submit(input));
+    for (std::future<Tensor> &reply : replies)
+        EXPECT_TRUE(expected == reply.get());
     engine.shutdown();
-
-    EXPECT_TRUE(expected == served);
 }
 
 // ---------------------------------------------------------------- //
@@ -1423,19 +1539,18 @@ TEST(PlanIdentity, TokensRoundTrip)
                       Backend::OclHandTuned, Backend::OclGemmLib}) {
         Backend out;
         ASSERT_TRUE(
-            tune::backendFromToken(tune::backendToken(b), out));
+            backendFromToken(backendToken(b), out));
         EXPECT_EQ(b, out);
     }
-    for (ConvAlgo a : {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
-                       ConvAlgo::Winograd}) {
+    for (ConvAlgo a : {ConvAlgo::Direct, ConvAlgo::Im2colGemm}) {
         ConvAlgo out;
-        ASSERT_TRUE(tune::algoFromToken(tune::algoToken(a), out));
+        ASSERT_TRUE(algoFromToken(algoToken(a), out));
         EXPECT_EQ(a, out);
     }
     Backend b;
     ConvAlgo a;
-    EXPECT_FALSE(tune::backendFromToken("cuda", b));
-    EXPECT_FALSE(tune::algoFromToken("fft", a));
+    EXPECT_FALSE(backendFromToken("cuda", b));
+    EXPECT_FALSE(algoFromToken("fft", a));
 }
 
 } // namespace

@@ -17,11 +17,14 @@ output (aggregate rows; the repo's benchmarks always emit
 
 ``--baseline BASELINE FILE``
     Compare medians name-by-name against a committed baseline (e.g.
-    BENCH_kernel_microbench.json), failing on >margin slowdowns.
-    Medians are only comparable on the machine that produced the
-    baseline, so mismatched host fingerprints (host name, CPU count,
-    nominal MHz) or a different resolved simd_isa downgrade the check
-    to a warning instead of false-failing every contributor's laptop.
+    BENCH_kernel_microbench.json), failing on >margin slowdowns and on
+    any committed median the current run lacks (a benchmark that
+    vanishes must not silently leave the gate). Benchmarks new in the
+    current run are not gated until they are committed. Medians are
+    only comparable on the machine that produced the baseline, so
+    mismatched host fingerprints (host name, CPU count, nominal MHz)
+    or a different resolved simd_isa downgrade the check to a warning
+    instead of false-failing every contributor's laptop.
 
 Exit status: 0 ok / skipped, 1 regression, 2 usage or parse error.
 """
@@ -119,10 +122,15 @@ def check_baseline(base: dict, cur: dict, margin: float) -> int:
               f"({ratio:.2f}x) {verdict}")
         if ratio > 1.0 + margin:
             failures.append(name)
+    missing = sorted(set(base_m) - set(cur_m))
     if failures:
         print(f"compare_microbench: >{margin:.0%} regression vs "
               f"committed medians: {', '.join(failures)}",
               file=sys.stderr)
+    if missing:
+        print("compare_microbench: committed medians missing from the "
+              f"current run: {', '.join(missing)}", file=sys.stderr)
+    if failures or missing:
         return 1
     print(f"compare_microbench: {len(common)} benchmarks within "
           f"{margin:.0%} of baseline")

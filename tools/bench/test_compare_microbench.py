@@ -160,11 +160,26 @@ class CheckBaselineTest(unittest.TestCase):
         self.assertEqual(2, run_quiet(cm.check_baseline, base, cur,
                                       0.10))
 
-    def test_only_common_names_are_compared(self):
-        base = doc([median_row("BM_Gemm/64", 100.0),
-                    median_row("BM_Gone/1", 1.0)])
+    def test_benchmarks_new_in_the_run_are_not_gated(self):
+        base = doc([median_row("BM_Gemm/64", 100.0)])
         cur = doc([median_row("BM_Gemm/64", 105.0),
                    median_row("BM_Added/1", 999.0)])
+        self.assertEqual(0, run_quiet(cm.check_baseline, base, cur,
+                                      0.10))
+
+    def test_committed_median_missing_from_the_run_fails(self):
+        base = doc([median_row("BM_Gemm/64", 100.0),
+                    median_row("BM_Gone/1", 1.0),
+                    median_row("BM_Gone/2", 2.0)])
+        cur = doc([median_row("BM_Gemm/64", 105.0)])
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            self.assertEqual(1, cm.check_baseline(base, cur, 0.10))
+        self.assertIn("BM_Gone/1, BM_Gone/2", err.getvalue())
+
+    def test_missing_median_on_a_foreign_host_still_skips(self):
+        base = doc([median_row("BM_Gone/1", 1.0)], host="laptop")
+        cur = doc([median_row("BM_Gemm/64", 105.0)], host="ci-host")
         self.assertEqual(0, run_quiet(cm.check_baseline, base, cur,
                                       0.10))
 
