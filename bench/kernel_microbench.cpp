@@ -210,6 +210,7 @@ BM_GemmSmallN(benchmark::State &state)
 DLIS_BENCHMARK(BM_GemmSmallN)
     ->Args({256, 2304, 4})
     ->Args({256, 256, 4})
+    ->Args({256, 256, 32})
     ->Args({256, 2304, 1});
 
 /** Scalar-pinned twin of BM_GemmSmallN (see BM_GemmBlockedScalar). */
@@ -222,6 +223,7 @@ BM_GemmSmallNScalar(benchmark::State &state)
 DLIS_BENCHMARK(BM_GemmSmallNScalar)
     ->Args({256, 2304, 4})
     ->Args({256, 256, 4})
+    ->Args({256, 256, 32})
     ->Args({256, 2304, 1});
 
 /**

@@ -4,6 +4,7 @@
 
 #include "backend/gemm.hpp"
 #include "backend/gemmlib/tuned_gemm.hpp"
+#include "backend/im2col.hpp"
 #include "core/scratch_arena.hpp"
 #include "nn/models/model.hpp"
 #include "nn/pooling.hpp"
@@ -98,25 +99,36 @@ convTransient(const Conv2d &conv, const Shape &in, Backend backend,
               ConvAlgo algo, int threads)
 {
     const size_t out = bytesOf(conv.outputShape(in));
-    const size_t m = conv.cout();
-    const size_t k = conv.cin() * conv.kernel() * conv.kernel();
-    const size_t n = conv.outputShape(in).h() *
-                     conv.outputShape(in).w();
-    const size_t cols = ScratchArena::alignUp(k * n * sizeof(float));
     const size_t eff = effectiveThreads(backend, threads);
 
     if (backend == Backend::OclHandTuned)
         return {2 * out, 0}; // direct simulated kernel, no workspace
-    if (backend == Backend::OclGemmLib)
+    const bool oclLib = backend == Backend::OclGemmLib;
+    if (!oclLib && (conv.format() != WeightFormat::Dense ||
+                    algo != ConvAlgo::Im2colGemm))
+        return {out, 0}; // direct kernels write the outer tensor
+
+    // Conv2d::forwardIm2col's group workspaces: the [k, g*hw] column
+    // matrix (none for a one-image pointwise group, whose input is
+    // already B), the [m, g*hw] staging block of a multi-image group,
+    // then the GEMM's own demand. The GEMM library runs one image
+    // per call.
+    const ConvParams p = conv.paramsFor(in);
+    const size_t m = conv.cout();
+    const size_t k = conv.cin() * conv.kernel() * conv.kernel();
+    const size_t hw = p.hout() * p.wout();
+    const size_t g = oclLib ? 1 : kernels::im2colGroupImages(p);
+    const size_t n = g * hw;
+    const bool copyCols = g > 1 || !kernels::im2colIsIdentity(p);
+    const size_t cols =
+        copyCols ? ScratchArena::alignUp(k * n * sizeof(float)) : 0;
+    if (oclLib)
         return {2 * out, cols + gemmLibDemand(m, k, n, eff)};
-    if (conv.format() != WeightFormat::Dense)
-        return {out, 0}; // sparse/packed kernels run direct, in place
-    if (algo == ConvAlgo::Im2colGemm)
-        return {2 * out, cols + gemmTileDemand(m, n,
-                                               kernels::kGemmTileM,
-                                               kernels::kGemmTileN,
-                                               eff)};
-    return {out, 0}; // direct writes the outer tensor, no workspace
+    const size_t staged =
+        g > 1 ? ScratchArena::alignUp(m * n * sizeof(float)) : 0;
+    const size_t tiles = gemmTileDemand(m, n, kernels::kGemmTileM,
+                                        kernels::kGemmTileN, eff);
+    return {2 * out, cols + staged + tiles};
 }
 
 /** Arena demand of a Linear forward (only the GEMM-library routing

@@ -21,6 +21,9 @@ namespace dlis::kernels {
  * Exported so the static memory estimate (analysis/memory_estimate)
  * can mirror the per-thread C-tile workspace gemmBlocked draws from
  * the scratch arena. They match gemmlib::TuneConfig's defaults.
+ * kGemmTileN also bounds im2col batch folding: Conv2d puts just
+ * enough images into one GEMM for N to reach one column tile
+ * (kernels::im2colGroupImages).
  */
 /** @{ */
 inline constexpr size_t kGemmTileM = 32;
@@ -50,9 +53,11 @@ void gemmNaive(const float *a, const float *b, float *c, size_t m,
  * simd::activeKernels() — the scalar ISA runs the reference loop
  * below, AVX2/NEON run register-tiled FMA micro-kernels. Per output
  * element the additions run in strictly ascending p order under every
- * ISA, making the result bit-identical across thread counts and tile
- * shapes (vector ISAs differ from scalar only by FMA's single
- * rounding, within the parity-test tolerances).
+ * ISA, making the result bit-identical across thread counts, tile
+ * shapes and the element's column position — which is what lets
+ * Conv2d fold several images into N without changing a bit (vector
+ * ISAs differ from scalar only by FMA's single rounding, within the
+ * parity-test tolerances).
  *
  * @param tileM/tileN/tileK  blocking factors (0 means kGemmTile*)
  */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "backend/gemm.hpp"
 #include "backend/simd/dispatch.hpp"
 
 namespace dlis::kernels {
@@ -12,24 +13,37 @@ im2colBufferSize(const ConvParams &p)
     return p.cin * p.kh * p.kw * p.hout() * p.wout();
 }
 
-void
-im2col(const ConvParams &p, const float *input, float *cols)
+size_t
+im2colGroupImages(const ConvParams &p)
 {
+    const size_t hw = p.hout() * p.wout();
+    return std::min(p.n, (kGemmTileN + hw - 1) / hw);
+}
+
+bool
+im2colIsIdentity(const ConvParams &p)
+{
+    return p.kh == 1 && p.kw == 1 && p.stride == 1 && p.pad == 0;
+}
+
+void
+im2col(const ConvParams &p, const float *input, float *cols, size_t rowStride)
+{
+    const size_t ho = p.hout(), wo = p.wout();
+    const size_t ld = rowStride ? rowStride : ho * wo;
     // At stride 1 every column row is a contiguous input span plus
     // zero padding; the vector variant is bit-exact (pure copies).
     const simd::MicroKernels &mk = simd::activeKernels();
     if (mk.im2colS1 && p.stride == 1) {
-        mk.im2colS1(p, input, cols);
+        mk.im2colS1(p, input, cols, ld);
         return;
     }
-    const size_t ho = p.hout(), wo = p.wout();
-    const size_t out_spatial = ho * wo;
     size_t row = 0;
     for (size_t ci = 0; ci < p.cin; ++ci) {
         const float *in_ch = input + ci * p.hin * p.win;
         for (size_t ky = 0; ky < p.kh; ++ky) {
             for (size_t kx = 0; kx < p.kw; ++kx, ++row) {
-                float *out_row = cols + row * out_spatial;
+                float *out_row = cols + row * ld;
                 for (size_t oy = 0; oy < ho; ++oy) {
                     const ptrdiff_t iy =
                         static_cast<ptrdiff_t>(oy * p.stride + ky) -

@@ -75,13 +75,15 @@ struct MicroKernels
                       float *output, size_t img, size_t oc) = nullptr;
 
     /**
-     * Whole-buffer im2col for stride == 1: every (ci, ky, kx) row of
+     * Whole-image im2col for stride == 1: every (ci, ky, kx) row of
      * the column matrix is a shifted contiguous span of one input
-     * row, so it lowers to vector copies plus zeroed padding.
-     * Bit-exact against kernels::im2col.
+     * row, so it lowers to vector copies plus zeroed padding. Column
+     * rows are @p ld floats apart (hout*wout for a one-image buffer,
+     * more when images of a group share the rows). Bit-exact against
+     * kernels::im2col.
      */
-    void (*im2colS1)(const ConvParams &p, const float *input,
-                     float *cols) = nullptr;
+    void (*im2colS1)(const ConvParams &p, const float *input, float *cols,
+                     size_t ld) = nullptr;
 
     /**
      * One (image, output-channel) pair of a packed-ternary conv for

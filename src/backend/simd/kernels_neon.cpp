@@ -205,10 +205,9 @@ copySpanNeon(float *dst, const float *src, size_t n)
 }
 
 void
-im2colS1Neon(const ConvParams &p, const float *input, float *cols)
+im2colS1Neon(const ConvParams &p, const float *input, float *cols, size_t ld)
 {
     const size_t ho = p.hout(), wo = p.wout();
-    const size_t spatial = ho * wo;
     const ptrdiff_t pad = static_cast<ptrdiff_t>(p.pad);
     const ptrdiff_t hin = static_cast<ptrdiff_t>(p.hin);
     const ptrdiff_t win = static_cast<ptrdiff_t>(p.win);
@@ -217,7 +216,7 @@ im2colS1Neon(const ConvParams &p, const float *input, float *cols)
         const float *in_ch = input + ci * p.hin * p.win;
         for (size_t ky = 0; ky < p.kh; ++ky) {
             for (size_t kx = 0; kx < p.kw; ++kx, ++row) {
-                float *out_row = cols + row * spatial;
+                float *out_row = cols + row * ld;
                 const ptrdiff_t shift =
                     static_cast<ptrdiff_t>(kx) - pad;
                 const ptrdiff_t ox0 = std::clamp<ptrdiff_t>(

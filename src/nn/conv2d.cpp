@@ -120,57 +120,84 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
                "im2col/GEMM path requires dense weights in '", name_,
                "'");
     const ConvParams p = paramsFor(input.shape());
-    const size_t ho = p.hout(), wo = p.wout();
+    const size_t hw = p.hout() * p.wout();
     const size_t ck = cin_ * kernel_ * kernel_;
+    const size_t inImg = cin_ * p.hin * p.win;
+    const bool oclLib = ctx.backend == Backend::OclGemmLib;
 
     Tensor out(outputShape(input.shape()));
     const float *bias_ptr = withBias_ ? bias_.data() : nullptr;
     const KernelPolicy pol = kernelPolicy(ctx);
 
-    // The column buffer comes from the context's scratch arena and is
-    // reused for every image (and every later forward); the legacy
-    // per-call Tensor allocation remains only for arena-less callers.
+    // Images run in groups of g: their columns sit side by side in one
+    // [ck, g*hw] matrix, so a small-spatial layer streams its weights
+    // once per group instead of once per image. The simulated GEMM
+    // library keeps one image per call, so its transfer accounting
+    // stays per image. Each output element is still one ascending-k
+    // chain, so grouping changes no bit of the result.
+    const size_t g = oclLib ? 1 : kernels::im2colGroupImages(p);
+    const bool copyCols = g > 1 || !kernels::im2colIsIdentity(p);
+
+    // Workspaces come from the context's scratch arena and are reused
+    // for every group (and every later forward); a call-local arena
+    // serves arena-less callers. A multi-image GEMM writes a [cout,
+    // g*hw] staging block, which the last pass scatters to NCHW.
     ScratchArena localArena;
     ScratchArena &ar = pol.arena ? *pol.arena : localArena;
     ScratchArena::Scope scope(ar, pol.counters);
-    float *cols = ar.allocFloats(ck * ho * wo);
-    const size_t colsBytes = ck * ho * wo * sizeof(float);
+    const size_t colsFloats = copyCols ? ck * g * hw : 0;
+    const size_t stagedFloats = g > 1 ? cout_ * g * hw : 0;
+    ar.reserve(ScratchArena::alignUp(colsFloats * sizeof(float)) +
+               ScratchArena::alignUp(stagedFloats * sizeof(float)));
+    float *cols = copyCols ? ar.allocFloats(colsFloats) : nullptr;
+    float *staged = g > 1 ? ar.allocFloats(stagedFloats) : nullptr;
 
-    for (size_t img = 0; img < p.n; ++img) {
-        const float *in_img = input.data() + img * cin_ * p.hin * p.win;
-        float *out_img = out.data() + img * cout_ * ho * wo;
+    for (size_t img0 = 0; img0 < p.n; img0 += g) {
+        const size_t imgs = std::min(g, p.n - img0);
+        const size_t n = imgs * hw;
+        const float *in0 = input.data() + img0 * inImg;
+        float *out0 = out.data() + img0 * cout_ * hw;
 
-        {
-            obs::TraceSpan span(ctx.tracer, name_ + ".im2col",
-                                "kernel");
-            kernels::im2col(p, in_img, cols);
+        const float *b = in0;
+        if (copyCols) {
+            obs::TraceSpan span(ctx.tracer, name_ + ".im2col", "kernel");
+            for (size_t i = 0; i < imgs; ++i)
+                kernels::im2col(p, in0 + i * inImg, cols + i * hw, n);
+            if (pol.counters.im2colBytes)
+                pol.counters.im2colBytes->add(ck * n * sizeof(float));
+            b = cols;
         }
-        if (pol.counters.im2colBytes)
-            pol.counters.im2colBytes->add(colsBytes);
 
+        float *c = staged ? staged : out0;
         obs::TraceSpan gemmSpan(ctx.tracer, name_ + ".gemm", "kernel");
-        if (ctx.backend == Backend::OclGemmLib) {
+        if (oclLib) {
             DLIS_CHECK(ctx.gemmLib,
                        "OclGemmLib backend needs ctx.gemmLib");
             if (ctx.queue) {
                 // The paper flattens every matrix and ships it through
                 // OpenCL buffers before each library call.
                 ctx.queue->recordTransfer(
-                    colsBytes + weight_.bytes(), true);
-                ctx.queue->recordTransfer(out.bytes() / p.n, false);
+                    ck * n * sizeof(float) + weight_.bytes(), true);
+                ctx.queue->recordTransfer(cout_ * n * sizeof(float), false);
             }
-            ctx.gemmLib->gemm(weight_.data(), cols, out_img,
-                              cout_, ck, ho * wo, pol);
+            ctx.gemmLib->gemm(weight_.data(), b, c, cout_, ck, n, pol);
         } else {
-            kernels::gemmBlocked(weight_.data(), cols, out_img,
-                                 cout_, ck, ho * wo, pol);
+            kernels::gemmBlocked(weight_.data(), b, c, cout_, ck, n, pol);
         }
         gemmSpan.finish();
-        if (bias_ptr) {
+
+        // One pass scatters a multi-image group's C [cout, imgs*hw]
+        // back to NCHW and adds the bias.
+        if (!staged && !bias_ptr)
+            continue;
+        for (size_t i = 0; i < imgs; ++i) {
             for (size_t oc = 0; oc < cout_; ++oc) {
-                float *ch = out_img + oc * ho * wo;
-                for (size_t i = 0; i < ho * wo; ++i)
-                    ch[i] += bias_ptr[oc];
+                float *dst = out0 + (i * cout_ + oc) * hw;
+                if (staged)
+                    std::copy_n(staged + oc * n + i * hw, hw, dst);
+                if (bias_ptr)
+                    for (size_t s = 0; s < hw; ++s)
+                        dst[s] += bias_ptr[oc];
             }
         }
     }

@@ -71,6 +71,9 @@ class Conv2d : public Layer
     Tensor &bias() { return bias_; }
     const Tensor &bias() const { return bias_; }
 
+    /** Kernel geometry of this conv applied to @p input (NCHW). */
+    ConvParams paramsFor(const Shape &input) const;
+
     /** Current weight format. */
     WeightFormat format() const { return format_; }
 
@@ -110,7 +113,6 @@ class Conv2d : public Layer
     void keepInputChannels(const std::vector<size_t> &keep);
 
   private:
-    ConvParams paramsFor(const Shape &input) const;
     Tensor forwardIm2col(const Tensor &input, ExecContext &ctx);
     Tensor forwardOclHandTuned(const Tensor &input, ExecContext &ctx);
 

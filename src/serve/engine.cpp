@@ -115,18 +115,20 @@ InferenceEngine::InferenceEngine(InferenceStack &stack,
 
     // Memory pre-flight: right-size the worker pool against the
     // node's RAM budget. Each worker is one replica of the model's
-    // peak footprint — the plan's validated peak_bytes_bound when a
-    // plan drives the pool, otherwise the static estimate of the
-    // configured global point. Shedding replicas is a warning (the
-    // engine still serves, just narrower); zero fitting replicas is
-    // a refusal — the first batch would take the node down.
+    // peak footprint at a full batch of maxBatch requests — the plan's
+    // peak bound at that batch when a plan drives the pool, otherwise
+    // the static estimate of the configured global point. Shedding
+    // replicas is a warning (the engine still serves, just narrower);
+    // zero fitting replicas is a refusal — the first batch would take
+    // the node down.
     activeWorkers_ = config_.workers;
     if (config_.nodeMemBudget > 0) {
+        const Shape fullBatch = stack.inputShape(config_.maxBatch);
         const size_t perReplica =
-            plan ? plan->peakBytesBound
+            plan ? tune::planPeakBytes(*plan, stack.model().net, fullBatch)
                  : analysis::estimateForwardMemory(
-                       stack.model().net, stack.inputShape(1),
-                       config_.backend, config_.convAlgo, config_.threads)
+                       stack.model().net, fullBatch, config_.backend,
+                       config_.convAlgo, config_.threads)
                        .total();
         if (perReplica > config_.nodeMemBudget)
             throw RejectedError(

@@ -132,14 +132,15 @@ struct ServeConfig
     /**
      * Peak-RAM budget of the node this engine deploys onto, in bytes
      * (0 = unlimited). Pre-flight sizes the worker pool against it:
-     * each worker is one replica of the model's peak footprint — the
-     * plan's recorded peak_bytes_bound when a plan is set, otherwise
-     * the static estimate of the configured global backend/algorithm
-     * (both batch-1 bounds; a conservative per-replica figure since
-     * weights are actually shared). Workers that do not fit are shed
-     * with a `node-mem-exceeded` warning in preflightWarnings(); if
-     * even one replica does not fit, the deployment is refused with
-     * RejectedError(BadConfig) carrying the same stable code.
+     * each worker is one replica of the model's peak footprint at a
+     * batch of maxBatch — the plan's peak bound (planPeakBytes) when a
+     * plan is set, otherwise the static estimate of the configured
+     * global backend/algorithm (a conservative per-replica figure
+     * since weights are actually shared). Workers that do not fit
+     * are shed with a `node-mem-exceeded` warning in
+     * preflightWarnings(); if even one replica does not fit, the
+     * deployment is refused with RejectedError(BadConfig) carrying
+     * the same stable code.
      */
     size_t nodeMemBudget = 0;
 

@@ -466,6 +466,36 @@ TEST(MemoryEstimate, PredictsIm2colScratch)
               rep.memory.observedActivations);
 }
 
+// At batch 8 the im2col convs fold images into the GEMM's N: the
+// [k, g*hw] columns, the [cout, g*hw] staging block and the wider
+// GEMM's C tiles must all be mirrored byte for byte.
+TEST(MemoryEstimate, MatchesObservedPeakForFoldedBatch)
+{
+    for (const char *model : {"mobilenet", "vgg16"}) {
+        StackConfig config;
+        config.modelName = model;
+        config.widthMult = 0.25;
+        InferenceStack stack(config);
+
+        for (const int threads : {1, 2}) {
+            SCOPED_TRACE(std::string(model) + " threads " +
+                         std::to_string(threads));
+            ExecContext ctx;
+            ctx.backend =
+                threads > 1 ? Backend::OpenMP : Backend::Serial;
+            ctx.threads = threads;
+            ctx.convAlgo = ConvAlgo::Im2colGemm;
+            const RunReport rep = collectRunReport(stack, ctx, 2, 8);
+            ASSERT_TRUE(rep.memory.collected);
+            EXPECT_GT(rep.memory.staticScratch, 0u);
+            EXPECT_EQ(rep.memory.staticScratch,
+                      rep.memory.observedScratch);
+            EXPECT_EQ(rep.memory.staticActivations,
+                      rep.memory.observedActivations);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Serving-engine pre-flight.
 // ---------------------------------------------------------------------

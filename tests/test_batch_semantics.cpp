@@ -48,13 +48,12 @@ sliceRow(const Tensor &batch, size_t i)
 
 void
 checkBatchInvariance(const std::string &modelName, ExecContext &ctx,
-                     const char *what)
+                     const char *what, size_t kBatch = 3)
 {
     SCOPED_TRACE(std::string(modelName) + " / " + what);
     Rng rng(7);
     Model model = makeModel(modelName, 10, 0.25, rng);
 
-    constexpr size_t kBatch = 3;
     std::vector<Tensor> rows;
     for (size_t i = 0; i < kBatch; ++i)
         rows.push_back(
@@ -107,6 +106,27 @@ TEST(BatchSemantics, OpenMpIm2colGemm)
     ctx.convAlgo = ConvAlgo::Im2colGemm;
     for (const char *model : {"mobilenet", "resnet18", "vgg16"})
         checkBatchInvariance(model, ctx, "OpenMP im2col+GEMM");
+}
+
+// At batch 9 the im2col path folds images into the GEMM's N in
+// groups of up to one column tile: MobileNet's 4x4 layers run groups
+// of 4 + 4 + 1 (a partial last group), its 2x2 and 1x1 layers 8 + 1.
+TEST(BatchSemantics, SerialIm2colGemmFoldedBatch9)
+{
+    ExecContext ctx;
+    ctx.convAlgo = ConvAlgo::Im2colGemm;
+    for (const char *model : {"mobilenet", "resnet18", "vgg16"})
+        checkBatchInvariance(model, ctx, "serial im2col+GEMM", 9);
+}
+
+TEST(BatchSemantics, OpenMpIm2colGemmFoldedBatch9)
+{
+    ExecContext ctx;
+    ctx.backend = Backend::OpenMP;
+    ctx.threads = 4;
+    ctx.convAlgo = ConvAlgo::Im2colGemm;
+    for (const char *model : {"mobilenet", "resnet18", "vgg16"})
+        checkBatchInvariance(model, ctx, "OpenMP im2col+GEMM", 9);
 }
 
 TEST(BatchSemantics, CsrFormat)

@@ -76,15 +76,21 @@ TEST(MemorySteadyState, SecondForwardAllocatesNothingPerBackendAlgo)
     for (const char *model : {"vgg16", "resnet18", "mobilenet"}) {
         Rng rng(11);
         Model m = makeModel(model, 10, 0.25, rng);
-        Tensor in = test::randomTensor(Shape{1, 3, 32, 32}, 12);
-
-        for (const Combo &combo : combos) {
-            ExecContext ctx;
-            ctx.backend = combo.backend;
-            ctx.threads = combo.threads;
-            ctx.convAlgo = combo.algo;
-            expectSecondForwardAllocationFree(
-                m, in, ctx, std::string(model) + "/" + combo.name);
+        // Batch 8 runs the folded im2col groups (column, staging and
+        // wider C-tile blocks); they must warm once, too.
+        for (const size_t batch : {size_t{1}, size_t{8}}) {
+            Tensor in =
+                test::randomTensor(Shape{batch, 3, 32, 32}, 12);
+            for (const Combo &combo : combos) {
+                ExecContext ctx;
+                ctx.backend = combo.backend;
+                ctx.threads = combo.threads;
+                ctx.convAlgo = combo.algo;
+                expectSecondForwardAllocationFree(
+                    m, in, ctx,
+                    std::string(model) + "/" + combo.name + "/batch" +
+                        std::to_string(batch));
+            }
         }
     }
 }

@@ -282,6 +282,57 @@ TEST(RunReport, ObservedCsrRowVisitsMatchPrediction)
     EXPECT_EQ(forwards, repeats);
 }
 
+TEST(RunReport, FoldedIm2colCountsGroupsAndColumnBytes)
+{
+    // MobileNet at batch 8 on a 32x32 input: im2col folds images into
+    // the GEMM's N up to one 64-column tile. The 16x16 and 8x8 convs
+    // (hw >= 64) run one image per GEMM, the 4x4 pointwise convs
+    // groups of 4, the 2x2 and 1x1 ones the whole batch:
+    // 4 x 8 + 2 x 2 + 8 x 1 = 44 GEMMs, where one per image was 112.
+    // A one-image pointwise group multiplies the input itself and
+    // writes no columns; every other conv writes k x hw floats per
+    // image.
+    StackConfig config;
+    config.modelName = "mobilenet";
+    config.widthMult = 0.25;
+    InferenceStack stack(config);
+
+    ExecContext ctx;
+    ctx.convAlgo = ConvAlgo::Im2colGemm;
+    constexpr size_t kBatch = 8;
+    const RunReport report = collectRunReport(stack, ctx, 1, kBatch);
+
+    const std::map<std::string, uint64_t> gemmCalls = {
+        {"stem", 8}, {"pw1", 8},  {"pw2", 8},  {"pw3", 8},  {"pw4", 2},
+        {"pw5", 2},  {"pw6", 1},  {"pw7", 1},  {"pw8", 1},  {"pw9", 1},
+        {"pw10", 1}, {"pw11", 1}, {"pw12", 1}, {"pw13", 1}};
+    const auto counter = [](const LayerObservation &l,
+                            const char *name) -> uint64_t {
+        const auto it = l.observed.find(name);
+        return it == l.observed.end() ? 0 : it->second;
+    };
+    uint64_t totalCalls = 0;
+    for (const LayerObservation &l : report.layers) {
+        const std::string &name = l.expected.name;
+        const uint64_t calls = counter(l, obs::counter_names::gemmCalls);
+        totalCalls += calls;
+        const auto it = gemmCalls.find(name);
+        if (it == gemmCalls.end())
+            continue;
+        EXPECT_EQ(calls, it->second) << name;
+        const bool identity =
+            name == "pw1" || name == "pw2" || name == "pw3";
+        const uint64_t written = identity
+                                     ? 0
+                                     : l.expected.gemmK *
+                                           l.expected.gemmN * kBatch *
+                                           sizeof(float);
+        EXPECT_EQ(counter(l, obs::counter_names::im2colBytes), written)
+            << name;
+    }
+    EXPECT_EQ(totalCalls, 44u);
+}
+
 TEST(RunReport, JsonOutputsParse)
 {
     StackConfig config;

@@ -417,6 +417,49 @@ TEST(SimdIm2col, BitExactAgainstScalar)
     }
 }
 
+TEST(SimdIm2col, RowStrideWritesOneImageOfAGroup)
+{
+    // A folded group lays g images side by side in each column row:
+    // image i owns floats [i*hw, (i+1)*hw) of every row of stride
+    // g*hw. Each image must land there bit for bit as its one-image
+    // im2col, and leave every other float of the group untouched,
+    // under the scalar and the vector ISA alike.
+    constexpr size_t kGroup = 3;
+    uint64_t seed = 600;
+    for (const simd::SimdIsa isa :
+         {simd::SimdIsa::Scalar, simd::bestSupportedIsa()}) {
+        simd::ScopedForceIsa f(isa);
+        for (const ConvCase &c : kIm2colCases) {
+            SCOPED_TRACE(c.str());
+            ConvParams p = c.p;
+            p.n = 1;
+            const size_t hw = p.hout() * p.wout();
+            const size_t rows = p.cin * p.kh * p.kw;
+            const size_t ld = kGroup * hw;
+            for (size_t img = 0; img < kGroup; ++img) {
+                const auto input =
+                    randomVec(p.cin * p.hin * p.win, seed++);
+                std::vector<float> single(rows * hw);
+                kernels::im2col(p, input.data(), single.data());
+                std::vector<float> group(rows * ld, -7.0f);
+                kernels::im2col(p, input.data(), group.data() + img * hw,
+                                ld);
+                for (size_t r = 0; r < rows; ++r) {
+                    for (size_t j = 0; j < ld; ++j) {
+                        const bool mine =
+                            j >= img * hw && j < (img + 1) * hw;
+                        ASSERT_EQ(group[r * ld + j],
+                                  mine ? single[r * hw + j - img * hw]
+                                       : -7.0f)
+                            << "img=" << img << " row=" << r
+                            << " col=" << j;
+                    }
+                }
+            }
+        }
+    }
+}
+
 const ConvCase kTernaryCases[] = {
     {{1, 2, 5, 4, 3, 3, 3, 1, 1}},
     {{2, 3, 9, 9, 4, 3, 3, 1, 1}},

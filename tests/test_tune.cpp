@@ -1422,6 +1422,7 @@ TEST(ServePlan, NodeMemBudgetShedsReplicasAndStillServes)
     // silent.
     serve::ServeConfig fits;
     fits.workers = 2;
+    fits.maxBatch = 1;
     fits.nodeMemBudget = 2 * perReplica;
     serve::InferenceEngine whole(stack, fits);
     EXPECT_EQ(2u, whole.activeWorkers());
@@ -1429,10 +1430,42 @@ TEST(ServePlan, NodeMemBudgetShedsReplicasAndStillServes)
     whole.shutdown();
 }
 
+TEST(ServePlan, NodeMemBudgetPricesReplicasAtMaxBatch)
+{
+    // A worker runs batches of up to maxBatch, so one replica costs
+    // the peak of a full batch: two batch-1 replicas' worth of RAM
+    // holds only one batch-8 worker.
+    InferenceStack stack = makeStack("mobilenet");
+    const Network &net = stack.model().net;
+    const size_t batch1 =
+        analysis::estimateForwardMemory(net, stack.inputShape(1))
+            .total();
+    const size_t batch8 =
+        analysis::estimateForwardMemory(net, stack.inputShape(8))
+            .total();
+    ASSERT_GT(batch8, batch1);
+    ASSERT_LE(batch8, 2 * batch1);
+
+    serve::ServeConfig config;
+    config.workers = 2;
+    config.maxBatch = 8;
+    config.nodeMemBudget = 2 * batch1;
+    serve::InferenceEngine engine(stack, config);
+    EXPECT_EQ(1u, engine.activeWorkers());
+    bool warned = false;
+    for (const analysis::Diagnostic &d : engine.preflightWarnings())
+        warned |= d.check == analysis::Check::NodeMemExceeded &&
+                  d.message.find(std::to_string(batch8)) !=
+                      std::string::npos;
+    EXPECT_TRUE(warned);
+    engine.shutdown();
+}
+
 TEST(ServePlan, NodeMemBudgetSizesReplicasFromPlanBound)
 {
-    // When a plan drives the pool, its recorded peak_bytes_bound —
-    // not the global-config estimate — is what one replica costs.
+    // When a plan drives the pool, the plan's peak bound at a full
+    // batch — not the global-config estimate — is what one replica
+    // costs.
     InferenceStack stack = makeStack("mobilenet");
     Network &net = stack.model().net;
     const Shape input = stack.inputShape(1);
@@ -1443,22 +1476,24 @@ TEST(ServePlan, NodeMemBudgetSizesReplicasFromPlanBound)
     serve::ServeConfig config;
     config.workers = 2;
     config.plan = &plan;
-    config.nodeMemBudget = plan.peakBytesBound;
+    const size_t perReplica = tune::planPeakBytes(
+        plan, net, stack.inputShape(config.maxBatch));
+    ASSERT_GT(perReplica, plan.peakBytesBound);
+    config.nodeMemBudget = perReplica;
     serve::InferenceEngine engine(stack, config);
     EXPECT_EQ(1u, engine.activeWorkers());
     engine.shutdown();
 
     // One byte less than a replica: refusal, and the message carries
     // the plan's bound so the operator sees which number to fix.
-    config.nodeMemBudget = plan.peakBytesBound - 1;
+    config.nodeMemBudget = perReplica - 1;
     try {
         serve::InferenceEngine refused(stack, config);
         FAIL() << "engine accepted a sub-replica node budget";
     } catch (const serve::RejectedError &e) {
         EXPECT_EQ(serve::RejectReason::BadConfig, e.reason());
         EXPECT_NE(std::string::npos,
-                  std::string(e.what())
-                      .find(std::to_string(plan.peakBytesBound)))
+                  std::string(e.what()).find(std::to_string(perReplica)))
             << e.what();
     }
 }
