@@ -97,6 +97,58 @@ BM_ConvDirectDenseScalar(benchmark::State &state)
 DLIS_BENCHMARK(BM_ConvDirectDenseScalar)->Arg(16)->Arg(32)->Arg(64);
 
 /**
+ * 3x3 depthwise conv at MobileNet's shapes (width 0.5, 32x32 input):
+ * args are {channels, spatial size, stride, batch} — dw1, dw2, dw7,
+ * dw13, and dw7 at batch 8, where the batch fills the vector lanes.
+ */
+void
+convDepthwise(benchmark::State &state)
+{
+    const size_t c = static_cast<size_t>(state.range(0));
+    const size_t hw = static_cast<size_t>(state.range(1));
+    const size_t stride = static_cast<size_t>(state.range(2));
+    const size_t n = static_cast<size_t>(state.range(3));
+    const ConvParams p{n, c, hw, hw, c, 3, 3, stride, 1};
+    Tensor in = randomTensor(Shape{n, c, hw, hw}, 20);
+    Tensor w = randomTensor(Shape{c, 1, 3, 3}, 21);
+    Tensor b = randomTensor(Shape{c}, 22);
+    Tensor out(Shape{n, c, p.hout(), p.wout()});
+    for (auto _ : state) {
+        kernels::convDepthwiseDense(p, in.data(), w.data(), b.data(),
+                                    out.data(), {1});
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(
+        state.iterations() * n * c * p.hout() * p.wout() * 9));
+}
+
+void
+BM_ConvDepthwise(benchmark::State &state)
+{
+    convDepthwise(state);
+}
+DLIS_BENCHMARK(BM_ConvDepthwise)
+    ->Args({16, 16, 1, 1})
+    ->Args({32, 16, 2, 1})
+    ->Args({256, 2, 1, 1})
+    ->Args({512, 1, 1, 1})
+    ->Args({256, 2, 1, 8});
+
+/** Scalar-pinned twin of BM_ConvDepthwise (see BM_GemmBlockedScalar). */
+void
+BM_ConvDepthwiseScalar(benchmark::State &state)
+{
+    simd::ScopedForceIsa force(simd::SimdIsa::Scalar);
+    convDepthwise(state);
+}
+DLIS_BENCHMARK(BM_ConvDepthwiseScalar)
+    ->Args({16, 16, 1, 1})
+    ->Args({32, 16, 2, 1})
+    ->Args({256, 2, 1, 1})
+    ->Args({512, 1, 1, 1})
+    ->Args({256, 2, 1, 8});
+
+/**
  * CSR-bank conv at a given sparsity percentage: shows the per-MAC
  * traversal penalty that defeats weight pruning on real hardware.
  */

@@ -1,5 +1,8 @@
 #include "backend/conv_kernels.hpp"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "backend/simd/dispatch.hpp"
 
 namespace dlis::kernels {
@@ -277,6 +280,22 @@ convDepthwiseDense(const ConvParams &p, const float *input,
 {
     DLIS_CHECK(p.cout == p.cin, "depthwise conv needs cout == cin, got ",
                p.cout, " vs ", p.cin);
+    // The 3x3 variant runs one plane per vector lane, so the parallel
+    // loop is over blocks of eight consecutive (image, channel) planes
+    // and the batch fills the lanes as well as the channels do. Its
+    // gathers take 32-bit offsets, which bounds the plane size.
+    const simd::MicroKernels &mk = simd::activeKernels();
+    if (mk.depthwise3x3 && p.kh == 3 && p.kw == 3 &&
+        p.hin * p.win <= INT32_MAX / 8 && p.cout <= INT32_MAX / 9) {
+        const size_t planes = p.n * p.cout;
+        forEachImageChannel(1, (planes + 7) / 8, policy,
+            [&](size_t, size_t block) {
+                const size_t q0 = block * 8;
+                mk.depthwise3x3(p, input, weight, bias, output, q0,
+                                std::min<size_t>(8, planes - q0));
+            });
+        return;
+    }
     forEachImageChannel(p.n, p.cout, policy,
         [&](size_t img, size_t ch) {
             depthwiseConvOneChannel(p, input, weight, bias, output, img,

@@ -11,10 +11,11 @@
  * Tail-handling contract (what keeps parity tests honest):
  *  - every variant accepts any size; lanes that do not fill a vector
  *    are handled *inside the variant*. On AVX2 the GEMM column
- *    remainder and the conv's leftover interior span are one masked
- *    8-lane block (dead lanes neither read nor write memory); scalar
- *    std::fma tails remain only in the NEON GEMM (cols % 4) and at
- *    conv pixel borders;
+ *    remainder, the conv's leftover interior span and a depthwise
+ *    block of fewer than eight planes are one masked 8-lane block
+ *    (dead lanes neither read nor write memory); scalar std::fma
+ *    tails remain only in the NEON GEMM (cols % 4) and at conv pixel
+ *    borders;
  *  - GEMM and conv variants may use FMA, but then their tails fuse
  *    too, so every element of a vector-ISA result is single-rounded
  *    and independent of which lane (full block, masked block or
@@ -22,8 +23,9 @@
  *    tolerance 0;
  *  - per output element, floating-point additions run in the same
  *    ascending order as the reference loop (GEMM: ascending k;
- *    convs: the ci/ky/kx tap order), so results stay deterministic
- *    across thread counts and tile shapes;
+ *    convs: the ci/ky/kx tap order, padding taps skipped rather than
+ *    added as zero), so results stay deterministic across thread
+ *    counts and tile shapes;
  *  - im2col and packed-ternary variants perform no reassociation or
  *    contraction at all and are bit-exact against the reference;
  *  - no variant may touch the heap: workspaces, if any, come from
@@ -73,6 +75,21 @@ struct MicroKernels
     void (*conv3x3s1)(const ConvParams &p, const float *input,
                       const float *weight, const float *bias,
                       float *output, size_t img, size_t oc) = nullptr;
+
+    /**
+     * Planes [plane0, plane0 + planes) of a depthwise conv with
+     * kh == kw == 3, any stride and padding, 1 <= planes <= 8. A plane
+     * is one (image, channel) pair of the flattened n*C axis: plane q
+     * is image q / C, channel q % C, at input + q*hin*win and
+     * output + q*hout*wout, so a block may straddle two images. Each
+     * plane's result is independent of the block it runs in, which
+     * keeps batch invariance and thread-count identity exact. Lane
+     * offsets are 32-bit: 8*hin*win and 9*C must fit in an int32_t.
+     */
+    void (*depthwise3x3)(const ConvParams &p, const float *input,
+                         const float *weight, const float *bias,
+                         float *output, size_t plane0,
+                         size_t planes) = nullptr;
 
     /**
      * Whole-image im2col for stride == 1: every (ci, ky, kx) row of

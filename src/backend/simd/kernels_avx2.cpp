@@ -256,6 +256,83 @@ conv3x3s1Avx2(const ConvParams &p, const float *input,
     }
 }
 
+/**
+ * Up to eight consecutive planes of the flattened n*C plane axis of a
+ * 3x3 depthwise conv, one plane per lane (plane q is image q / C,
+ * channel q % C, so a block may straddle two images). Every lane's
+ * bias and nine taps are gathered once per block; each output pixel
+ * then gathers its in-bounds input taps at lane stride hin*win and
+ * runs the same single-rounded ky/kx fmadd chain as conv3x3PixelFma.
+ * Whether a tap is in bounds depends only on the pixel, so padding is
+ * skipped for all lanes alike. Dead lanes of a partial block are
+ * masked out of every gather and never stored.
+ */
+void
+depthwise3x3Avx2(const ConvParams &p, const float *input,
+                 const float *weight, const float *bias, float *output,
+                 size_t plane0, size_t planes)
+{
+    const size_t ho = p.hout(), wo = p.wout();
+    const size_t inPlane = p.hin * p.win, outPlane = ho * wo;
+    const ptrdiff_t pad = static_cast<ptrdiff_t>(p.pad);
+    const ptrdiff_t hin = static_cast<ptrdiff_t>(p.hin);
+    const ptrdiff_t win = static_cast<ptrdiff_t>(p.win);
+    const __m256 live = _mm256_castsi256_ps(spanMask(planes));
+    const __m256 zero = _mm256_setzero_ps();
+
+    // Lane l holds plane plane0 + l: its channel picks the bias and
+    // taps, and its input plane starts l * hin*win floats along.
+    alignas(32) int32_t chan[8] = {}, lane[8];
+    for (size_t l = 0; l < 8; ++l) {
+        if (l < planes)
+            chan[l] = static_cast<int32_t>((plane0 + l) % p.cout);
+        lane[l] = static_cast<int32_t>(l * inPlane);
+    }
+    const __m256i chanIdx =
+        _mm256_load_si256(reinterpret_cast<const __m256i *>(chan));
+    const __m256i tapIdx =
+        _mm256_mullo_epi32(chanIdx, _mm256_set1_epi32(9));
+    const __m256i inIdx =
+        _mm256_load_si256(reinterpret_cast<const __m256i *>(lane));
+    const __m256 b =
+        bias ? _mm256_mask_i32gather_ps(zero, bias, chanIdx, live, 4)
+             : zero;
+    __m256 w[9];
+    for (size_t t = 0; t < 9; ++t)
+        w[t] = _mm256_mask_i32gather_ps(zero, weight + t, tapIdx, live,
+                                        4);
+
+    const float *in = input + plane0 * inPlane;
+    float *out = output + plane0 * outPlane;
+    alignas(32) float res[8];
+    for (size_t oy = 0; oy < ho; ++oy) {
+        const ptrdiff_t iy0 = static_cast<ptrdiff_t>(oy * p.stride) - pad;
+        for (size_t ox = 0; ox < wo; ++ox) {
+            const ptrdiff_t ix0 =
+                static_cast<ptrdiff_t>(ox * p.stride) - pad;
+            __m256 acc = b;
+            for (ptrdiff_t ky = 0; ky < 3; ++ky) {
+                const ptrdiff_t iy = iy0 + ky;
+                if (iy < 0 || iy >= hin)
+                    continue;
+                for (ptrdiff_t kx = 0; kx < 3; ++kx) {
+                    const ptrdiff_t ix = ix0 + kx;
+                    if (ix < 0 || ix >= win)
+                        continue;
+                    acc = _mm256_fmadd_ps(
+                        w[ky * 3 + kx],
+                        _mm256_mask_i32gather_ps(
+                            zero, in + iy * win + ix, inIdx, live, 4),
+                        acc);
+                }
+            }
+            _mm256_store_ps(res, acc);
+            for (size_t l = 0; l < planes; ++l)
+                out[l * outPlane + oy * wo + ox] = res[l];
+        }
+    }
+}
+
 void
 zeroSpanAvx2(float *dst, size_t n)
 {
@@ -449,6 +526,7 @@ avx2MicroKernels()
         t.isa = SimdIsa::Avx2;
         t.gemmTile = &gemmTileAvx2;
         t.conv3x3s1 = &conv3x3s1Avx2;
+        t.depthwise3x3 = &depthwise3x3Avx2;
         t.im2colS1 = &im2colS1Avx2;
         t.ternaryConvS1 = &ternaryConvS1Avx2;
         return t;

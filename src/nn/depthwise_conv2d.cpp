@@ -86,6 +86,9 @@ DepthwiseConv2d::forward(const Tensor &input, ExecContext &ctx)
     Tensor out(outputShape(input.shape()));
     // Depthwise stays on the direct path under every backend; the
     // paper's GEMM transformation only covers standard convolutions.
+    // A 3x3 filter runs the vector kernel where the ISA has one: it
+    // computes eight (image, channel) planes at once, one per lane,
+    // so the batch fills the lanes as well as the channels do.
     kernels::convDepthwiseDense(p, input.data(), weight_.data(),
                                 withBias_ ? bias_.data() : nullptr,
                                 out.data(), kernelPolicy(ctx));
@@ -112,10 +115,12 @@ DepthwiseConv2d::backward(const Tensor &gradOut, ExecContext &ctx)
             float *gi_ch =
                 gradIn.data() + (img * channels_ + ch) * p.hin * p.win;
             float *gw_ch = gradWeight_.data() + ch * kernel_ * kernel_;
+            float gb = 0.0f;
 
             for (size_t oy = 0; oy < ho; ++oy) {
                 for (size_t ox = 0; ox < wo; ++ox) {
                     const float g = go_ch[oy * wo + ox];
+                    gb += g;
                     if (g == 0.0f)
                         continue;
                     for (size_t ky = 0; ky < kernel_; ++ky) {
@@ -142,6 +147,8 @@ DepthwiseConv2d::backward(const Tensor &gradOut, ExecContext &ctx)
                     }
                 }
             }
+            if (withBias_)
+                gradBias_[ch] += gb;
         }
     }
     return gradIn;
@@ -181,6 +188,13 @@ DepthwiseConv2d::keepChannels(const std::vector<size_t> &keep)
     Tensor w(Shape{keep.size(), 1, kernel_, kernel_}, MemClass::Weights);
     for (size_t i = 0; i < keep.size(); ++i)
         std::copy_n(weight_.data() + keep[i] * kk, kk, w.data() + i * kk);
+    if (withBias_) {
+        Tensor b(Shape{keep.size()}, MemClass::Weights);
+        for (size_t i = 0; i < keep.size(); ++i)
+            b[i] = bias_[keep[i]];
+        bias_ = std::move(b);
+        gradBias_ = Tensor(Shape{keep.size()}, MemClass::Other);
+    }
     weight_ = std::move(w);
     channels_ = keep.size();
     gradWeight_ =

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -147,6 +148,22 @@ TEST(Gradients, DepthwiseConv2dStride2)
     Rng rng(9);
     dw.initKaiming(rng);
     checkLayerGradients(dw, Shape{1, 2, 6, 6}, 104);
+}
+
+/** The bias BN folding adds (enableBias) gets its gradient too. */
+TEST(Gradients, DepthwiseConv2dWithBias)
+{
+    for (size_t stride : {1, 2}) {
+        SCOPED_TRACE("stride " + std::to_string(stride));
+        DepthwiseConv2d dw("dw", 3, 3, stride, 1);
+        Rng rng(10 + stride);
+        dw.initKaiming(rng);
+        dw.enableBias();
+        for (size_t ch = 0; ch < 3; ++ch)
+            dw.bias()[ch] = 0.1f * static_cast<float>(ch + 1);
+        ASSERT_EQ(dw.gradients().size(), 2u);
+        checkLayerGradients(dw, Shape{2, 3, 6, 6}, 105 + stride);
+    }
 }
 
 TEST(Gradients, Linear)

@@ -13,6 +13,7 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/depthwise_conv2d.hpp"
+#include "nn/fold_bn.hpp"
 #include "nn/linear.hpp"
 #include "nn/network.hpp"
 #include "nn/pooling.hpp"
@@ -305,6 +306,43 @@ TEST(DepthwiseLayer, KeepChannelsMatchesSubset)
         EXPECT_FLOAT_EQ(out[p], full[p]);
         EXPECT_FLOAT_EQ(out[36 + p], full[2 * 36 + p]);
     }
+}
+
+/** A BN-folded depthwise conv has a bias; pruning must subset it too. */
+TEST(DepthwiseLayer, KeepChannelsMatchesSubsetWithBias)
+{
+    Rng rng(19);
+    Network net("dwbn");
+    auto *dw = net.emplace<DepthwiseConv2d>("dw", 4, 3, 1, 1);
+    dw->initKaiming(rng);
+    auto *bn = net.emplace<BatchNorm2d>("bn", 4);
+    for (size_t ch = 0; ch < 4; ++ch) {
+        bn->gamma()[ch] = 0.5f + 0.25f * static_cast<float>(ch);
+        bn->beta()[ch] = 1.0f - 0.75f * static_cast<float>(ch);
+        bn->runningMean()[ch] = 0.1f * static_cast<float>(ch);
+        bn->runningVar()[ch] = 1.0f + static_cast<float>(ch);
+    }
+    ASSERT_EQ(foldBatchNorms(net), 1u);
+    ASSERT_TRUE(dw->hasBias());
+    Tensor in = randomTensor(Shape{2, 4, 5, 5}, 20);
+    ExecContext ctx;
+    const Tensor full = net.forward(in, ctx);
+
+    const std::vector<size_t> keep{1, 3};
+    dw->keepChannels(keep);
+    ASSERT_EQ(dw->bias().numel(), keep.size());
+    Tensor small(Shape{2, 2, 5, 5});
+    for (size_t img = 0; img < 2; ++img)
+        for (size_t i = 0; i < keep.size(); ++i)
+            std::copy_n(in.data() + (img * 4 + keep[i]) * 25, 25,
+                        small.data() + (img * 2 + i) * 25);
+    const Tensor out = dw->forward(small, ctx);
+    for (size_t img = 0; img < 2; ++img)
+        for (size_t i = 0; i < keep.size(); ++i)
+            for (size_t p = 0; p < 25; ++p)
+                EXPECT_FLOAT_EQ(out[(img * 2 + i) * 25 + p],
+                                full[(img * 4 + keep[i]) * 25 + p])
+                    << "image " << img << " kept channel " << keep[i];
 }
 
 } // namespace

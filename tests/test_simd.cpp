@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -90,6 +91,7 @@ TEST(SimdIsa, ScalarTableIsAllNull)
     EXPECT_EQ(t.isa, simd::SimdIsa::Scalar);
     EXPECT_EQ(t.gemmTile, nullptr);
     EXPECT_EQ(t.conv3x3s1, nullptr);
+    EXPECT_EQ(t.depthwise3x3, nullptr);
     EXPECT_EQ(t.im2colS1, nullptr);
     EXPECT_EQ(t.ternaryConvS1, nullptr);
 }
@@ -512,6 +514,155 @@ TEST(SimdConv, PackedTernaryBitExactAndDecodesDrop)
             p.kh == 3 && p.win >= 20) {
             EXPECT_LT(2 * vecDecodes.value(), scalDecodes.value())
                 << c.str();
+        }
+    }
+}
+
+/**
+ * The 3x3 depthwise conv under the native table vs the scalar one.
+ * Channel counts straddle the 8-plane block (so blocks straddle images
+ * when C % 8 != 0), the spatial sizes run from a single pixel to a
+ * 16x16 plane, and every buffer is bumped one float off the arena's
+ * grain.
+ */
+TEST(SimdDepthwise, MatchesScalar)
+{
+    const simd::SimdIsa best = simd::bestSupportedIsa();
+    const size_t kSizes[][2] = {{1, 1}, {2, 2}, {3, 5}, {16, 16}};
+    uint64_t seed = 700;
+    for (size_t c : {1, 3, 8, 9, 17}) {
+        for (size_t n : {1, 3}) {
+            for (const auto &hw : kSizes) {
+                for (size_t stride : {1, 2}) {
+                    for (size_t pad : {0, 1}) {
+                        if (hw[0] + 2 * pad < 3 || hw[1] + 2 * pad < 3)
+                            continue;
+                        for (bool withBias : {true, false}) {
+                            const ConvParams p{n, c, hw[0], hw[1], c,
+                                               3, 3, stride, pad};
+                            const std::string what =
+                                ConvCase{p}.str() +
+                                (withBias ? " bias" : " no-bias");
+                            SCOPED_TRACE(what);
+                            const auto input = randomVec(
+                                n * c * p.hin * p.win + 1, seed++);
+                            const auto weight =
+                                randomVec(c * 9 + 1, seed++);
+                            const auto bias = randomVec(c + 1, seed++);
+                            const float *b =
+                                withBias ? bias.data() + 1 : nullptr;
+                            const size_t outCount =
+                                n * c * p.hout() * p.wout();
+                            std::vector<float> scal(outCount + 1),
+                                vec(outCount + 1);
+                            {
+                                simd::ScopedForceIsa f(
+                                    simd::SimdIsa::Scalar);
+                                kernels::convDepthwiseDense(
+                                    p, input.data() + 1,
+                                    weight.data() + 1, b,
+                                    scal.data() + 1, {1});
+                            }
+                            {
+                                simd::ScopedForceIsa f(best);
+                                kernels::convDepthwiseDense(
+                                    p, input.data() + 1,
+                                    weight.data() + 1, b,
+                                    vec.data() + 1, {1});
+                            }
+                            expectSpanClose(scal.data() + 1,
+                                            vec.data() + 1, outCount,
+                                            kTol, what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * One plane per lane: every output must be bias plus the std::fma
+ * chain over the in-bounds taps in ky/kx order (padding skipped, not
+ * added as zero), bit for bit, whatever block it runs in (full block,
+ * a block of one, a block that starts at it) and whatever the OpenMP
+ * thread count. A block of one must also leave every other plane
+ * untouched.
+ */
+TEST(SimdDepthwise, PlaneResultIndependentOfBlockAndThreads)
+{
+    const simd::MicroKernels &mk =
+        simd::kernelsFor(simd::bestSupportedIsa());
+    if (!mk.depthwise3x3)
+        GTEST_SKIP() << "no vector depthwise kernel on this ISA";
+    simd::ScopedForceIsa f(simd::bestSupportedIsa());
+    // ConvParams is {n, cin, hin, win, cout, kh, kw, stride, pad}.
+    const ConvParams kCases[] = {
+        {3, 9, 5, 4, 9, 3, 3, 2, 1},   // 27 planes: 3 full + 3 live
+        {2, 17, 2, 2, 17, 3, 3, 1, 1}, // blocks straddle images
+        {1, 5, 7, 7, 5, 3, 3, 1, 0},   // a single partial block
+    };
+    uint64_t seed = 800;
+    for (const ConvParams &p : kCases) {
+        SCOPED_TRACE(ConvCase{p}.str());
+        const size_t planes = p.n * p.cout;
+        const size_t plane = p.hout() * p.wout();
+        const auto input =
+            randomVec(planes * p.hin * p.win, seed++);
+        const auto weight = randomVec(p.cout * 9, seed++);
+        const auto bias = randomVec(p.cout, seed++);
+        std::vector<float> ref(planes * plane);
+        for (size_t q = 0; q < planes; ++q) {
+            const float *in = input.data() + q * p.hin * p.win;
+            const float *w = weight.data() + q % p.cout * 9;
+            for (size_t oy = 0; oy < p.hout(); ++oy) {
+                for (size_t ox = 0; ox < p.wout(); ++ox) {
+                    float acc = bias[q % p.cout];
+                    for (size_t ky = 0; ky < 3; ++ky) {
+                        const size_t iy = oy * p.stride + ky;
+                        if (iy < p.pad || iy - p.pad >= p.hin)
+                            continue;
+                        for (size_t kx = 0; kx < 3; ++kx) {
+                            const size_t ix = ox * p.stride + kx;
+                            if (ix < p.pad || ix - p.pad >= p.win)
+                                continue;
+                            acc = std::fma(
+                                w[ky * 3 + kx],
+                                in[(iy - p.pad) * p.win + ix - p.pad],
+                                acc);
+                        }
+                    }
+                    ref[q * plane + oy * p.wout() + ox] = acc;
+                }
+            }
+        }
+        for (int threads : {1, 2, 4}) {
+            std::vector<float> got(planes * plane);
+            kernels::convDepthwiseDense(p, input.data(), weight.data(),
+                                        bias.data(), got.data(),
+                                        {threads});
+            for (size_t i = 0; i < got.size(); ++i)
+                ASSERT_EQ(ref[i], got[i])
+                    << "threads=" << threads << " i=" << i;
+        }
+        for (size_t q = 0; q < planes; ++q) {
+            std::vector<float> one(planes * plane, -7.0f);
+            mk.depthwise3x3(p, input.data(), weight.data(), bias.data(),
+                            one.data(), q, 1);
+            std::vector<float> from(planes * plane);
+            mk.depthwise3x3(p, input.data(), weight.data(), bias.data(),
+                            from.data(), q,
+                            std::min<size_t>(8, planes - q));
+            for (size_t i = 0; i < one.size(); ++i) {
+                if (i / plane != q) {
+                    ASSERT_EQ(one[i], -7.0f)
+                        << "block of plane " << q << " wrote i=" << i;
+                    continue;
+                }
+                ASSERT_EQ(ref[i], one[i]) << "plane " << q << " alone";
+                ASSERT_EQ(ref[i], from[i])
+                    << "plane " << q << " in lane 0";
+            }
         }
     }
 }

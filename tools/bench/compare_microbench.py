@@ -13,7 +13,9 @@ output (aggregate rows; the repo's benchmarks always emit
     host: if dispatch ever loses to the loop it replaced, the SIMD
     layer has regressed (or its tail handling went quadratic). On a
     scalar-only host the two variants are the same code and trivially
-    pass.
+    pass. A scalar twin whose dispatched partner is missing from the
+    run fails the gate (exit 1, naming each one), so renaming a
+    benchmark cannot silently drop it out of the comparison.
 
 ``--baseline BASELINE FILE``
     Compare medians name-by-name against a committed baseline (e.g.
@@ -74,12 +76,14 @@ def check_self(doc: dict, margin: float) -> int:
     meds = medians(doc)
     pairs = 0
     failures = []
+    missing = []
     for name, scalar_ns in meds.items():
         m = SCALAR_TWIN.match(name)
         if not m:
             continue
         dispatched = m.group("family") + m.group("args")
         if dispatched not in meds:
+            missing.append(dispatched)
             continue
         pairs += 1
         got = meds[dispatched]
@@ -89,14 +93,19 @@ def check_self(doc: dict, margin: float) -> int:
               f"{scalar_ns:.0f} ns ({scalar_ns / got:.2f}x) {verdict}")
         if got > limit:
             failures.append(dispatched)
+    if missing:
+        print("compare_microbench: scalar twins without a dispatched "
+              f"partner in the run: {', '.join(sorted(missing))}",
+              file=sys.stderr)
     if pairs == 0:
-        print("compare_microbench: no scalar twins found",
+        print("compare_microbench: no scalar/dispatched pairs found",
               file=sys.stderr)
         return 2
     if failures:
         print(f"compare_microbench: dispatched slower than scalar "
               f"(+{margin:.0%}) for: {', '.join(failures)}",
               file=sys.stderr)
+    if failures or missing:
         return 1
     print(f"compare_microbench: {pairs} scalar/dispatched pairs ok")
     return 0

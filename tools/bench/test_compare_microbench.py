@@ -113,13 +113,17 @@ class CheckSelfTest(unittest.TestCase):
         d = doc([median_row("BM_Gemm/64", 100.0)])
         self.assertEqual(2, run_quiet(cm.check_self, d, 0.10))
 
-    def test_twin_without_dispatched_partner_is_skipped(self):
+    def test_twin_without_dispatched_partner_fails(self):
         d = doc([
             median_row("BM_LonelyScalar/8", 50.0),
+            median_row("BM_LonelyScalar/9", 60.0),
             median_row("BM_GemmScalar/64", 100.0),
             median_row("BM_Gemm/64", 80.0),
         ])
-        self.assertEqual(0, run_quiet(cm.check_self, d, 0.10))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            self.assertEqual(1, cm.check_self(d, 0.10))
+        self.assertIn("BM_Lonely/8, BM_Lonely/9", err.getvalue())
 
     def test_args_must_match_between_twins(self):
         d = doc([
