@@ -8,11 +8,15 @@
  * accuracy, and the random baseline shows how much of the win is just
  * "retraining heals the network".
  *
- * Runs for real on SynthCIFAR at reduced width.
+ * Runs for real on SynthCIFAR at reduced width, on the scalar kernel
+ * table: FMA rounding in the vector kernels shifts the training
+ * trajectory, and the scalar table is the one every host runs, so the
+ * committed CSV reproduces byte for byte anywhere.
  */
 
 #include <cstdio>
 
+#include "backend/simd/dispatch.hpp"
 #include "compress/fisher_pruner.hpp"
 #include "compress/random_pruner.hpp"
 #include "data/synth_cifar.hpp"
@@ -73,6 +77,7 @@ runStrategy(bool use_fisher, const SynthCifarSplit &data,
 int
 main()
 {
+    const simd::ScopedForceIsa scalar(simd::SimdIsa::Scalar);
     const SynthCifarSplit data = makeSynthCifarSplit(320, 160);
 
     TablePrinter table("Ablation — Fisher vs random channel pruning "

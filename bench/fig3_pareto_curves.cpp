@@ -11,7 +11,10 @@
  *    fine-tune -> evaluate) run for real on width-reduced models and
  *    the SynthCIFAR dataset. These demonstrate the *trend* — e.g.
  *    accuracy surviving moderate pruning then collapsing — not the
- *    paper's absolute numbers.
+ *    paper's absolute numbers. The sweep runs on the scalar kernel
+ *    table: FMA rounding in the vector kernels shifts the training
+ *    trajectory, and the scalar table is the one every host runs, so
+ *    results/fig3a_measured.csv reproduces byte for byte anywhere.
  *
  * Set DLIS_FIG3_MEASURED=0 to skip the (slower) measured sweep.
  */
@@ -19,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "backend/simd/dispatch.hpp"
 #include "bench_common.hpp"
 #include "compress/magnitude_pruner.hpp"
 #include "compress/ttq.hpp"
@@ -85,10 +89,8 @@ printCalibratedCurves()
 
 /** Train a width-reduced model on SynthCIFAR; return test accuracy. */
 double
-trainSmall(Model &model, const SynthCifarSplit &data, Trainer &trainer,
-           size_t epochs)
+trainSmall(const SynthCifarSplit &data, Trainer &trainer, size_t epochs)
 {
-    (void)model;
     trainer.trainEpochs(epochs);
     return trainer.evaluate(data.test);
 }
@@ -96,6 +98,7 @@ trainSmall(Model &model, const SynthCifarSplit &data, Trainer &trainer,
 void
 measuredSweep()
 {
+    const simd::ScopedForceIsa scalar(simd::SimdIsa::Scalar);
     const SynthCifarSplit data = makeSynthCifarSplit(512, 256);
     TrainConfig tc;
     tc.batchSize = 32;
@@ -109,7 +112,7 @@ measuredSweep()
     Rng rng(3);
     Model model = makeVgg16(10, 0.125, rng);
     Trainer trainer(model.net, data.train, tc);
-    const double base = trainSmall(model, data, trainer, 4);
+    const double base = trainSmall(data, trainer, 4);
     t.addRow({"0", fmtPercent(base), "trained from scratch"});
 
     MagnitudePruner pruner;

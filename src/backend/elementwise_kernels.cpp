@@ -10,6 +10,8 @@ reluInPlace(float *data, size_t count, const KernelPolicy &policy)
 {
 #if DLIS_HAVE_OPENMP
     if (policy.threads > 1) {
+        if (policy.counters.ompRegions)
+            policy.counters.ompRegions->add(1);
         #pragma omp parallel for schedule(static) \
             num_threads(policy.threads)
         for (size_t i = 0; i < count; ++i)

@@ -51,7 +51,7 @@ void gemmNaive(const float *a, const float *b, float *c, size_t m,
  * single-threaded or single-tile calls accumulate directly into C and
  * carve nothing. The inner tile loop dispatches through
  * simd::activeKernels() — the scalar ISA runs the reference loop
- * below, AVX2/NEON run register-tiled FMA micro-kernels. Per output
+ * below, AVX2 runs register-tiled FMA micro-kernels. Per output
  * element the additions run in strictly ascending p order under every
  * ISA, making the result bit-identical across thread counts, tile
  * shapes and the element's column position — which is what lets

@@ -29,12 +29,6 @@ kernelsFor(SimdIsa isa)
                       "binary (non-x86 build)");
         return *t;
     }
-    case SimdIsa::Neon: {
-        const MicroKernels *t = neonMicroKernels();
-        DLIS_CHECK(t, "NEON micro-kernels were not built into this "
-                      "binary (non-Arm build)");
-        return *t;
-    }
     }
     return kScalarKernels;
 }

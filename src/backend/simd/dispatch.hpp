@@ -14,8 +14,7 @@
  *    remainder, the conv's leftover interior span and a depthwise
  *    block of fewer than eight planes are one masked 8-lane block
  *    (dead lanes neither read nor write memory); scalar std::fma
- *    tails remain only in the NEON GEMM (cols % 4) and at conv pixel
- *    borders;
+ *    tails remain only at conv pixel borders;
  *  - GEMM and conv variants may use FMA, but then their tails fuse
  *    too, so every element of a vector-ISA result is single-rounded
  *    and independent of which lane (full block, masked block or
@@ -34,7 +33,7 @@
  *    blocks, but tests deliberately mis-align them).
  *
  * Adding a micro-kernel: add a pointer here, implement it in
- * kernels_<isa>.cpp (raw intrinsics are lint-confined to this
+ * kernels_avx2.cpp (raw intrinsics are lint-confined to this
  * directory), fall back on null at the call site, and extend
  * tests/test_simd.cpp with tail/misalignment parity cases.
  */

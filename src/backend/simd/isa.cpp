@@ -16,8 +16,6 @@ isaName(SimdIsa isa)
         return "scalar";
     case SimdIsa::Avx2:
         return "avx2";
-    case SimdIsa::Neon:
-        return "neon";
     }
     return "scalar";
 }
@@ -31,8 +29,6 @@ parseIsaName(const char *name, bool &ok)
         return SimdIsa::Scalar;
     if (s == "avx2")
         return SimdIsa::Avx2;
-    if (s == "neon")
-        return SimdIsa::Neon;
     ok = false;
     return SimdIsa::Scalar;
 }
@@ -51,12 +47,6 @@ isaSupported(SimdIsa isa)
 #else
         return false;
 #endif
-    case SimdIsa::Neon:
-#if defined(__ARM_NEON) || defined(__aarch64__)
-        return true;
-#else
-        return false;
-#endif
     }
     return false;
 }
@@ -64,11 +54,7 @@ isaSupported(SimdIsa isa)
 SimdIsa
 bestSupportedIsa()
 {
-    if (isaSupported(SimdIsa::Avx2))
-        return SimdIsa::Avx2;
-    if (isaSupported(SimdIsa::Neon))
-        return SimdIsa::Neon;
-    return SimdIsa::Scalar;
+    return isaSupported(SimdIsa::Avx2) ? SimdIsa::Avx2 : SimdIsa::Scalar;
 }
 
 namespace {
@@ -80,7 +66,7 @@ resolveIsa()
         bool ok = false;
         const SimdIsa forced = parseIsaName(env, ok);
         DLIS_CHECK(ok, "DLIS_FORCE_ISA=", env,
-                   " is not an ISA name (scalar|avx2|neon)");
+                   " is not an ISA name (scalar|avx2)");
         DLIS_CHECK(isaSupported(forced), "DLIS_FORCE_ISA=", env,
                    " requests instructions this host cannot execute");
         inform("simd: dispatch pinned to ", isaName(forced),

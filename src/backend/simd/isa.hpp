@@ -2,11 +2,11 @@
  * @file
  * CPU instruction-set probe for the SIMD micro-kernel dispatch layer.
  *
- * The probe runs once per process (compiler builtins on x86, the
- * architecture macro on Arm) and can be pinned for testing with the
- * DLIS_FORCE_ISA environment variable ("scalar", "avx2", "neon").
- * Forcing an ISA the host cannot execute is a fatal configuration
- * error, except "scalar", which every host supports.
+ * The probe runs once per process (compiler builtins on x86; every
+ * other host runs the scalar reference loops) and can be pinned for
+ * testing with the DLIS_FORCE_ISA environment variable ("scalar",
+ * "avx2"). Forcing an ISA the host cannot execute is a fatal
+ * configuration error, except "scalar", which every host supports.
  */
 
 #ifndef DLIS_BACKEND_SIMD_ISA_HPP
@@ -19,10 +19,9 @@ enum class SimdIsa
 {
     Scalar, //!< reference C++ loops (always available)
     Avx2,   //!< x86-64 AVX2 + FMA, 8-lane float vectors
-    Neon,   //!< AArch64 NEON, 4-lane float vectors
 };
 
-/** Stable lowercase name ("scalar", "avx2", "neon"). */
+/** Stable lowercase name ("scalar", "avx2"). */
 const char *isaName(SimdIsa isa);
 
 /**
@@ -36,8 +35,8 @@ bool isaSupported(SimdIsa isa);
 
 /**
  * The widest ISA this host supports, ignoring any DLIS_FORCE_ISA
- * override. Probe order: AVX2+FMA (x86 cpuid via compiler builtins),
- * then NEON (baseline on AArch64), else Scalar.
+ * override: AVX2+FMA when x86 cpuid (via compiler builtins) reports
+ * both, else Scalar.
  */
 SimdIsa bestSupportedIsa();
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Internal linkage between the dispatch table and the per-ISA
- * translation units. Each variant TU is compiled with its own -m
- * flags (see src/backend/CMakeLists.txt) and returns null when the
- * build target cannot emit its instructions, so the same source tree
- * links into a generic binary on every architecture.
+ * Internal linkage between the dispatch table and the AVX2
+ * translation unit. That TU is compiled with its own -m flags (see
+ * src/backend/CMakeLists.txt) and returns null when the build target
+ * cannot emit its instructions, so the same source tree links into a
+ * generic binary on every architecture.
  */
 
 #ifndef DLIS_BACKEND_SIMD_KERNELS_HPP
@@ -16,9 +16,6 @@ struct MicroKernels;
 
 /** AVX2+FMA table; null when not compiled for x86. */
 const MicroKernels *avx2MicroKernels();
-
-/** NEON table; null when not compiled for AArch64. */
-const MicroKernels *neonMicroKernels();
 
 } // namespace dlis::simd
 

@@ -18,7 +18,7 @@ Tensor
 ReLU::forward(const Tensor &input, ExecContext &ctx)
 {
     Tensor out = input;
-    kernels::reluInPlace(out.data(), out.numel(), ctx.policy());
+    kernels::reluInPlace(out.data(), out.numel(), kernelPolicy(ctx));
     if (ctx.training)
         cachedOutput_ = out;
     return out;

@@ -208,7 +208,7 @@ InferenceEngine::registerInstruments()
                                  "High-water queue depth");
 
     // Which micro-kernel ISA the dispatcher resolved (scalar on hosts
-    // without AVX2/NEON, or when pinned via DLIS_FORCE_ISA): a
+    // without AVX2, or when pinned via DLIS_FORCE_ISA): a
     // constant-1 labelled gauge, so dashboards can split latency
     // series by ISA after a fleet rollout.
     reg.gauge("dlis_simd_isa",

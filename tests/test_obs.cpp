@@ -18,7 +18,9 @@
 #include "backend/conv_kernels.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
@@ -168,6 +170,34 @@ TEST(Metrics, CsrKernelCountMatchesFormulaAcrossOmpThreads)
         EXPECT_EQ(metrics.value("k.csr_row_visits"), expected)
             << "threads=" << threads;
     }
+}
+
+TEST(Metrics, ReluCountsItsOmpRegionUnderItsScope)
+{
+    // The conv and the ReLU each open one parallel region under
+    // OpenMP x2 and none when serial; each is charged to its own
+    // layer's scope.
+#if !DLIS_HAVE_OPENMP
+    GTEST_SKIP() << "built without OpenMP";
+#else
+    Network net("conv-relu");
+    net.emplace<Conv2d>("conv", 2, 4, 3, 1, 1);
+    net.emplace<ReLU>("relu");
+    const Tensor in = randomTensor(Shape{1, 2, 8, 8}, 7);
+    for (int threads : {1, 2}) {
+        obs::Metrics metrics;
+        ExecContext ctx;
+        ctx.backend = threads > 1 ? Backend::OpenMP : Backend::Serial;
+        ctx.threads = threads;
+        ctx.metrics = &metrics;
+        net.forward(in, ctx);
+        const uint64_t regions = threads > 1 ? 1 : 0;
+        EXPECT_EQ(metrics.value("relu.omp_regions"), regions)
+            << "threads=" << threads;
+        EXPECT_EQ(metrics.value("conv.omp_regions"), regions)
+            << "threads=" << threads;
+    }
+#endif
 }
 
 TEST(Stats, PercentileInterpolatesBetweenRanks)
