@@ -331,20 +331,35 @@ BM_ConvPackedTernary(benchmark::State &state)
 }
 DLIS_BENCHMARK(BM_ConvPackedTernary)->Arg(50)->Arg(90);
 
-/** im2col expansion rate. */
+/**
+ * im2col packing rate of one image group: @p c channels of
+ * @p side x @p side planes, @p kernel x @p kernel taps (stride 1,
+ * "same" padding), @p imgs images side by side, packed over the whole
+ * task range as a serial conv does.
+ */
 void
-BM_Im2col(benchmark::State &state)
+im2colRate(benchmark::State &state, size_t c, size_t side, size_t kernel,
+           size_t imgs)
 {
-    const size_t c = static_cast<size_t>(state.range(0));
-    ConvParams p{1, c, 32, 32, c, 3, 3, 1, 1};
-    Tensor in = randomTensor(Shape{1, c, 32, 32}, 10);
-    std::vector<float> cols(kernels::im2colBufferSize(p));
+    const ConvParams p{imgs, c, side, side, c, kernel, kernel, 1,
+                       kernel / 2};
+    Tensor in = randomTensor(Shape{imgs, c, side, side}, 10);
+    std::vector<float> cols(imgs * kernels::im2colBufferSize(p));
+    const kernels::Im2colGroup group{p, in.data(), imgs, cols.data()};
     for (auto _ : state) {
-        kernels::im2col(p, in.data(), cols.data());
+        kernels::im2colPack(group, 0, group.tasks());
         benchmark::DoNotOptimize(cols.data());
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(static_cast<int64_t>(
         state.iterations() * cols.size() * sizeof(float)));
+}
+
+/** im2col expansion rate of one 32x32 image, 3x3 taps. */
+void
+BM_Im2col(benchmark::State &state)
+{
+    im2colRate(state, static_cast<size_t>(state.range(0)), 32, 3, 1);
 }
 DLIS_BENCHMARK(BM_Im2col)->Arg(16)->Arg(64);
 
@@ -352,19 +367,42 @@ DLIS_BENCHMARK(BM_Im2col)->Arg(16)->Arg(64);
 void
 BM_Im2colScalar(benchmark::State &state)
 {
-    const size_t c = static_cast<size_t>(state.range(0));
-    ConvParams p{1, c, 32, 32, c, 3, 3, 1, 1};
-    Tensor in = randomTensor(Shape{1, c, 32, 32}, 10);
-    std::vector<float> cols(kernels::im2colBufferSize(p));
     simd::ScopedForceIsa force(simd::SimdIsa::Scalar);
-    for (auto _ : state) {
-        kernels::im2col(p, in.data(), cols.data());
-        benchmark::DoNotOptimize(cols.data());
-    }
-    state.SetBytesProcessed(static_cast<int64_t>(
-        state.iterations() * cols.size() * sizeof(float)));
+    im2colRate(state, static_cast<size_t>(state.range(0)), 32, 3, 1);
 }
 DLIS_BENCHMARK(BM_Im2colScalar)->Arg(16)->Arg(64);
+
+/**
+ * Narrow-plane rows of BM_Im2col, args {channels, plane side, kernel,
+ * images}: VGG-16 conv11-13 (256 ch, 2x2), 128 ch on 4x4, and
+ * MobileNet pw13's batch-8 group (512 ch, 1x1 plane, 1x1 taps), where
+ * per-span overhead, not bandwidth, sets the rate.
+ */
+void
+im2colNarrow(benchmark::State &state)
+{
+    im2colRate(state, static_cast<size_t>(state.range(0)),
+               static_cast<size_t>(state.range(1)),
+               static_cast<size_t>(state.range(2)),
+               static_cast<size_t>(state.range(3)));
+}
+DLIS_BENCHMARK(im2colNarrow)
+    ->Name("BM_Im2col")
+    ->Args({256, 2, 3, 1})
+    ->Args({128, 4, 3, 1})
+    ->Args({512, 1, 1, 8});
+
+void
+BM_Im2colNarrowScalar(benchmark::State &state)
+{
+    simd::ScopedForceIsa force(simd::SimdIsa::Scalar);
+    im2colNarrow(state);
+}
+DLIS_BENCHMARK(BM_Im2colNarrowScalar)
+    ->Name("BM_Im2colScalar")
+    ->Args({256, 2, 3, 1})
+    ->Args({128, 4, 3, 1})
+    ->Args({512, 1, 1, 8});
 
 /**
  * The whole im2col+GEMM conv path at steady state: a persistent

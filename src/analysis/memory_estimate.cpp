@@ -44,16 +44,18 @@ effectiveThreads(Backend backend, int threads)
  * carved out as a single block before the parallel region. Mirrors
  * the kernel's carve rule exactly: the team is clamped to the tile
  * count of the [m, n] problem, and a single-tile or single-threaded
- * call accumulates directly into C and carves nothing.
+ * call accumulates directly into C and carves nothing — unless C is
+ * split into image planes (@p planar, a folded im2col group), which
+ * needs one private tile even then.
  */
 size_t
 gemmTileDemand(size_t m, size_t n, size_t tileM, size_t tileN,
-               size_t threads)
+               size_t threads, bool planar = false)
 {
     const size_t rowTiles = (m + tileM - 1) / tileM;
     const size_t colTiles = (n + tileN - 1) / tileN;
     const size_t teams = std::min(threads, rowTiles * colTiles);
-    if (teams <= 1)
+    if (teams <= 1 && !planar)
         return 0;
     return ScratchArena::alignUp(teams * tileM * tileN *
                                  sizeof(float));
@@ -108,11 +110,11 @@ convTransient(const Conv2d &conv, const Shape &in, Backend backend,
                     algo != ConvAlgo::Im2colGemm))
         return {out, 0}; // direct kernels write the outer tensor
 
-    // Conv2d::forwardIm2col's group workspaces: the [k, g*hw] column
+    // Conv2d::forwardIm2col's group workspace, the [k, g*hw] column
     // matrix (none for a one-image pointwise group, whose input is
-    // already B), the [m, g*hw] staging block of a multi-image group,
-    // then the GEMM's own demand. The GEMM library runs one image
-    // per call.
+    // already B), then the GEMM's own demand; a multi-image group's
+    // GEMM stores through private tiles into the NCHW planes. The
+    // GEMM library runs one image per call.
     const ConvParams p = conv.paramsFor(in);
     const size_t m = conv.cout();
     const size_t k = conv.cin() * conv.kernel() * conv.kernel();
@@ -124,11 +126,9 @@ convTransient(const Conv2d &conv, const Shape &in, Backend backend,
         copyCols ? ScratchArena::alignUp(k * n * sizeof(float)) : 0;
     if (oclLib)
         return {2 * out, cols + gemmLibDemand(m, k, n, eff)};
-    const size_t staged =
-        g > 1 ? ScratchArena::alignUp(m * n * sizeof(float)) : 0;
     const size_t tiles = gemmTileDemand(m, n, kernels::kGemmTileM,
-                                        kernels::kGemmTileN, eff);
-    return {2 * out, cols + staged + tiles};
+                                        kernels::kGemmTileN, eff, g > 1);
+    return {2 * out, cols + tiles};
 }
 
 /** Arena demand of a Linear forward (only the GEMM-library routing

@@ -56,14 +56,33 @@ maxPool(const float *input, float *output, size_t n, size_t c, size_t hin,
             const float *in = input + (img * c + ch) * hin * win;
             float *out = output + (img * c + ch) * ho * wo;
             for (size_t oy = 0; oy < ho; ++oy) {
+                // Row at a time: the window taps stream along ox.
+                // std::max drops a NaN unless it came first, so a
+                // row that reads a NaN is patched after its sweep.
+                float *o = out + oy * wo;
+                const float *rows = in + oy * k * win;
+                bool nan = false;
+                for (size_t ox = 0; ox < wo; ++ox)
+                    o[ox] = rows[ox * k];
+                for (size_t ky = 0; ky < k; ++ky) {
+                    for (size_t kx = 0; kx < k; ++kx) {
+                        const float *tap = rows + ky * win + kx;
+                        for (size_t ox = 0; ox < wo; ++ox) {
+                            o[ox] = std::max(o[ox], tap[ox * k]);
+                            nan |= std::isnan(tap[ox * k]);
+                        }
+                    }
+                }
+                if (!nan)
+                    continue;
                 for (size_t ox = 0; ox < wo; ++ox) {
-                    float best = in[(oy * k) * win + ox * k];
-                    for (size_t ky = 0; ky < k; ++ky)
-                        for (size_t kx = 0; kx < k; ++kx)
-                            best = std::max(
-                                best,
-                                in[(oy * k + ky) * win + ox * k + kx]);
-                    out[oy * wo + ox] = best;
+                    for (size_t ky = 0; ky < k; ++ky) {
+                        for (size_t kx = 0; kx < k; ++kx) {
+                            const float v = rows[ky * win + ox * k + kx];
+                            if (std::isnan(v))
+                                o[ox] = v;
+                        }
+                    }
                 }
             }
         }

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "backend/simd/dispatch.hpp"
+#include "core/error.hpp"
 #include "core/scratch_arena.hpp"
 
 #if DLIS_HAVE_OPENMP
@@ -35,11 +36,15 @@ gemmNaive(const float *a, const float *b, float *c, size_t m, size_t k,
 void
 gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
             size_t n, const KernelPolicy &policy, size_t tileM,
-            size_t tileN, size_t tileK)
+            size_t tileN, size_t tileK, const GemmConvFusion &fusion)
 {
     const size_t tm = tileM ? tileM : kGemmTileM;
     const size_t tn = tileN ? tileN : kGemmTileN;
     const size_t tk = tileK ? tileK : kGemmTileK;
+    const size_t panel = fusion.imageCols ? fusion.imageCols : n;
+    const Im2colGroup *pack = fusion.packB;
+    DLIS_ASSERT(!pack || pack->cols == b,
+                "gemmBlocked packs B into packB->cols");
 
     if (policy.counters.gemmCalls)
         policy.counters.gemmCalls->add(1);
@@ -60,25 +65,27 @@ gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
     // Per-thread C tiles come from the context's arena (or a
     // call-local one for standalone calls), carved out before the
     // parallel region: the arena is single-consumer. Only a parallel
-    // run needs them — the team is clamped to the tile count, and a
-    // single-threaded or single-tile call (every small serving-path
-    // GEMM) accumulates directly into C and carves nothing, which is
-    // mirrored byte-for-byte by analysis/memory_estimate.
+    // run, or a C split into image planes, needs them — the team is
+    // clamped to the tile count, and a single-threaded or single-tile
+    // call into a plain C (every small serving-path GEMM) accumulates
+    // directly into C and carves nothing, which is mirrored
+    // byte-for-byte by analysis/memory_estimate.
     const size_t teams = std::min(nthreads, tiles);
     ScratchArena localArena;
     ScratchArena &ar = policy.arena ? *policy.arena : localArena;
     ScratchArena::Scope scope(ar, policy.counters);
-    float *ctiles =
-        teams > 1 ? ar.allocFloats(teams * tm * tn) : nullptr;
+    const bool carve = teams > 1 || panel < n;
+    float *ctiles = carve ? ar.allocFloats(teams * tm * tn) : nullptr;
 
     const simd::MicroKernels &mk = simd::activeKernels();
 
     // Each task owns one output tile end-to-end: zero its
-    // destination (a private accumulator when parallel, the C tile
-    // itself otherwise), sweep the K dimension in ascending p order
-    // (the same per-element addition chain as a straight i/p/j loop,
-    // so results are bit-identical for every thread count), then copy
-    // out. No two parallel tasks touch the same C cacheline.
+    // destination (a private accumulator when parallel or planar, the
+    // C tile itself otherwise), sweep the K dimension in ascending p
+    // order (the same per-element addition chain as a straight i/p/j
+    // loop, so results are bit-identical for every thread count),
+    // then copy out, splitting each row at image-plane boundaries. No
+    // two parallel tasks touch the same C cacheline.
     auto tile_body = [&](size_t t, float *ctile) {
         const size_t i0 = (t / colTiles) * tm;
         const size_t j0 = (t % colTiles) * tn;
@@ -106,27 +113,47 @@ gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
                 }
             }
         }
-        if (ctile)
+        if (!ctile)
+            return;
+        for (size_t j = j0; j < j0 + cols;) {
+            const size_t img = j / panel, s = j % panel;
+            const size_t len = std::min(panel - s, j0 + cols - j);
+            float *out = c + img * m * panel + i0 * panel + s;
             for (size_t i = 0; i < rows; ++i)
-                std::memcpy(c + (i0 + i) * n + j0, ctile + i * cols,
-                            cols * sizeof(float));
+                std::memcpy(out + i * panel, ctile + i * cols + (j - j0),
+                            len * sizeof(float));
+            j += len;
+        }
     };
 
 #if DLIS_HAVE_OPENMP
     if (teams > 1) {
         if (policy.counters.ompRegions)
             policy.counters.ompRegions->add(1);
-        #pragma omp parallel for schedule(dynamic) \
-            num_threads(static_cast<int>(teams))
-        for (size_t t = 0; t < tiles; ++t)
-            tile_body(t, ctiles +
-                            static_cast<size_t>(omp_get_thread_num()) *
-                                tm * tn);
+        #pragma omp parallel num_threads(static_cast<int>(teams))
+        {
+            const size_t tid = static_cast<size_t>(omp_get_thread_num());
+            if (pack) {
+                // Split by the team actually granted, which may be
+                // smaller than the one requested.
+                const size_t nt = static_cast<size_t>(omp_get_num_threads());
+                const size_t tasks = pack->tasks();
+                im2colPack(*pack, tasks * tid / nt, tasks * (tid + 1) / nt);
+                #pragma omp barrier
+            }
+            // The region's closing barrier is the only one the tile
+            // loop needs.
+            #pragma omp for schedule(dynamic) nowait
+            for (size_t t = 0; t < tiles; ++t)
+                tile_body(t, ctiles + tid * tm * tn);
+        }
         return;
     }
 #endif
+    if (pack)
+        im2colPack(*pack, 0, pack->tasks());
     for (size_t t = 0; t < tiles; ++t)
-        tile_body(t, nullptr);
+        tile_body(t, ctiles);
 }
 
 void

@@ -9,9 +9,11 @@
  * footprint story.
  *
  * Conv2d folds a group of images into the GEMM's N: each image's
- * columns land side by side in one [C*KH*KW, g*HO*WO] matrix (the
- * row-stride argument of im2col), so small-spatial layers multiply
- * their weights against up to about one GEMM column tile at once.
+ * columns land side by side in one [C*KH*KW, g*HO*WO] matrix, so
+ * small-spatial layers multiply their weights against up to about one
+ * GEMM column tile at once. The group is packed by im2colPack, inside
+ * the GEMM's own parallel team (kernels::gemmBlocked's packB); the
+ * one-image im2col is the same packer run over the whole range.
  */
 
 #ifndef DLIS_BACKEND_IM2COL_HPP
@@ -42,17 +44,44 @@ size_t im2colGroupImages(const ConvParams &p);
 bool im2colIsIdentity(const ConvParams &p);
 
 /**
- * Expand one image (CHW) into columns.
- *
- * @param p        conv geometry (n is ignored; single image)
- * @param input    CHW input, cin*hin*win floats
- * @param cols     output, [cin*kh*kw, rowStride] row-major; this image
- *                 fills the first hout*wout floats of every row
- * @param rowStride floats between consecutive column rows (0 means
- *                 hout*wout, a buffer holding only this image)
+ * A group of imgs consecutive NCHW images whose im2col columns sit
+ * side by side in one [cin*kh*kw, imgs*hout*wout] row-major matrix:
+ * image i fills floats [i*hout*wout, (i+1)*hout*wout) of every row.
+ * Packing it splits into tasks() tasks; task t = ci*imgs + i writes
+ * the kh*kw rows of input channel ci for image i. Tasks write disjoint
+ * floats, so any split of [0, tasks()) packs the same matrix.
  */
-void im2col(const ConvParams &p, const float *input, float *cols,
-            size_t rowStride = 0);
+struct Im2colGroup
+{
+    ConvParams p;                 //!< conv geometry (p.n is ignored)
+    const float *input = nullptr; //!< first image, imgs*cin*hin*win floats
+    size_t imgs = 1;              //!< images in the group
+    float *cols = nullptr;        //!< the [cin*kh*kw, imgs*hw] matrix
+
+    size_t tasks() const { return imgs * p.cin; }
+};
+
+/**
+ * Pack tasks [task0, task1) of @p group. Pure copies and zero fills,
+ * so every split is bit-identical to one whole-range call. Each call
+ * picks its gather from the geometry: a 1x1 stride-1 unpadded conv
+ * copies each plane as one span; a narrow plane (kh*kw*hout*wout at
+ * most 1024) gathers through one offset table built per call, so it
+ * pays no per-(row, output row) overhead; wider planes copy one input
+ * span per (row, output row).
+ */
+void im2colPack(const Im2colGroup &group, size_t task0, size_t task1);
+
+/**
+ * Expand one image (CHW) into a [cin*kh*kw, hout*wout] column matrix:
+ * im2colPack over the whole range of a one-image group. Conv backward
+ * and the simulated GEMM library's per-image path use it.
+ *
+ * @param p      conv geometry (n is ignored; single image)
+ * @param input  CHW input, cin*hin*win floats
+ * @param cols   output, cin*kh*kw*hout*wout floats
+ */
+void im2col(const ConvParams &p, const float *input, float *cols);
 
 /**
  * Inverse scatter-add of im2col (used by conv backward): zeroes the

@@ -25,8 +25,8 @@
  *    convs: the ci/ky/kx tap order, padding taps skipped rather than
  *    added as zero), so results stay deterministic across thread
  *    counts and tile shapes;
- *  - im2col and packed-ternary variants perform no reassociation or
- *    contraction at all and are bit-exact against the reference;
+ *  - packed-ternary variants perform no reassociation or contraction
+ *    at all and are bit-exact against the reference;
  *  - no variant may touch the heap: workspaces, if any, come from
  *    KernelPolicy::arena (none of the current variants need one);
  *  - buffers are not assumed aligned (the arena hands out 64-byte
@@ -89,17 +89,6 @@ struct MicroKernels
                          const float *weight, const float *bias,
                          float *output, size_t plane0,
                          size_t planes) = nullptr;
-
-    /**
-     * Whole-image im2col for stride == 1: every (ci, ky, kx) row of
-     * the column matrix is a shifted contiguous span of one input
-     * row, so it lowers to vector copies plus zeroed padding. Column
-     * rows are @p ld floats apart (hout*wout for a one-image buffer,
-     * more when images of a group share the rows). Bit-exact against
-     * kernels::im2col.
-     */
-    void (*im2colS1)(const ConvParams &p, const float *input, float *cols,
-                     size_t ld) = nullptr;
 
     /**
      * One (image, output-channel) pair of a packed-ternary conv for

@@ -5,8 +5,8 @@
  * the -m flags are per-file so the rest of the binary stays generic,
  * and contraction is off so the only fused operations are the ones
  * written explicitly (_mm256_fmadd_ps / std::fma) — scalar tails
- * round identically to vector lanes, and the copy/ternary kernels
- * stay bit-exact against the scalar reference.
+ * round identically to vector lanes, and the ternary kernel stays
+ * bit-exact against the scalar reference.
  */
 
 #include "backend/simd/kernels.hpp"
@@ -333,71 +333,6 @@ depthwise3x3Avx2(const ConvParams &p, const float *input,
     }
 }
 
-void
-zeroSpanAvx2(float *dst, size_t n)
-{
-    const __m256 z = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(dst + i, z);
-    for (; i < n; ++i)
-        dst[i] = 0.0f;
-}
-
-void
-copySpanAvx2(float *dst, const float *src, size_t n)
-{
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(dst + i, _mm256_loadu_ps(src + i));
-    for (; i < n; ++i)
-        dst[i] = src[i];
-}
-
-void
-im2colS1Avx2(const ConvParams &p, const float *input, float *cols, size_t ld)
-{
-    const size_t ho = p.hout(), wo = p.wout();
-    const ptrdiff_t pad = static_cast<ptrdiff_t>(p.pad);
-    const ptrdiff_t hin = static_cast<ptrdiff_t>(p.hin);
-    const ptrdiff_t win = static_cast<ptrdiff_t>(p.win);
-    size_t row = 0;
-    for (size_t ci = 0; ci < p.cin; ++ci) {
-        const float *in_ch = input + ci * p.hin * p.win;
-        for (size_t ky = 0; ky < p.kh; ++ky) {
-            for (size_t kx = 0; kx < p.kw; ++kx, ++row) {
-                float *out_row = cols + row * ld;
-                // At stride 1, ix = ox + kx - pad: the in-bounds ox
-                // span [ox0, ox1) is one contiguous input slice per
-                // output row; everything outside it is padding.
-                const ptrdiff_t shift =
-                    static_cast<ptrdiff_t>(kx) - pad;
-                const ptrdiff_t ox0 = std::clamp<ptrdiff_t>(
-                    -shift, 0, static_cast<ptrdiff_t>(wo));
-                const ptrdiff_t ox1 = std::clamp<ptrdiff_t>(
-                    win - shift, ox0, static_cast<ptrdiff_t>(wo));
-                for (size_t oy = 0; oy < ho; ++oy) {
-                    float *dst = out_row + oy * wo;
-                    const ptrdiff_t iy =
-                        static_cast<ptrdiff_t>(oy + ky) - pad;
-                    if (iy < 0 || iy >= hin) {
-                        zeroSpanAvx2(dst, wo);
-                        continue;
-                    }
-                    zeroSpanAvx2(dst, static_cast<size_t>(ox0));
-                    copySpanAvx2(dst + ox0,
-                                 in_ch + iy * win + ox0 + shift,
-                                 static_cast<size_t>(ox1 - ox0));
-                    zeroSpanAvx2(
-                        dst + ox1,
-                        static_cast<size_t>(
-                            static_cast<ptrdiff_t>(wo) - ox1));
-                }
-            }
-        }
-    }
-}
-
 /**
  * Scalar reference pixel of the packed-ternary conv, identical to the
  * loop in packedTernaryConvOneChannel (plain adds, no contraction in
@@ -527,7 +462,6 @@ avx2MicroKernels()
         t.gemmTile = &gemmTileAvx2;
         t.conv3x3s1 = &conv3x3s1Avx2;
         t.depthwise3x3 = &depthwise3x3Avx2;
-        t.im2colS1 = &im2colS1Avx2;
         t.ternaryConvS1 = &ternaryConvS1Avx2;
         return t;
     }();

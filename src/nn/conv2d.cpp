@@ -138,41 +138,32 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
     const size_t g = oclLib ? 1 : kernels::im2colGroupImages(p);
     const bool copyCols = g > 1 || !kernels::im2colIsIdentity(p);
 
-    // Workspaces come from the context's scratch arena and are reused
-    // for every group (and every later forward); a call-local arena
-    // serves arena-less callers. A multi-image GEMM writes a [cout,
-    // g*hw] staging block, which the last pass scatters to NCHW.
+    // The column matrix comes from the context's scratch arena and is
+    // reused for every group (and every later forward); a call-local
+    // arena serves arena-less callers.
     ScratchArena localArena;
     ScratchArena &ar = pol.arena ? *pol.arena : localArena;
     ScratchArena::Scope scope(ar, pol.counters);
-    const size_t colsFloats = copyCols ? ck * g * hw : 0;
-    const size_t stagedFloats = g > 1 ? cout_ * g * hw : 0;
-    ar.reserve(ScratchArena::alignUp(colsFloats * sizeof(float)) +
-               ScratchArena::alignUp(stagedFloats * sizeof(float)));
-    float *cols = copyCols ? ar.allocFloats(colsFloats) : nullptr;
-    float *staged = g > 1 ? ar.allocFloats(stagedFloats) : nullptr;
+    float *cols = copyCols ? ar.allocFloats(ck * g * hw) : nullptr;
 
     for (size_t img0 = 0; img0 < p.n; img0 += g) {
         const size_t imgs = std::min(g, p.n - img0);
         const size_t n = imgs * hw;
         const float *in0 = input.data() + img0 * inImg;
         float *out0 = out.data() + img0 * cout_ * hw;
+        const float *b = copyCols ? cols : in0;
+        if (copyCols && pol.counters.im2colBytes)
+            pol.counters.im2colBytes->add(ck * n * sizeof(float));
 
-        const float *b = in0;
-        if (copyCols) {
-            obs::TraceSpan span(ctx.tracer, name_ + ".im2col", "kernel");
-            for (size_t i = 0; i < imgs; ++i)
-                kernels::im2col(p, in0 + i * inImg, cols + i * hw, n);
-            if (pol.counters.im2colBytes)
-                pol.counters.im2colBytes->add(ck * n * sizeof(float));
-            b = cols;
-        }
-
-        float *c = staged ? staged : out0;
+        // The native path packs the columns inside the GEMM's own
+        // parallel team and stores each tile straight into its images'
+        // NCHW planes; the library ships flat per-image matrices.
         obs::TraceSpan gemmSpan(ctx.tracer, name_ + ".gemm", "kernel");
         if (oclLib) {
             DLIS_CHECK(ctx.gemmLib,
                        "OclGemmLib backend needs ctx.gemmLib");
+            if (copyCols)
+                kernels::im2col(p, in0, cols);
             if (ctx.queue) {
                 // The paper flattens every matrix and ships it through
                 // OpenCL buffers before each library call.
@@ -180,25 +171,20 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
                     ck * n * sizeof(float) + weight_.bytes(), true);
                 ctx.queue->recordTransfer(cout_ * n * sizeof(float), false);
             }
-            ctx.gemmLib->gemm(weight_.data(), b, c, cout_, ck, n, pol);
+            ctx.gemmLib->gemm(weight_.data(), b, out0, cout_, ck, n, pol);
         } else {
-            kernels::gemmBlocked(weight_.data(), b, c, cout_, ck, n, pol);
+            const kernels::Im2colGroup group{p, in0, imgs, cols};
+            kernels::gemmBlocked(weight_.data(), b, out0, cout_, ck, n, pol,
+                                 0, 0, 0, {copyCols ? &group : nullptr, hw});
         }
         gemmSpan.finish();
 
-        // One pass scatters a multi-image group's C [cout, imgs*hw]
-        // back to NCHW and adds the bias.
-        if (!staged && !bias_ptr)
+        if (!bias_ptr)
             continue;
-        for (size_t i = 0; i < imgs; ++i) {
-            for (size_t oc = 0; oc < cout_; ++oc) {
-                float *dst = out0 + (i * cout_ + oc) * hw;
-                if (staged)
-                    std::copy_n(staged + oc * n + i * hw, hw, dst);
-                if (bias_ptr)
-                    for (size_t s = 0; s < hw; ++s)
-                        dst[s] += bias_ptr[oc];
-            }
+        for (size_t i = 0; i < imgs * cout_; ++i) {
+            float *dst = out0 + i * hw;
+            for (size_t s = 0; s < hw; ++s)
+                dst[s] += bias_ptr[i % cout_];
         }
     }
     return out;

@@ -467,8 +467,9 @@ TEST(MemoryEstimate, PredictsIm2colScratch)
 }
 
 // At batch 8 the im2col convs fold images into the GEMM's N: the
-// [k, g*hw] columns, the [cout, g*hw] staging block and the wider
-// GEMM's C tiles must all be mirrored byte for byte.
+// [k, g*hw] columns and the wider GEMM's C tiles (one even when
+// serial, to store into the NCHW planes) must be mirrored byte for
+// byte.
 TEST(MemoryEstimate, MatchesObservedPeakForFoldedBatch)
 {
     for (const char *model : {"mobilenet", "vgg16"}) {

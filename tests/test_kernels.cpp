@@ -6,7 +6,9 @@
  * floating-point reassociation tolerance.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -382,6 +384,49 @@ TEST(Elementwise, MaxPoolPicksWindowMaxima)
     EXPECT_FLOAT_EQ(out[1], 7.0f);
     EXPECT_FLOAT_EQ(out[2], 13.0f);
     EXPECT_FLOAT_EQ(out[3], 15.0f);
+}
+
+TEST(Pooling, MaxPoolPropagatesNanFromAnyWindowPosition)
+{
+    // A NaN at any position of a window makes that window's output
+    // NaN and leaves every other window's maximum alone, serially and
+    // under OpenMP x2 — the output must not depend on where in the
+    // window the NaN sits.
+    for (const size_t k : {2, 3}) {
+        const size_t side = 2 * k;
+        for (const int threads : {1, 2}) {
+            for (size_t pos = 0; pos < k * k; ++pos) {
+                Tensor in(Shape{1, 2, side, side});
+                for (size_t i = 0; i < in.numel(); ++i)
+                    in[i] = static_cast<float>(i % 7) - 3.0f;
+                // Channel 1, window (1, 0), position pos.
+                const size_t y = k + pos / k, x = pos % k;
+                in[side * side + y * side + x] =
+                    std::numeric_limits<float>::quiet_NaN();
+                Tensor out(Shape{1, 2, 2, 2});
+                kernels::maxPool(in.data(), out.data(), 1, 2, side, side,
+                                 k, KernelPolicy{threads});
+                for (size_t o = 0; o < out.numel(); ++o) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "k=" << k << " threads=" << threads
+                                 << " pos=" << pos << " out=" << o);
+                    if (o == 4 + 2) {
+                        EXPECT_TRUE(std::isnan(out[o]));
+                        continue;
+                    }
+                    const size_t ch = o / 4, oy = o % 4 / 2, ox = o % 2;
+                    float best = -1e30f;
+                    for (size_t ky = 0; ky < k; ++ky)
+                        for (size_t kx = 0; kx < k; ++kx)
+                            best = std::max(
+                                best, in[ch * side * side +
+                                         (oy * k + ky) * side +
+                                         ox * k + kx]);
+                    EXPECT_EQ(out[o], best);
+                }
+            }
+        }
+    }
 }
 
 TEST(Elementwise, GlobalAvgPoolAverages)

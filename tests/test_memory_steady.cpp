@@ -76,8 +76,8 @@ TEST(MemorySteadyState, SecondForwardAllocatesNothingPerBackendAlgo)
     for (const char *model : {"vgg16", "resnet18", "mobilenet"}) {
         Rng rng(11);
         Model m = makeModel(model, 10, 0.25, rng);
-        // Batch 8 runs the folded im2col groups (column, staging and
-        // wider C-tile blocks); they must warm once, too.
+        // Batch 8 runs the folded im2col groups (column and wider
+        // C-tile blocks); they must warm once, too.
         for (const size_t batch : {size_t{1}, size_t{8}}) {
             Tensor in =
                 test::randomTensor(Shape{batch, 3, 32, 32}, 12);

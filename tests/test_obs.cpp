@@ -200,6 +200,39 @@ TEST(Metrics, ReluCountsItsOmpRegionUnderItsScope)
 #endif
 }
 
+TEST(Metrics, Im2colConvCountsOneOmpRegion)
+{
+    // An im2col conv packs its columns inside the GEMM's parallel
+    // region, so under OpenMP x2 it opens exactly one region per GEMM
+    // call: one for a one-image 8x8 plane (two row tiles), and one per
+    // folded group for a batch of 2x2 planes.
+#if !DLIS_HAVE_OPENMP
+    GTEST_SKIP() << "built without OpenMP";
+#else
+    struct Case
+    {
+        Shape input;
+        uint64_t gemmCalls;
+    };
+    for (const Case &c : {Case{Shape{1, 4, 8, 8}, 1},
+                          Case{Shape{20, 4, 2, 2}, 2}}) {
+        Network net("conv");
+        net.emplace<Conv2d>("conv", 4, 40, 3, 1, 1);
+        obs::Metrics metrics;
+        ExecContext ctx;
+        ctx.backend = Backend::OpenMP;
+        ctx.threads = 2;
+        ctx.convAlgo = ConvAlgo::Im2colGemm;
+        ctx.metrics = &metrics;
+        net.forward(randomTensor(c.input, 8), ctx);
+        EXPECT_EQ(metrics.value("conv.gemm_calls"), c.gemmCalls)
+            << c.input.str();
+        EXPECT_EQ(metrics.value("conv.omp_regions"), c.gemmCalls)
+            << c.input.str();
+    }
+#endif
+}
+
 TEST(Stats, PercentileInterpolatesBetweenRanks)
 {
     std::vector<double> sorted(100);

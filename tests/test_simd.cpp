@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -92,7 +93,6 @@ TEST(SimdIsa, ScalarTableIsAllNull)
     EXPECT_EQ(t.gemmTile, nullptr);
     EXPECT_EQ(t.conv3x3s1, nullptr);
     EXPECT_EQ(t.depthwise3x3, nullptr);
-    EXPECT_EQ(t.im2colS1, nullptr);
     EXPECT_EQ(t.ternaryConvS1, nullptr);
 }
 
@@ -385,79 +385,108 @@ TEST(SimdConv, Direct3x3MatchesScalarAcrossGeometries)
     }
 }
 
-const ConvCase kIm2colCases[] = {
-    {{1, 1, 3, 3, 1, 3, 3, 1, 0}},
-    {{1, 2, 7, 5, 1, 3, 3, 1, 1}},
-    {{1, 3, 9, 16, 1, 3, 3, 1, 2}},
-    {{1, 2, 11, 33, 1, 5, 5, 1, 2}}, // 5x5 taps
-    {{1, 2, 8, 9, 1, 1, 1, 1, 0}},   // pointwise
-    {{1, 2, 9, 9, 1, 3, 3, 2, 1}},   // stride 2: scalar path
-};
-
-TEST(SimdIm2col, BitExactAgainstScalar)
+/** The straight per-element im2col loop the packer must reproduce. */
+void
+referenceIm2col(const ConvParams &p, const float *input, float *cols,
+                size_t ld)
 {
-    const simd::SimdIsa best = simd::bestSupportedIsa();
-    uint64_t seed = 500;
-    for (const ConvCase &c : kIm2colCases) {
-        SCOPED_TRACE(c.str());
-        // im2col consumes one image: clamp n to 1.
-        ConvParams p = c.p;
-        p.n = 1;
-        const auto input = randomVec(p.cin * p.hin * p.win, seed++);
-        const size_t count = kernels::im2colBufferSize(p);
-        std::vector<float> scal(count, -2.0f), vec(count, -3.0f);
-        {
-            simd::ScopedForceIsa f(simd::SimdIsa::Scalar);
-            kernels::im2col(p, input.data(), scal.data());
-        }
-        {
-            simd::ScopedForceIsa f(best);
-            kernels::im2col(p, input.data(), vec.data());
-        }
-        for (size_t i = 0; i < count; ++i)
-            ASSERT_EQ(scal[i], vec[i]) << c.str() << " i=" << i;
-    }
+    const size_t ho = p.hout(), wo = p.wout();
+    size_t row = 0;
+    for (size_t ci = 0; ci < p.cin; ++ci)
+        for (size_t ky = 0; ky < p.kh; ++ky)
+            for (size_t kx = 0; kx < p.kw; ++kx, ++row)
+                for (size_t oy = 0; oy < ho; ++oy)
+                    for (size_t ox = 0; ox < wo; ++ox) {
+                        const ptrdiff_t iy =
+                            static_cast<ptrdiff_t>(oy * p.stride + ky) -
+                            static_cast<ptrdiff_t>(p.pad);
+                        const ptrdiff_t ix =
+                            static_cast<ptrdiff_t>(ox * p.stride + kx) -
+                            static_cast<ptrdiff_t>(p.pad);
+                        const bool in =
+                            iy >= 0 &&
+                            iy < static_cast<ptrdiff_t>(p.hin) &&
+                            ix >= 0 && ix < static_cast<ptrdiff_t>(p.win);
+                        cols[row * ld + oy * wo + ox] =
+                            in ? input[(ci * p.hin + iy) * p.win + ix]
+                               : 0.0f;
+                    }
 }
 
-TEST(SimdIm2col, RowStrideWritesOneImageOfAGroup)
+TEST(Im2colPack, MatchesReferenceBitForBit)
 {
-    // A folded group lays g images side by side in each column row:
-    // image i owns floats [i*hw, (i+1)*hw) of every row of stride
-    // g*hw. Each image must land there bit for bit as its one-image
-    // im2col, and leave every other float of the group untouched,
-    // under the scalar and the vector ISA alike.
-    constexpr size_t kGroup = 3;
-    uint64_t seed = 600;
-    for (const simd::SimdIsa isa :
-         {simd::SimdIsa::Scalar, simd::bestSupportedIsa()}) {
-        simd::ScopedForceIsa f(isa);
-        for (const ConvCase &c : kIm2colCases) {
-            SCOPED_TRACE(c.str());
-            ConvParams p = c.p;
-            p.n = 1;
-            const size_t hw = p.hout() * p.wout();
-            const size_t rows = p.cin * p.kh * p.kw;
-            const size_t ld = kGroup * hw;
-            for (size_t img = 0; img < kGroup; ++img) {
-                const auto input =
-                    randomVec(p.cin * p.hin * p.win, seed++);
-                std::vector<float> single(rows * hw);
-                kernels::im2col(p, input.data(), single.data());
-                std::vector<float> group(rows * ld, -7.0f);
-                kernels::im2col(p, input.data(), group.data() + img * hw,
-                                ld);
-                for (size_t r = 0; r < rows; ++r) {
-                    for (size_t j = 0; j < ld; ++j) {
-                        const bool mine =
-                            j >= img * hw && j < (img + 1) * hw;
-                        ASSERT_EQ(group[r * ld + j],
-                                  mine ? single[r * hw + j - img * hw]
-                                       : -7.0f)
-                            << "img=" << img << " row=" << r
-                            << " col=" << j;
-                    }
-                }
-            }
+    // Every gather the packer picks (plane copy, offset table, row
+    // spans) over kernels 1/3/5, strides 1/2, pads 0/1/2, planes from
+    // 1x1 to 32x32 and groups of 1/3/8 images. Each group is packed
+    // inside gemmBlocked's team of 1-4 threads (four 1-row tiles, so
+    // the team is not clamped below the request) and must equal the
+    // reference loop byte for byte — NaN and -0.0 inputs included, as
+    // a pure copy keeps them — and write nothing past the matrix. The
+    // GEMM's NCHW-plane store must equal a plain [m, n] GEMM on the
+    // reference columns, remapped. A one-image group also goes
+    // through kernels::im2col.
+    constexpr size_t kCin = 3, kM = 4, kGuard = 16;
+    // 3x48 is a wide plane shorter than a 5x5 kernel's reach: some
+    // taps of the row-span gather have no in-bounds output row.
+    const std::pair<size_t, size_t> planes[] = {
+        {1, 1}, {2, 2}, {2, 3}, {4, 4}, {3, 48}, {32, 32}};
+    uint64_t seed = 500;
+    for (const size_t kernel : {1, 3, 5})
+    for (const size_t stride : {1, 2})
+    for (const size_t pad : {0, 1, 2})
+    for (const auto &[h, w] : planes)
+    for (const size_t imgs : {1, 3, 8}) {
+        if (h + 2 * pad < kernel || w + 2 * pad < kernel)
+            continue;
+        const ConvParams p{imgs, kCin, h, w, kM, kernel, kernel, stride,
+                           pad};
+        SCOPED_TRACE(::testing::Message()
+                     << "k" << kernel << " s" << stride << " p" << pad
+                     << " " << h << "x" << w << " imgs=" << imgs);
+        const size_t hw = p.hout() * p.wout();
+        const size_t rows = kCin * kernel * kernel;
+        const size_t n = imgs * hw;
+        auto input = randomVec(imgs * kCin * h * w, seed++);
+        input[0] = std::numeric_limits<float>::quiet_NaN();
+        input.back() = -0.0f;
+        std::vector<float> ref(rows * n);
+        for (size_t i = 0; i < imgs; ++i)
+            referenceIm2col(p, input.data() + i * kCin * h * w,
+                            ref.data() + i * hw, n);
+        const auto weight = randomVec(kM * rows, seed++);
+        std::vector<float> flat(kM * n);
+        kernels::gemmBlocked(weight.data(), ref.data(), flat.data(), kM,
+                             rows, n, KernelPolicy{1}, 1);
+
+        for (const int team : {1, 2, 3, 4}) {
+            std::vector<float> cols(rows * n + kGuard, -7.0f);
+            std::vector<float> out(kM * n, -9.0f);
+            const kernels::Im2colGroup group{p, input.data(), imgs,
+                                             cols.data()};
+            kernels::gemmBlocked(weight.data(), cols.data(), out.data(),
+                                 kM, rows, n, KernelPolicy{team}, 1, 0,
+                                 0, {&group, hw});
+            ASSERT_EQ(std::memcmp(cols.data(), ref.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << "team=" << team;
+            for (size_t g = 0; g < kGuard; ++g)
+                ASSERT_EQ(cols[rows * n + g], -7.0f) << "team=" << team;
+            for (size_t i = 0; i < kM; ++i)
+                for (size_t j = 0; j < n; ++j)
+                    ASSERT_EQ(std::memcmp(&out[(j / hw) * kM * hw +
+                                               i * hw + j % hw],
+                                          &flat[i * n + j], sizeof(float)),
+                              0)
+                        << "team=" << team << " C(" << i << ", " << j
+                        << ")";
+        }
+        if (imgs == 1) {
+            std::vector<float> cols(rows * hw, -7.0f);
+            kernels::im2col(p, input.data(), cols.data());
+            ASSERT_EQ(std::memcmp(cols.data(), ref.data(),
+                                  ref.size() * sizeof(float)),
+                      0);
         }
     }
 }
