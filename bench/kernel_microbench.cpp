@@ -2,8 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the compute kernels: the
  * dense-vs-CSR traversal cost that underlies the paper's sparse
- * slowdown, GEMM blocking, im2col, and the CLBlast-style library's
- * packing overhead on small vs large matrices.
+ * slowdown, GEMM blocking and im2col.
  *
  * Each benchmark runs repeated measurements and reports median and
  * p90 aggregates (not a single mean): kernel times on a shared host
@@ -17,7 +16,6 @@
 
 #include "backend/conv_kernels.hpp"
 #include "backend/gemm.hpp"
-#include "backend/gemmlib/tuned_gemm.hpp"
 #include "backend/im2col.hpp"
 #include "backend/simd/dispatch.hpp"
 #include "backend/simd/isa.hpp"
@@ -277,29 +275,6 @@ DLIS_BENCHMARK(BM_GemmSmallNScalar)
     ->Args({256, 256, 4})
     ->Args({256, 256, 32})
     ->Args({256, 2304, 1});
-
-/**
- * The GEMM library's fixed packing/padding work: tiny (CIFAR-shaped)
- * calls waste most of their time, large calls amortise it — the
- * crossover behind Fig 6 vs the ImageNet extension.
- */
-void
-BM_GemmLibraryCall(benchmark::State &state)
-{
-    const size_t n = static_cast<size_t>(state.range(0));
-    const size_t m = 64, k = 576; // a VGG conv's weight matrix
-    Tensor a = randomTensor(Shape{m, k}, 8);
-    Tensor b = randomTensor(Shape{k, n}, 9);
-    Tensor c(Shape{m, n});
-    gemmlib::GemmLibrary lib;
-    for (auto _ : state) {
-        lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1});
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * m * k * n));
-}
-DLIS_BENCHMARK(BM_GemmLibraryCall)->Arg(16)->Arg(64)->Arg(1024);
 
 /** Packed-ternary decode-on-the-fly conv (the §V-D declined path). */
 void

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "backend/gemm.hpp"
-#include "backend/gemmlib/tuned_gemm.hpp"
 #include "backend/im2col.hpp"
 #include "core/scratch_arena.hpp"
 #include "nn/models/model.hpp"
@@ -18,12 +17,6 @@ size_t
 bytesOf(const Shape &s)
 {
     return s.numel() * sizeof(float);
-}
-
-size_t
-roundUp(size_t v, size_t to)
-{
-    return (v + to - 1) / to * to;
 }
 
 /**
@@ -49,47 +42,28 @@ effectiveThreads(Backend backend, int threads)
  * needs one private tile even then.
  */
 size_t
-gemmTileDemand(size_t m, size_t n, size_t tileM, size_t tileN,
-               size_t threads, bool planar = false)
+gemmTileDemand(size_t m, size_t n, size_t threads, bool planar)
 {
-    const size_t rowTiles = (m + tileM - 1) / tileM;
-    const size_t colTiles = (n + tileN - 1) / tileN;
+    using kernels::kGemmTileM, kernels::kGemmTileN;
+    const size_t rowTiles = (m + kGemmTileM - 1) / kGemmTileM;
+    const size_t colTiles = (n + kGemmTileN - 1) / kGemmTileN;
     const size_t teams = std::min(threads, rowTiles * colTiles);
     if (teams <= 1 && !planar)
         return 0;
-    return ScratchArena::alignUp(teams * tileM * tileN *
+    return ScratchArena::alignUp(teams * kGemmTileM * kGemmTileN *
                                  sizeof(float));
-}
-
-/**
- * Arena bytes one GemmLibrary::gemm call allocates on top of its
- * caller: three tile-padded packing buffers plus the nested
- * gemmBlocked's C tiles. Assumes the default TuneConfig (the estimate
- * has no runtime library handle; an autotuned config shifts the
- * padding and the prediction with it).
- */
-size_t
-gemmLibDemand(size_t m, size_t k, size_t n, size_t threads)
-{
-    const gemmlib::TuneConfig cfg;
-    const size_t mp = roundUp(m, cfg.mwg);
-    const size_t np = roundUp(n, cfg.nwg);
-    const size_t kp = roundUp(k, cfg.kwg);
-    return ScratchArena::alignUp(mp * kp * sizeof(float)) +
-           ScratchArena::alignUp(kp * np * sizeof(float)) +
-           ScratchArena::alignUp(mp * np * sizeof(float)) +
-           gemmTileDemand(mp, np, cfg.mwg, cfg.nwg, threads);
 }
 
 /** Activation + scratch bytes a Conv2d::forward allocates beyond its
  *  input. Mirrors the dispatch in Conv2d::forward: the output tensor
- *  is always constructed up front, so the im2col and simulated-OpenCL
- *  paths pay for it *plus* their own result tensor. Scratch is the
- *  layer's total scratch-arena demand — the sum of the aligned block
- *  sizes its kernels bump-allocate within one scope (im2col columns,
- *  GEMM C tiles, library packing buffers); the arena's grow-only
- *  capacity, and therefore the tracker's Scratch class, peaks at the
- *  largest layer demand. */
+ *  is always constructed up front, so the im2col path pays for it
+ *  *plus* its own result tensor. Scratch is the layer's total
+ *  scratch-arena demand — the sum of the aligned block sizes its
+ *  kernels bump-allocate within one scope (im2col columns, GEMM C
+ *  tiles); the arena's grow-only capacity, and therefore the
+ *  tracker's Scratch class, peaks at the largest layer demand. The
+ *  estimate-only OpenCL backends are priced like the direct path:
+ *  their output, and no host scratch. */
 struct Transient
 {
     size_t act = 0;
@@ -101,56 +75,26 @@ convTransient(const Conv2d &conv, const Shape &in, Backend backend,
               ConvAlgo algo, int threads)
 {
     const size_t out = bytesOf(conv.outputShape(in));
-    const size_t eff = effectiveThreads(backend, threads);
-
-    if (backend == Backend::OclHandTuned)
-        return {2 * out, 0}; // direct simulated kernel, no workspace
-    const bool oclLib = backend == Backend::OclGemmLib;
-    if (!oclLib && (conv.format() != WeightFormat::Dense ||
-                    algo != ConvAlgo::Im2colGemm))
+    if (!runsOnHost(backend) || conv.format() != WeightFormat::Dense ||
+        algo != ConvAlgo::Im2colGemm)
         return {out, 0}; // direct kernels write the outer tensor
 
     // Conv2d::forwardIm2col's group workspace, the [k, g*hw] column
     // matrix (none for a one-image pointwise group, whose input is
     // already B), then the GEMM's own demand; a multi-image group's
-    // GEMM stores through private tiles into the NCHW planes. The
-    // GEMM library runs one image per call.
+    // GEMM stores through private tiles into the NCHW planes.
     const ConvParams p = conv.paramsFor(in);
     const size_t m = conv.cout();
     const size_t k = conv.cin() * conv.kernel() * conv.kernel();
     const size_t hw = p.hout() * p.wout();
-    const size_t g = oclLib ? 1 : kernels::im2colGroupImages(p);
+    const size_t g = kernels::im2colGroupImages(p);
     const size_t n = g * hw;
     const bool copyCols = g > 1 || !kernels::im2colIsIdentity(p);
     const size_t cols =
         copyCols ? ScratchArena::alignUp(k * n * sizeof(float)) : 0;
-    if (oclLib)
-        return {2 * out, cols + gemmLibDemand(m, k, n, eff)};
-    const size_t tiles = gemmTileDemand(m, n, kernels::kGemmTileM,
-                                        kernels::kGemmTileN, eff, g > 1);
+    const size_t tiles =
+        gemmTileDemand(m, n, effectiveThreads(backend, threads), g > 1);
     return {2 * out, cols + tiles};
-}
-
-/** Arena demand of a Linear forward (only the GEMM-library routing
- *  uses scratch: transpose staging for batched inputs plus the
- *  library call itself). */
-size_t
-linearScratch(const Linear &fc, size_t batch, Backend backend,
-              int threads)
-{
-    if (backend != Backend::OclGemmLib ||
-        fc.format() != WeightFormat::Dense)
-        return 0;
-    const size_t eff = effectiveThreads(backend, threads);
-    size_t staging = 0;
-    if (batch > 1) {
-        staging = ScratchArena::alignUp(fc.inFeatures() * batch *
-                                        sizeof(float)) +
-                  ScratchArena::alignUp(fc.outFeatures() * batch *
-                                        sizeof(float));
-    }
-    return staging + gemmLibDemand(fc.outFeatures(), fc.inFeatures(),
-                                   batch, eff);
 }
 
 /** Transients of a residual block's forward, relative to its input.
@@ -240,8 +184,6 @@ layerTransient(const Layer &layer, const Shape &in, Backend backend,
     else if (const auto *block =
                  dynamic_cast<const ResidualBlock *>(&layer))
         t = residualTransient(*block, in, backend, algo, threads);
-    else if (const auto *fc = dynamic_cast<const Linear *>(&layer))
-        t.scratch = linearScratch(*fc, in[0], backend, threads);
     return t;
 }
 

@@ -45,7 +45,7 @@ struct LayerMemory
     /**
      * The layer's scratch-arena demand: the sum of the aligned blocks
      * its kernels bump-allocate within one arena scope (im2col
-     * columns, per-thread GEMM C tiles, library packing buffers).
+     * columns, per-thread GEMM C tiles).
      */
     size_t scratchBytes = 0;
 };
@@ -77,13 +77,13 @@ struct MemoryEstimate
  * Estimate the tracker-observed peak of one inference of @p net on
  * @p input under the given backend, convolution algorithm, and thread
  * count (@p threads sizes the per-thread GEMM C tiles the OpenMP
- * backend draws from the scratch arena; other backends run the GEMM
- * serially). The GEMM-library paths assume the default
- * gemmlib::TuneConfig — an autotuned configuration changes the
- * padding, and the prediction with it. Inference mode only (training
- * caches are not modelled). Shapes must be consistent — run the
- * verifier first; this throws FatalError on a malformed network just
- * like the runtime would.
+ * backend draws from the scratch arena; Serial runs the GEMM
+ * serially). The estimate-only OpenCL backends, which the host cannot
+ * execute, are priced like the direct path: each conv's output and no
+ * host scratch. Inference mode only (training caches are not
+ * modelled). Shapes must be consistent — run the verifier first; this
+ * throws FatalError on a malformed network just like the runtime
+ * would.
  */
 MemoryEstimate estimateForwardMemory(const Network &net,
                                      const Shape &input,

@@ -35,12 +35,10 @@ gemmNaive(const float *a, const float *b, float *c, size_t m, size_t k,
 
 void
 gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
-            size_t n, const KernelPolicy &policy, size_t tileM,
-            size_t tileN, size_t tileK, const GemmConvFusion &fusion)
+            size_t n, const KernelPolicy &policy,
+            const GemmConvFusion &fusion)
 {
-    const size_t tm = tileM ? tileM : kGemmTileM;
-    const size_t tn = tileN ? tileN : kGemmTileN;
-    const size_t tk = tileK ? tileK : kGemmTileK;
+    constexpr size_t tm = kGemmTileM, tn = kGemmTileN, tk = kGemmTileK;
     const size_t panel = fusion.imageCols ? fusion.imageCols : n;
     const Im2colGroup *pack = fusion.packB;
     DLIS_ASSERT(!pack || pack->cols == b,

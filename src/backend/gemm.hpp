@@ -2,9 +2,8 @@
  * @file
  * Dense GEMM kernels: naive reference and cache-blocked.
  *
- * The blocked kernel is the building block of the CLBlast-style tuned
- * library (backend/gemmlib); the naive kernel is the reference every
- * other path is checked against in the tests.
+ * The blocked kernel runs every im2col+GEMM conv; the naive kernel is
+ * the reference every other path is checked against in the tests.
  */
 
 #ifndef DLIS_BACKEND_GEMM_HPP
@@ -18,13 +17,12 @@
 namespace dlis::kernels {
 
 /**
- * @name Default GEMM blocking factors.
+ * @name GEMM blocking factors.
  * Exported so the static memory estimate (analysis/memory_estimate)
  * can mirror the per-thread C-tile workspace gemmBlocked draws from
- * the scratch arena. They match gemmlib::TuneConfig's defaults.
- * kGemmTileN also bounds im2col batch folding: Conv2d puts just
- * enough images into one GEMM for N to reach one column tile
- * (kernels::im2colGroupImages).
+ * the scratch arena. kGemmTileN also bounds im2col batch folding:
+ * Conv2d puts just enough images into one GEMM for N to reach one
+ * column tile (kernels::im2colGroupImages).
  */
 /** @{ */
 inline constexpr size_t kGemmTileM = 32;
@@ -85,12 +83,10 @@ struct GemmConvFusion
  * (vector ISAs differ from scalar only by FMA's single rounding,
  * within the parity-test tolerances).
  *
- * @param tileM/tileN/tileK  blocking factors (0 means kGemmTile*)
- * @param fusion             in-region im2col pack and NCHW store
+ * @param fusion  in-region im2col pack and NCHW store
  */
 void gemmBlocked(const float *a, const float *b, float *c, size_t m,
                  size_t k, size_t n, const KernelPolicy &policy,
-                 size_t tileM = 0, size_t tileN = 0, size_t tileK = 0,
                  const GemmConvFusion &fusion = {});
 
 /** C = A^T * B where A is row-major [k, m]; used by conv backward. */

@@ -75,7 +75,7 @@ void im2colPack(const Im2colGroup &group, size_t task0, size_t task1);
 /**
  * Expand one image (CHW) into a [cin*kh*kw, hout*wout] column matrix:
  * im2colPack over the whole range of a one-image group. Conv backward
- * and the simulated GEMM library's per-image path use it.
+ * uses it.
  *
  * @param p      conv geometry (n is ignored; single image)
  * @param input  CHW input, cin*hin*win floats

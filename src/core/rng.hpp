@@ -3,9 +3,9 @@
  * Deterministic pseudo-random number generation.
  *
  * Everything in dlis that needs randomness (weight init, synthetic data,
- * augmentation crops, the GEMM auto-tuner's search) draws from an Rng
- * instance seeded explicitly, so every experiment is reproducible
- * bit-for-bit across runs. The generator is xoshiro256** seeded via
+ * augmentation crops, random pruning) draws from an Rng instance
+ * seeded explicitly, so every experiment is reproducible bit-for-bit
+ * across runs. The generator is xoshiro256** seeded via
  * splitmix64, chosen for speed and well-studied statistical quality.
  */
 

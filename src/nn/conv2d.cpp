@@ -5,7 +5,6 @@
 #include "backend/conv_kernels.hpp"
 #include "backend/gemm.hpp"
 #include "backend/im2col.hpp"
-#include "backend/oclsim/cl_kernels.hpp"
 #include "core/scratch_arena.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -106,9 +105,10 @@ Conv2d::forward(const Tensor &input, ExecContext &ctx)
         }
         break;
       case Backend::OclHandTuned:
-        return forwardOclHandTuned(input, ctx);
       case Backend::OclGemmLib:
-        return forwardIm2col(input, ctx);
+        fatal("backend '", backendName(ctx.backend),
+              "' is estimate-only (hw/cost_model) and has no host "
+              "execution");
     }
     return out;
 }
@@ -123,7 +123,6 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
     const size_t hw = p.hout() * p.wout();
     const size_t ck = cin_ * kernel_ * kernel_;
     const size_t inImg = cin_ * p.hin * p.win;
-    const bool oclLib = ctx.backend == Backend::OclGemmLib;
 
     Tensor out(outputShape(input.shape()));
     const float *bias_ptr = withBias_ ? bias_.data() : nullptr;
@@ -131,11 +130,10 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
 
     // Images run in groups of g: their columns sit side by side in one
     // [ck, g*hw] matrix, so a small-spatial layer streams its weights
-    // once per group instead of once per image. The simulated GEMM
-    // library keeps one image per call, so its transfer accounting
-    // stays per image. Each output element is still one ascending-k
-    // chain, so grouping changes no bit of the result.
-    const size_t g = oclLib ? 1 : kernels::im2colGroupImages(p);
+    // once per group instead of once per image. Each output element
+    // is still one ascending-k chain, so grouping changes no bit of
+    // the result.
+    const size_t g = kernels::im2colGroupImages(p);
     const bool copyCols = g > 1 || !kernels::im2colIsIdentity(p);
 
     // The column matrix comes from the context's scratch arena and is
@@ -155,28 +153,12 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
         if (copyCols && pol.counters.im2colBytes)
             pol.counters.im2colBytes->add(ck * n * sizeof(float));
 
-        // The native path packs the columns inside the GEMM's own
-        // parallel team and stores each tile straight into its images'
-        // NCHW planes; the library ships flat per-image matrices.
+        // The GEMM's own parallel team packs the columns and stores
+        // each tile straight into its images' NCHW planes.
         obs::TraceSpan gemmSpan(ctx.tracer, name_ + ".gemm", "kernel");
-        if (oclLib) {
-            DLIS_CHECK(ctx.gemmLib,
-                       "OclGemmLib backend needs ctx.gemmLib");
-            if (copyCols)
-                kernels::im2col(p, in0, cols);
-            if (ctx.queue) {
-                // The paper flattens every matrix and ships it through
-                // OpenCL buffers before each library call.
-                ctx.queue->recordTransfer(
-                    ck * n * sizeof(float) + weight_.bytes(), true);
-                ctx.queue->recordTransfer(cout_ * n * sizeof(float), false);
-            }
-            ctx.gemmLib->gemm(weight_.data(), b, out0, cout_, ck, n, pol);
-        } else {
-            const kernels::Im2colGroup group{p, in0, imgs, cols};
-            kernels::gemmBlocked(weight_.data(), b, out0, cout_, ck, n, pol,
-                                 0, 0, 0, {copyCols ? &group : nullptr, hw});
-        }
+        const kernels::Im2colGroup group{p, in0, imgs, cols};
+        kernels::gemmBlocked(weight_.data(), b, out0, cout_, ck, n, pol,
+                             {copyCols ? &group : nullptr, hw});
         gemmSpan.finish();
 
         if (!bias_ptr)
@@ -187,23 +169,6 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
                 dst[s] += bias_ptr[i % cout_];
         }
     }
-    return out;
-}
-
-Tensor
-Conv2d::forwardOclHandTuned(const Tensor &input, ExecContext &ctx)
-{
-    DLIS_CHECK(format_ == WeightFormat::Dense,
-               "OpenCL hand-tuned path requires dense weights in '",
-               name_, "'");
-    DLIS_CHECK(ctx.queue, "OclHandTuned backend needs ctx.queue");
-    const ConvParams p = paramsFor(input.shape());
-    Tensor out(outputShape(input.shape()));
-
-    ctx.queue->recordTransfer(input.bytes() + weight_.bytes(), true);
-    oclsim::clConvDirect(*ctx.queue, p, input.data(), weight_.data(),
-                         withBias_ ? bias_.data() : nullptr, out.data());
-    ctx.queue->recordTransfer(out.bytes(), false);
     return out;
 }
 

@@ -5,8 +5,8 @@
  * Supports every cell of the paper's configuration matrix:
  *  - formats: dense OIHW weights or CSR ([cout, cin*kh*kw]);
  *  - algorithms: direct convolution or im2col + GEMM;
- *  - backends: serial, OpenMP, hand-tuned OpenCL, CLBlast-style GEMM
- *    library (both simulated, see backend/oclsim).
+ *  - backends: serial and OpenMP. The simulated OpenCL backends are
+ *    estimate-only (hw/cost_model); a forward under them throws.
  *
  * Channel surgery (keepOutputChannels / keepInputChannels) implements
  * the "recast as a new dense network" step of channel pruning (§III-B).
@@ -114,7 +114,6 @@ class Conv2d : public Layer
 
   private:
     Tensor forwardIm2col(const Tensor &input, ExecContext &ctx);
-    Tensor forwardOclHandTuned(const Tensor &input, ExecContext &ctx);
 
     size_t cin_, cout_, kernel_, stride_, pad_;
     bool withBias_;

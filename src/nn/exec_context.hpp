@@ -14,8 +14,6 @@
 #include <unordered_map>
 
 #include "backend/conv_params.hpp"
-#include "backend/gemmlib/tuned_gemm.hpp"
-#include "backend/oclsim/ndrange.hpp"
 #include "core/scratch_arena.hpp"
 
 namespace dlis {
@@ -25,17 +23,24 @@ class Tracer;
 class Metrics;
 } // namespace obs
 
-/** Systems-layer candidate (paper §IV-D). */
+/**
+ * Systems-layer candidate (paper §IV-D). The two OpenCL backends are
+ * estimate-only: hw/cost_model prices them for the Mali GPU, and the
+ * host cannot execute them.
+ */
 enum class Backend
 {
     Serial,       //!< single-threaded C reference
     OpenMP,       //!< CPU parallel-for, dynamic schedule
-    OclHandTuned, //!< hand-tuned OpenCL dot-product kernels (simulated)
-    OclGemmLib,   //!< CLBlast-style im2col + tuned GEMM (simulated)
+    OclHandTuned, //!< hand-tuned OpenCL dot-product kernels (estimated)
+    OclGemmLib,   //!< CLBlast-style im2col + tuned GEMM (estimated)
 };
 
 /** Human-readable backend name. */
 const char *backendName(Backend b);
+
+/** True for the backends the host executes (Serial, OpenMP). */
+bool runsOnHost(Backend b);
 
 /** Data-format layer candidate (paper §IV-C). */
 enum class WeightFormat
@@ -71,7 +76,7 @@ bool algoFromToken(const std::string &token, ConvAlgo &out);
  * One layer's {backend, algorithm, threads} override from a tuned
  * DeploymentPlan (src/tune). Network::forward applies it for the
  * named layer only; every other field of the surrounding ExecContext
- * (arena, tracer, metrics, gemmLib, queue) is shared unchanged.
+ * (arena, tracer, metrics) is shared unchanged.
  */
 struct LayerExecOverride
 {
@@ -87,12 +92,6 @@ struct ExecContext
     int threads = 1;
     ConvAlgo convAlgo = ConvAlgo::Direct;
     bool training = false; //!< cache activations for backward
-
-    /** Command queue for the OpenCL-simulated backends (not owned). */
-    oclsim::CommandQueue *queue = nullptr;
-
-    /** GEMM library instance for Backend::OclGemmLib (not owned). */
-    gemmlib::GemmLibrary *gemmLib = nullptr;
 
     /**
      * Span tracer (not owned). Null disables tracing entirely; the

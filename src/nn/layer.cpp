@@ -16,6 +16,12 @@ backendName(Backend b)
     return "?";
 }
 
+bool
+runsOnHost(Backend b)
+{
+    return b == Backend::Serial || b == Backend::OpenMP;
+}
+
 const char *
 weightFormatName(WeightFormat f)
 {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "backend/linear_kernels.hpp"
-#include "core/scratch_arena.hpp"
 
 namespace dlis {
 
@@ -54,43 +53,6 @@ Linear::forward(const Tensor &input, ExecContext &ctx)
         kernels::linearCsr(input.data(), *csr_, bias_.data(), out.data(),
                            batch, inFeatures_, outFeatures_,
                            kernelPolicy(ctx));
-    } else if (ctx.backend == Backend::OclGemmLib) {
-        // Deployment routes fully-connected layers through the same
-        // tuned GEMM library as the convolutions (the hardware cost
-        // model already bills them as library calls):
-        // out^T [outF, batch] = W [outF, inF] x in^T [inF, batch].
-        DLIS_CHECK(ctx.gemmLib,
-                   "OclGemmLib backend needs ctx.gemmLib");
-        const KernelPolicy pol = kernelPolicy(ctx);
-        ScratchArena localArena;
-        ScratchArena &ar = pol.arena ? *pol.arena : localArena;
-        ScratchArena::Scope scope(ar, pol.counters);
-        if (ctx.queue)
-            ctx.queue->recordTransfer(
-                input.bytes() + weight_.bytes() + bias_.bytes(), true);
-        if (batch == 1) {
-            // A single row needs no staging: in [1, inF] already has
-            // in^T's layout and C [outF, 1] has out's.
-            ctx.gemmLib->gemm(weight_.data(), input.data(), out.data(),
-                              outFeatures_, inFeatures_, 1, pol);
-            for (size_t o = 0; o < outFeatures_; ++o)
-                out[o] += bias_[o];
-        } else {
-            float *in_t = ar.allocFloats(inFeatures_ * batch);
-            float *out_t = ar.allocFloats(outFeatures_ * batch);
-            for (size_t b = 0; b < batch; ++b)
-                for (size_t i = 0; i < inFeatures_; ++i)
-                    in_t[i * batch + b] =
-                        input.data()[b * inFeatures_ + i];
-            ctx.gemmLib->gemm(weight_.data(), in_t, out_t,
-                              outFeatures_, inFeatures_, batch, pol);
-            for (size_t b = 0; b < batch; ++b)
-                for (size_t o = 0; o < outFeatures_; ++o)
-                    out.data()[b * outFeatures_ + o] =
-                        out_t[o * batch + b] + bias_[o];
-        }
-        if (ctx.queue)
-            ctx.queue->recordTransfer(out.bytes(), false);
     } else {
         kernels::linearDense(input.data(), weight_.data(), bias_.data(),
                              out.data(), batch, inFeatures_,

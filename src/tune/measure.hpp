@@ -3,13 +3,11 @@
  * Deterministic measurement harness shared by every timing loop in
  * the repo: warmup runs (untimed) followed by a median-of-k sample.
  *
- * The GEMM-library auto-tuner (backend/gemmlib/autotuner.cpp), the
- * kernel microbench aggregates (bench/kernel_microbench.cpp), and the
- * per-layer deployment tuner (tune/tuner.cpp) all reduce repeated
- * timings the same way; before this header each had its own ad-hoc
- * copy with subtly different policies (best-of vs median, warmup or
- * not). One utility means one policy — median, because kernel times
- * on a shared host are skewed one-sided by scheduler noise — and one
+ * The kernel microbench aggregates (bench/kernel_microbench.cpp) and
+ * the per-layer deployment tuner (tune/tuner.cpp) reduce repeated
+ * timings the same way. One utility means one policy — median,
+ * because kernel times on a shared host are skewed one-sided by
+ * scheduler noise — and one
  * injection point for a fake clock, which is what makes the tuner's
  * choice reproducible in tests (same inputs, same clock stream, same
  * chosen configuration, byte-identical plan).

@@ -407,12 +407,6 @@ overridesOf(const DeploymentPlan &plan)
     return ov;
 }
 
-bool
-cpuBackend(Backend b)
-{
-    return b == Backend::Serial || b == Backend::OpenMP;
-}
-
 void
 renderLayer(std::ostringstream &oss, const LayerPlan &lp)
 {
@@ -633,7 +627,7 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
                        "plan signature " + plan.networkSignature +
                            " does not match this network (" + sig +
                            "); model, width, format or input differ");
-    if (!cpuBackend(plan.defaultBackend))
+    if (!runsOnHost(plan.defaultBackend))
         analysis::diag(out, Severity::Error, Check::BadConfig, "",
                        "default_backend must be a CPU backend");
     if (plan.defaultThreads < 1)
@@ -659,7 +653,7 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
         }
         // The tuner measures only the host's CPU backends; a layer on
         // a simulated OpenCL backend was never measured here.
-        if (!cpuBackend(lp.backend)) {
+        if (!runsOnHost(lp.backend)) {
             analysis::diag(out, Severity::Error, Check::BadConfig,
                            lp.layer,
                            std::string("backend '") +

@@ -21,7 +21,7 @@
  *     weights, OpenMP x 1) is never generated;
  *  2. measure every legal candidate, in enumeration order, on the
  *     real layer geometry with the shared warmup+median-of-k harness
- *     (tune/measure.hpp) — the same loop the GEMM-library auto-tuner
+ *     (tune/measure.hpp) — the same loop the kernel microbench
  *     runs, lifted to whole layers. The grid holds at most six
  *     points per layer at the default thread candidates, so nothing
  *     is pruned by prediction: a cost model that cannot tell the CPU

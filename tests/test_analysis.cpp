@@ -524,6 +524,31 @@ TEST(ServePreflight, BadDeploymentRejectedBeforeWorkersSpawn)
     }
 }
 
+TEST(ServePreflight, SimulatedBackendIsRejected)
+{
+    // The OpenCL backends are estimate-only: a dense model passes the
+    // verifier on them, but no worker could run a single request.
+    StackConfig config;
+    config.modelName = "vgg16";
+    config.widthMult = 0.25;
+    InferenceStack stack(config);
+
+    for (const Backend b : {Backend::OclHandTuned, Backend::OclGemmLib}) {
+        serve::ServeConfig serveConfig;
+        serveConfig.workers = 1;
+        serveConfig.backend = b;
+        try {
+            serve::InferenceEngine engine(stack, serveConfig);
+            ADD_FAILURE() << "engine accepted " << backendName(b);
+        } catch (const serve::RejectedError &e) {
+            EXPECT_EQ(e.reason(), serve::RejectReason::BadConfig);
+            EXPECT_NE(std::string(e.what()).find("estimate-only"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(ServePreflight, CleanDeploymentStartsAndServes)
 {
     StackConfig config;

@@ -2,8 +2,9 @@
  * @file
  * Cross-backend differential tests: the three Conv2D execution paths
  * (direct dense, direct CSR, im2col+GEMM) must agree
- * numerically on randomized geometries, or the serving engine's
- * freedom to pick any backend per worker silently changes answers.
+ * numerically on randomized geometries and on whole paper models, or
+ * the serving engine's freedom to pick any backend per worker silently
+ * changes answers.
  *
  * Shapes, strides and padding are drawn from a seeded Rng; every
  * assertion carries the offending geometry so a failure reproduces
@@ -14,6 +15,7 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/depthwise_conv2d.hpp"
+#include "nn/models/model.hpp"
 #include "test_helpers.hpp"
 
 namespace dlis {
@@ -159,6 +161,52 @@ TEST(BackendParity, MobileNetDepthwisePointwisePair)
             expectRelClose(pwRef, pw.forward(dwRef, ctx), kTol,
                            "pointwise direct CSR");
             pw.setFormat(WeightFormat::Dense);
+        }
+    }
+}
+
+TEST(BackendParity, PaperModelsAgreeAcrossHostBackends)
+{
+    // The paper's correctness baseline: every host systems-layer
+    // candidate computes the same function on the whole model.
+    for (const char *name : {"vgg16", "resnet18", "mobilenet"}) {
+        SCOPED_TRACE(name);
+        Rng rng(3);
+        Model m = makeModel(name, 10, 0.25, rng);
+        const Tensor in = test::randomTensor(Shape{1, 3, 32, 32}, 4);
+
+        ExecContext serial;
+        const Tensor ref = m.net.forward(in, serial);
+        for (const int threads : {3, 4}) {
+            ExecContext omp;
+            omp.backend = Backend::OpenMP;
+            omp.threads = threads;
+            EXPECT_LE(m.net.forward(in, omp).maxAbsDiff(ref), 1e-6f)
+                << "OpenMP x" << threads;
+        }
+        ExecContext im2col;
+        im2col.convAlgo = ConvAlgo::Im2colGemm;
+        EXPECT_LE(m.net.forward(in, im2col).maxAbsDiff(ref), 2e-3f);
+    }
+}
+
+TEST(BackendParity, EstimateOnlyBackendsRefuseToRun)
+{
+    // The OpenCL backends exist only in hw/cost_model's Mali
+    // estimates; a host forward under them must fail loudly.
+    Rng rng(5);
+    Model m = makeVgg16(10, 0.0625, rng);
+    const Tensor in = test::randomTensor(Shape{1, 3, 32, 32}, 6);
+    for (const Backend b : {Backend::OclHandTuned, Backend::OclGemmLib}) {
+        ExecContext ctx;
+        ctx.backend = b;
+        try {
+            (void)m.net.forward(in, ctx);
+            ADD_FAILURE() << backendName(b) << " ran on the host";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("estimate-only"),
+                      std::string::npos)
+                << e.what();
         }
     }
 }

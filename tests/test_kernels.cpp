@@ -17,7 +17,6 @@
 #include "backend/gemm.hpp"
 #include "backend/im2col.hpp"
 #include "backend/linear_kernels.hpp"
-#include "backend/oclsim/cl_kernels.hpp"
 #include "test_helpers.hpp"
 
 namespace dlis {
@@ -127,18 +126,6 @@ TEST_P(ConvPathsTest, AllPathsMatchReference)
                         bias[oc];
         expectClose(out, ref, 5e-4f);
     }
-
-    // Simulated OpenCL hand-tuned kernel.
-    {
-        oclsim::CommandQueue queue;
-        Tensor out(ref.shape());
-        oclsim::clConvDirect(queue, p, input.data(), weight.data(),
-                             bias.data(), out.data());
-        expectClose(out, ref, 5e-4f);
-        EXPECT_EQ(queue.launches().size(), 1u);
-        EXPECT_GE(queue.launches()[0].workItems,
-                  p.hout() * p.wout() * c.n * c.cout);
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -213,7 +200,7 @@ class GemmTest : public ::testing::TestWithParam<GemmCase>
 {
 };
 
-TEST_P(GemmTest, BlockedAndTiledMatchNaive)
+TEST_P(GemmTest, BlockedMatchesNaive)
 {
     const auto [m, k, n] = GetParam();
     Tensor a = randomTensor(Shape{m, k}, 40);
@@ -226,26 +213,18 @@ TEST_P(GemmTest, BlockedAndTiledMatchNaive)
     kernels::gemmBlocked(a.data(), b.data(), blocked.data(), m, k, n,
                          {1});
     expectClose(blocked, ref, 1e-3f);
-
-    Tensor blocked_small(Shape{m, n});
-    kernels::gemmBlocked(a.data(), b.data(), blocked_small.data(), m, k,
-                         n, {1}, 8, 8, 8);
-    expectClose(blocked_small, ref, 1e-3f);
-
-    oclsim::CommandQueue queue;
-    Tensor tiled(Shape{m, n});
-    oclsim::clGemmTiled(queue, a.data(), b.data(), tiled.data(), m, k,
-                        n, 8);
-    expectClose(tiled, ref, 1e-3f);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, GemmTest,
-                         ::testing::Values(GemmCase{1, 1, 1},
-                                           GemmCase{3, 5, 7},
-                                           GemmCase{8, 8, 8},
-                                           GemmCase{16, 32, 8},
-                                           GemmCase{33, 17, 65},
-                                           GemmCase{64, 64, 64}));
+// The last shape spans three tiles in each of m, n and k, the third
+// one partial.
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, GemmTest,
+    ::testing::Values(GemmCase{1, 1, 1}, GemmCase{3, 5, 7},
+                      GemmCase{8, 8, 8}, GemmCase{16, 32, 8},
+                      GemmCase{33, 17, 65}, GemmCase{64, 64, 64},
+                      GemmCase{2 * kernels::kGemmTileM + 5,
+                               2 * kernels::kGemmTileK + 3,
+                               2 * kernels::kGemmTileN + 9}));
 
 TEST(Gemm, TransposedVariantsMatchNaive)
 {

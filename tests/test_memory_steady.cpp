@@ -19,8 +19,6 @@
 #include <future>
 
 #include "backend/gemm.hpp"
-#include "backend/gemmlib/tuned_gemm.hpp"
-#include "backend/oclsim/ndrange.hpp"
 #include "core/memory_tracker.hpp"
 #include "core/scratch_arena.hpp"
 #include "nn/models/model.hpp"
@@ -92,25 +90,6 @@ TEST(MemorySteadyState, SecondForwardAllocatesNothingPerBackendAlgo)
                         std::to_string(batch));
             }
         }
-    }
-}
-
-TEST(MemorySteadyState, SecondForwardAllocatesNothingGemmLibrary)
-{
-    for (const char *model : {"vgg16", "resnet18", "mobilenet"}) {
-        Rng rng(13);
-        Model m = makeModel(model, 10, 0.25, rng);
-        Tensor in = test::randomTensor(Shape{1, 3, 32, 32}, 14);
-
-        gemmlib::GemmLibrary lib;
-        oclsim::CommandQueue queue;
-        ExecContext ctx;
-        ctx.backend = Backend::OclGemmLib;
-        ctx.gemmLib = &lib;
-        ctx.queue = &queue;
-        expectSecondForwardAllocationFree(m, in, ctx,
-                                          std::string(model) +
-                                              "/gemmlib");
     }
 }
 

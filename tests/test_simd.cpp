@@ -27,7 +27,6 @@
 
 #include "backend/conv_kernels.hpp"
 #include "backend/gemm.hpp"
-#include "backend/gemmlib/tuned_gemm.hpp"
 #include "backend/im2col.hpp"
 #include "backend/simd/dispatch.hpp"
 #include "backend/simd/isa.hpp"
@@ -304,11 +303,6 @@ TEST(SimdGemm, NonFiniteInputsPropagateInEveryVariant)
     }
     expectSameClass(c.data(), "gemmBlocked native");
     {
-        gemmlib::GemmLibrary lib;
-        lib.gemm(a.data(), b.data(), c.data(), m, k, n, {1});
-        expectSameClass(c.data(), "GemmLibrary");
-    }
-    {
         // A^T layout: at[p * m + i] = a[i * k + p].
         std::vector<float> at(k * m);
         for (size_t i = 0; i < m; ++i)
@@ -418,14 +412,14 @@ TEST(Im2colPack, MatchesReferenceBitForBit)
     // Every gather the packer picks (plane copy, offset table, row
     // spans) over kernels 1/3/5, strides 1/2, pads 0/1/2, planes from
     // 1x1 to 32x32 and groups of 1/3/8 images. Each group is packed
-    // inside gemmBlocked's team of 1-4 threads (four 1-row tiles, so
+    // inside gemmBlocked's team of 1-4 threads (four row tiles, so
     // the team is not clamped below the request) and must equal the
     // reference loop byte for byte — NaN and -0.0 inputs included, as
     // a pure copy keeps them — and write nothing past the matrix. The
     // GEMM's NCHW-plane store must equal a plain [m, n] GEMM on the
     // reference columns, remapped. A one-image group also goes
     // through kernels::im2col.
-    constexpr size_t kCin = 3, kM = 4, kGuard = 16;
+    constexpr size_t kCin = 3, kM = 4 * kernels::kGemmTileM, kGuard = 16;
     // 3x48 is a wide plane shorter than a 5x5 kernel's reach: some
     // taps of the row-span gather have no in-bounds output row.
     const std::pair<size_t, size_t> planes[] = {
@@ -456,7 +450,7 @@ TEST(Im2colPack, MatchesReferenceBitForBit)
         const auto weight = randomVec(kM * rows, seed++);
         std::vector<float> flat(kM * n);
         kernels::gemmBlocked(weight.data(), ref.data(), flat.data(), kM,
-                             rows, n, KernelPolicy{1}, 1);
+                             rows, n, KernelPolicy{1});
 
         for (const int team : {1, 2, 3, 4}) {
             std::vector<float> cols(rows * n + kGuard, -7.0f);
@@ -464,8 +458,8 @@ TEST(Im2colPack, MatchesReferenceBitForBit)
             const kernels::Im2colGroup group{p, input.data(), imgs,
                                              cols.data()};
             kernels::gemmBlocked(weight.data(), cols.data(), out.data(),
-                                 kM, rows, n, KernelPolicy{team}, 1, 0,
-                                 0, {&group, hw});
+                                 kM, rows, n, KernelPolicy{team},
+                                 {&group, hw});
             ASSERT_EQ(std::memcmp(cols.data(), ref.data(),
                                   ref.size() * sizeof(float)),
                       0)
