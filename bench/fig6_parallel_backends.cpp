@@ -92,9 +92,9 @@ main()
         const auto costs = stack.stageCosts();
         table.addRow(
             {model,
-             fmtSeconds(odroid.estimateOclGemmLib(costs).total()),
+             fmtSeconds(odroid.estimateGpuGemmLib(costs).total()),
              fmtSeconds(odroid.estimateCpu(costs, 8).total()),
-             fmtSeconds(odroid.estimateOclHandTuned(costs).total())});
+             fmtSeconds(odroid.estimateGpuHandTuned(costs).total())});
     }
     table.print();
     bench::writeBenchOutputs(table, "fig6");
@@ -109,9 +109,9 @@ main()
                        "opencl-hand (s)"});
         ext.addRow(
             {"vgg16@224",
-             fmtSeconds(odroid.estimateOclGemmLib(costs).total()),
+             fmtSeconds(odroid.estimateGpuGemmLib(costs).total()),
              fmtSeconds(odroid.estimateCpu(costs, 8).total()),
-             fmtSeconds(odroid.estimateOclHandTuned(costs).total())});
+             fmtSeconds(odroid.estimateGpuHandTuned(costs).total())});
         ext.print();
         bench::writeBenchOutputs(ext, "fig6_imagenet");
     }

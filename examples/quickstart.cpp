@@ -64,6 +64,6 @@ main(int argc, char **argv)
         std::printf("  i7-3820,    %d threads: %.3f s\n", threads,
                     i7.estimateCpu(costs, threads).total());
     std::printf("  odroid-xu4, hand-tuned OpenCL: %.3f s\n",
-                odroid.estimateOclHandTuned(costs).total());
+                odroid.estimateGpuHandTuned(costs).total());
     return 0;
 }

@@ -8,7 +8,10 @@
  *             [--width <mult>]        width multiplier (default 0.5)
  *             [--technique plain|wp|cp|ttq] [--rate-param <fraction>]
  *             [--format dense|csr|packed]
- *             [--backend serial|openmp] [--threads <n>]
+ *             [--backend serial|openmp] worker backend (default
+ *                                     serial)
+ *             [--threads <n>]         OpenMP threads per worker
+ *                                     (default 4)
  *             [--plan <file>]         execute a tuned per-layer
  *                                     DeploymentPlan; the pre-flight
  *                                     rejects a corrupt, stale, or
@@ -41,10 +44,14 @@
  * quantities (plus the rolling windows) are scrapeable live:
  *
  *   curl http://127.0.0.1:<p>/metrics
+ *
+ * Bad arguments (an unknown token, a malformed number) exit 1 with a
+ * message on stderr.
  */
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <string>
 
@@ -78,10 +85,8 @@ hasFlag(int argc, char **argv, const char *flag)
     return false;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runServeCli(int argc, char **argv)
 {
     StackConfig config;
     config.modelName = argValue(argc, argv, "--model", "mobilenet");
@@ -118,11 +123,8 @@ main(int argc, char **argv)
     serve::ServeConfig serveConfig;
     const std::string backend =
         argValue(argc, argv, "--backend", "serial");
-    if (backend == "openmp")
-        serveConfig.backend = Backend::OpenMP;
-    else if (backend != "serial")
-        fatal("serve supports the serial and openmp backends, not '",
-              backend, "'");
+    if (!backendFromToken(backend, serveConfig.backend))
+        fatal("unknown backend '", backend, "'");
     serveConfig.threads =
         std::stoi(argValue(argc, argv, "--threads", "4"));
     serveConfig.workers = static_cast<size_t>(
@@ -238,4 +240,17 @@ main(int argc, char **argv)
             std::printf("trace: FAILED to write %s\n", tracePath);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return runServeCli(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "serve_cli: %s\n", e.what());
+        return 1;
+    }
 }

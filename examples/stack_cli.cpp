@@ -9,15 +9,23 @@
  *             [--rate <fraction>]        sparsity / compression rate
  *             [--format dense|csr|packed]
  *             [--width <mult>]           width multiplier (default 0.5)
- *             [--threads <n>]            simulated OpenMP threads
+ *             [--threads <n>]            OpenMP threads of the host
+ *                                        run and the CPU estimate
+ *                                        (default 4)
  *             [--platform odroid|i7]     simulated device of the
  *                                        default expected-vs-actual
- *                                        report (default odroid)
- *             [--backend serial|openmp|opencl|clblast]
+ *                                        report (default odroid); a
+ *                                        device with a GPU model also
+ *                                        prints its OpenCL and
+ *                                        CLBlast estimates
+ *             [--backend serial|openmp]  host backend of the timed
+ *                                        run, the CPU estimate and
+ *                                        the --verify/--analyze
+ *                                        target (default openmp)
  *             [--algo direct|im2col]
  *             [--repeat <n>]             host-timing repeats (default 1)
  *             [--verify]                 statically verify the stack
- *                                        configuration (shapes, backend
+ *                                        configuration (shapes, algorithm
  *                                        capabilities, sparse formats,
  *                                        memory estimate) and exit;
  *                                        nonzero exit on any error
@@ -74,7 +82,8 @@
  *                                        forward, report its p50
  *
  * Prints the configured stack's achieved compression, simulated
- * platform time, host-measured time, and memory footprint. With
+ * platform time, host-measured time, and memory footprint. Bad
+ * arguments exit 1 with a message on stderr. With
  * --repeat > 1 the host time becomes a p50/p90/p99 distribution and
  * the expected-vs-actual table is printed per conv layer. Serving
  * (the batched engine under an arrival trace) is serve_cli's job.
@@ -83,6 +92,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -154,19 +164,19 @@ parseConvAlgo(const std::string &name)
 
 /** --verify mode: static analysis of the configured stack, no run. */
 int
-runVerify(InferenceStack &stack, const std::string &backend,
+runVerify(InferenceStack &stack, Backend backend,
           const std::string &algo, int threads)
 {
     analysis::VerifyOptions opts;
     opts.input = stack.inputShape(1);
-    opts.backend = parseBackend(backend);
+    opts.backend = backend;
     opts.convAlgo = parseConvAlgo(algo);
     opts.threads = threads;
 
     const analysis::VerifyReport report =
         analysis::verifyNetwork(stack.model().net, opts);
     std::printf("verify: %s | %s | %s | input %s\n",
-                stack.config().modelName.c_str(), backend.c_str(),
+                stack.config().modelName.c_str(), backendToken(backend),
                 algo.c_str(), opts.input.str().c_str());
     std::printf("%s\n", report.str().c_str());
     if (report.memoryEstimated) {
@@ -184,12 +194,11 @@ runVerify(InferenceStack &stack, const std::string &backend,
 /** --analyze mode: interval dataflow, no run. */
 int
 runAnalyze(int argc, char **argv, InferenceStack &stack,
-           const std::string &backend, const std::string &algo,
-           int threads)
+           Backend backend, const std::string &algo, int threads)
 {
     analysis::AnalyzeOptions opts;
     opts.input = stack.inputShape(1);
-    opts.backend = parseBackend(backend);
+    opts.backend = backend;
     opts.convAlgo = parseConvAlgo(algo);
     opts.threads = threads;
     opts.inputRange = analysis::Interval{
@@ -202,7 +211,8 @@ runAnalyze(int argc, char **argv, InferenceStack &stack,
         std::printf("%s\n", report.json().c_str());
     } else {
         std::printf("analyze: %s | %s | %s | input %s\n",
-                    stack.config().modelName.c_str(), backend.c_str(),
+                    stack.config().modelName.c_str(),
+                    backendToken(backend),
                     algo.c_str(), opts.input.str().c_str());
         std::printf("%s\n", report.str().c_str());
     }
@@ -453,10 +463,8 @@ runPlan(int argc, char **argv, InferenceStack &stack,
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runStackCli(int argc, char **argv)
 {
     const std::string model = argValue(argc, argv, "--model", "vgg16");
     const std::string technique =
@@ -471,8 +479,8 @@ main(int argc, char **argv)
         std::stoi(argValue(argc, argv, "--threads", "4"));
     const DeviceModel device =
         parsePlatform(argValue(argc, argv, "--platform", "odroid"));
-    const std::string backend =
-        argValue(argc, argv, "--backend", "openmp");
+    const Backend backend =
+        parseBackend(argValue(argc, argv, "--backend", "openmp"));
 
     StackConfig config;
     config.modelName = model;
@@ -520,20 +528,6 @@ main(int argc, char **argv)
     const std::string planPath = argValue(argc, argv, "--plan", "");
     if (!planPath.empty())
         return runPlan(argc, argv, stack, planPath);
-    const CostModel cost(device);
-    const auto costs = stack.stageCosts();
-
-    double simulated = 0.0;
-    if (backend == "openmp") {
-        simulated = cost.estimateCpu(costs, threads).total();
-    } else if (backend == "opencl") {
-        simulated = cost.estimateOclHandTuned(costs).total();
-    } else if (backend == "clblast") {
-        simulated = cost.estimateOclGemmLib(costs).total();
-    } else {
-        fatal("unknown backend '", backend, "'");
-    }
-
     const size_t repeats = static_cast<size_t>(
         std::stoul(argValue(argc, argv, "--repeat", "1")));
     const std::string tracePath =
@@ -544,6 +538,8 @@ main(int argc, char **argv)
     obs::Tracer tracer;
     obs::Metrics metrics;
     ExecContext ctx;
+    ctx.backend = backend;
+    ctx.threads = threads;
     // --algo selects the measured conv algorithm too, not only the
     // --verify target (im2col is how --metrics shows the arena warm).
     ctx.convAlgo =
@@ -552,6 +548,13 @@ main(int argc, char **argv)
         ctx.tracer = &tracer;
     if (!tracePath.empty() || !metricsPath.empty() || repeats > 1)
         ctx.metrics = &metrics;
+
+    // The CPU estimate and the printed lines use the thread count the
+    // host run gets.
+    const int hostThreads = ctx.policy().threads;
+    const CostModel cost(device);
+    const auto costs = stack.stageCosts();
+    const double simulated = cost.estimateCpu(costs, hostThreads).total();
 
     const RunReport run =
         collectRunReport(stack, ctx, repeats ? repeats : 1);
@@ -583,14 +586,24 @@ main(int argc, char **argv)
     std::printf("  MACs remaining:   %s of dense\n",
                 fmtPercent(stack.macFraction()).c_str());
     std::printf("  sim %s/%s x%d:    %.4f s\n", device.name.c_str(),
-                backend.c_str(), threads, simulated);
+                backendToken(backend), hostThreads, simulated);
+    if (device.gpu) {
+        std::printf("  sim %s/opencl:    %.4f s\n", device.name.c_str(),
+                    cost.estimateGpuHandTuned(costs).total());
+        std::printf("  sim %s/clblast:   %.4f s\n", device.name.c_str(),
+                    cost.estimateGpuGemmLib(costs).total());
+    }
+    std::string host = std::string("host ") + backendToken(backend);
+    if (backend == Backend::OpenMP)
+        host += " x" + std::to_string(hostThreads);
+    host += ":";
     if (run.repeats > 1)
-        std::printf("  host serial:      p50 %.4f s  p90 %.4f s  "
-                    "p99 %.4f s (%zu repeats)\n",
-                    run.latency.p50, run.latency.p90, run.latency.p99,
-                    run.repeats);
+        std::printf("  %-18sp50 %.4f s  p90 %.4f s  p99 %.4f s "
+                    "(%zu repeats)\n",
+                    host.c_str(), run.latency.p50, run.latency.p90,
+                    run.latency.p99, run.repeats);
     else
-        std::printf("  host serial:      %.4f s\n", run.latency.p50);
+        std::printf("  %-18s%.4f s\n", host.c_str(), run.latency.p50);
     std::printf("  memory: total %s MB (weights %s, csr-meta %s, "
                 "activations %s)\n",
                 fmtMb(fp.total).c_str(), fmtMb(fp.weights).c_str(),
@@ -599,4 +612,17 @@ main(int argc, char **argv)
     if (ctx.metrics)
         printRunReport(run);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return runStackCli(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "stack_cli: %s\n", e.what());
+        return 1;
+    }
 }

@@ -26,7 +26,6 @@ static constexpr const char *kCheckNames[] = {
     "channel-mismatch",
     "spatial-underflow",
     "pool-truncation",
-    "unsupported-format",
     "algo-ignored",
     "bad-row-ptr",
     "unsorted-columns",

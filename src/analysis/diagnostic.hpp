@@ -36,8 +36,7 @@ enum class Check
     SpatialUnderflow,  //!< kernel larger than padded input
     PoolTruncation,    //!< pool window does not divide the input
 
-    // Backend / algorithm capability rules
-    UnsupportedFormat, //!< backend has no kernel for the format
+    // Algorithm capability rules
     AlgoIgnored,       //!< requested algorithm silently ignored
 
     // Sparse-format invariants

@@ -22,14 +22,21 @@ bytesOf(const Shape &s)
 /**
  * Thread count gemmBlocked's per-thread C tiles are sized for, given
  * the context's backend and thread setting (ExecContext::policy gives
- * non-OpenMP backends a serial kernel policy).
+ * the Serial backend a serial kernel policy; a build without OpenMP
+ * runs every GEMM on one thread).
  */
 size_t
 effectiveThreads(Backend backend, int threads)
 {
+#if DLIS_HAVE_OPENMP
     return backend == Backend::OpenMP && threads > 1
                ? static_cast<size_t>(threads)
                : size_t{1};
+#else
+    (void)backend;
+    (void)threads;
+    return 1;
+#endif
 }
 
 /**
@@ -61,9 +68,7 @@ gemmTileDemand(size_t m, size_t n, size_t threads, bool planar)
  *  scratch-arena demand — the sum of the aligned block sizes its
  *  kernels bump-allocate within one scope (im2col columns, GEMM C
  *  tiles); the arena's grow-only capacity, and therefore the
- *  tracker's Scratch class, peaks at the largest layer demand. The
- *  estimate-only OpenCL backends are priced like the direct path:
- *  their output, and no host scratch. */
+ *  tracker's Scratch class, peaks at the largest layer demand. */
 struct Transient
 {
     size_t act = 0;
@@ -75,7 +80,7 @@ convTransient(const Conv2d &conv, const Shape &in, Backend backend,
               ConvAlgo algo, int threads)
 {
     const size_t out = bytesOf(conv.outputShape(in));
-    if (!runsOnHost(backend) || conv.format() != WeightFormat::Dense ||
+    if (conv.format() != WeightFormat::Dense ||
         algo != ConvAlgo::Im2colGemm)
         return {out, 0}; // direct kernels write the outer tensor
 

@@ -78,9 +78,7 @@ struct MemoryEstimate
  * @p input under the given backend, convolution algorithm, and thread
  * count (@p threads sizes the per-thread GEMM C tiles the OpenMP
  * backend draws from the scratch arena; Serial runs the GEMM
- * serially). The estimate-only OpenCL backends, which the host cannot
- * execute, are priced like the direct path: each conv's output and no
- * host scratch. Inference mode only (training caches are not
+ * serially). Inference mode only (training caches are not
  * modelled). Shapes must be consistent — run the verifier first; this
  * throws FatalError on a malformed network just like the runtime
  * would.

@@ -13,25 +13,16 @@ namespace dlis::analysis {
 namespace {
 
 /**
- * The backend/format/algorithm capability rules for one standard
- * convolution — shared by the net-wide verifier walk and the
- * per-layer checkLayerExecution front end the auto-tuner uses.
+ * The format/algorithm capability rule for one standard convolution —
+ * shared by the net-wide verifier walk and the per-layer
+ * checkLayerExecution front end plan validation uses.
  */
 void
-convCapabilityDiags(const Conv2d &conv, Backend backend,
-                    ConvAlgo algo, std::vector<Diagnostic> &out)
+convCapabilityDiags(const Conv2d &conv, ConvAlgo algo,
+                    std::vector<Diagnostic> &out)
 {
     const WeightFormat fmt = conv.format();
-    if (fmt == WeightFormat::Dense)
-        return;
-    if (backend == Backend::OclHandTuned ||
-        backend == Backend::OclGemmLib)
-        diag(out, Severity::Error, Check::UnsupportedFormat,
-             conv.name(),
-             std::string(backendName(backend)) + " backend has no " +
-                 weightFormatName(fmt) +
-                 " kernel (runtime would panic mid-run)");
-    else if (algo != ConvAlgo::Direct)
+    if (fmt != WeightFormat::Dense && algo != ConvAlgo::Direct)
         diag(out, Severity::Warning, Check::AlgoIgnored, conv.name(),
              std::string(weightFormatName(fmt)) +
                  " weights dispatch the direct sparse kernel; "
@@ -145,7 +136,7 @@ class NetworkVerifier
         }
 
         const WeightFormat fmt = conv.format();
-        convCapabilityDiags(conv, opt_.backend, opt_.convAlgo, diags);
+        convCapabilityDiags(conv, opt_.convAlgo, diags);
 
         if (fmt == WeightFormat::Csr) {
             const CsrFilterBank &bank = conv.csrWeight();
@@ -411,21 +402,21 @@ VerifyReport::str() const
 }
 
 std::vector<Diagnostic>
-checkLayerExecution(const Layer &layer, Backend backend, ConvAlgo algo)
+checkLayerExecution(const Layer &layer, ConvAlgo algo)
 {
     std::vector<Diagnostic> out;
     if (const auto *conv = dynamic_cast<const Conv2d *>(&layer)) {
-        convCapabilityDiags(*conv, backend, algo, out);
+        convCapabilityDiags(*conv, algo, out);
     } else if (const auto *block =
                    dynamic_cast<const ResidualBlock *>(&layer)) {
-        convCapabilityDiags(block->conv1(), backend, algo, out);
-        convCapabilityDiags(block->conv2(), backend, algo, out);
+        convCapabilityDiags(block->conv1(), algo, out);
+        convCapabilityDiags(block->conv2(), algo, out);
         if (const Conv2d *proj = block->projection())
-            convCapabilityDiags(*proj, backend, algo, out);
+            convCapabilityDiags(*proj, algo, out);
     }
-    // Depthwise convolutions run the direct CPU kernel under every
-    // backend, linear layers route CSR through the CPU sparse kernel
-    // regardless of backend: no rule fires for them.
+    // Depthwise convolutions always run the direct kernel, and linear
+    // layers route CSR through the sparse kernel under any algorithm:
+    // no rule fires for them.
     return out;
 }
 

@@ -11,8 +11,7 @@
  *
  *  - NCHW shape/channel inference for every layer, including the
  *    layers nested inside residual blocks;
- *  - backend/algorithm capability rules (the simulated OpenCL
- *    backends have no sparse kernels; CSR and packed weights pin the
+ *  - algorithm capability rules (CSR and packed weights pin the
  *    direct algorithm);
  *  - sparse-format invariants (row_ptr monotone, columns sorted and in
  *    range, byte accounting, ternary codebook well-formed);
@@ -76,17 +75,14 @@ VerifyReport verifyNetwork(const Network &net,
                            const VerifyOptions &options);
 
 /**
- * Capability diagnostics for running ONE layer under (@p backend,
- * @p algo): exactly the backend/format/algorithm rules verifyNetwork
- * applies net-wide, scoped to a single layer. Residual blocks check
- * every inner convolution. Error severity means the point would
- * panic at runtime (e.g. sparse weights on an OpenCL backend);
- * Warning means the point executes but not as requested (sparse
- * weights pin the direct kernel) — the per-layer auto-tuner uses
- * this to drop illegal candidate points before timing anything.
+ * Capability diagnostics for running ONE layer under @p algo: exactly
+ * the format/algorithm rules verifyNetwork applies net-wide, scoped to
+ * a single layer. Residual blocks check every inner convolution. The
+ * one rule is a Warning: the point executes, but not as requested
+ * (sparse weights pin the direct kernel). validatePlan reports it per
+ * plan layer.
  */
 std::vector<Diagnostic> checkLayerExecution(const Layer &layer,
-                                            Backend backend,
                                             ConvAlgo algo);
 
 } // namespace dlis::analysis

@@ -139,7 +139,7 @@ CostModel::estimateEnergyCpu(const std::vector<LayerCost> &layers) const
 }
 
 TimeBreakdown
-CostModel::estimateOclHandTuned(
+CostModel::estimateGpuHandTuned(
     const std::vector<LayerCost> &layers) const
 {
     DLIS_CHECK(device_.gpu.has_value(),
@@ -169,7 +169,7 @@ CostModel::estimateOclHandTuned(
 }
 
 TimeBreakdown
-CostModel::estimateOclGemmLib(const std::vector<LayerCost> &layers) const
+CostModel::estimateGpuGemmLib(const std::vector<LayerCost> &layers) const
 {
     DLIS_CHECK(device_.gpu.has_value(),
                "device '", device_.name, "' has no GPU model");

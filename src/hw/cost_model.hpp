@@ -94,11 +94,11 @@ class CostModel
 
     /** Simulated time with the hand-tuned OpenCL kernels on the GPU. */
     TimeBreakdown
-    estimateOclHandTuned(const std::vector<LayerCost> &layers) const;
+    estimateGpuHandTuned(const std::vector<LayerCost> &layers) const;
 
     /** Simulated time with the CLBlast-style im2col+GEMM library. */
     TimeBreakdown
-    estimateOclGemmLib(const std::vector<LayerCost> &layers) const;
+    estimateGpuGemmLib(const std::vector<LayerCost> &layers) const;
 
     /**
      * The "expected" time of Fig 1: dense time scaled by the fraction

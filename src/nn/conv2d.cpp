@@ -85,30 +85,18 @@ Conv2d::forward(const Tensor &input, ExecContext &ctx)
     Tensor out(outputShape(input.shape()));
     const float *bias_ptr = withBias_ ? bias_.data() : nullptr;
 
-    switch (ctx.backend) {
-      case Backend::Serial:
-      case Backend::OpenMP:
-        if (format_ == WeightFormat::Csr) {
-            kernels::convDirectCsrBank(p, input.data(), *bank_,
-                                       bias_ptr, out.data(),
-                                       kernelPolicy(ctx));
-        } else if (format_ == WeightFormat::PackedTernary) {
-            kernels::convDirectPackedTernary(p, input.data(), *packed_,
-                                             bias_ptr, out.data(),
-                                             kernelPolicy(ctx));
-        } else if (ctx.convAlgo == ConvAlgo::Im2colGemm) {
-            return forwardIm2col(input, ctx);
-        } else {
-            kernels::convDirectDense(p, input.data(), weight_.data(),
-                                     bias_ptr, out.data(),
-                                     kernelPolicy(ctx));
-        }
-        break;
-      case Backend::OclHandTuned:
-      case Backend::OclGemmLib:
-        fatal("backend '", backendName(ctx.backend),
-              "' is estimate-only (hw/cost_model) and has no host "
-              "execution");
+    if (format_ == WeightFormat::Csr) {
+        kernels::convDirectCsrBank(p, input.data(), *bank_, bias_ptr,
+                                   out.data(), kernelPolicy(ctx));
+    } else if (format_ == WeightFormat::PackedTernary) {
+        kernels::convDirectPackedTernary(p, input.data(), *packed_,
+                                         bias_ptr, out.data(),
+                                         kernelPolicy(ctx));
+    } else if (ctx.convAlgo == ConvAlgo::Im2colGemm) {
+        return forwardIm2col(input, ctx);
+    } else {
+        kernels::convDirectDense(p, input.data(), weight_.data(),
+                                 bias_ptr, out.data(), kernelPolicy(ctx));
     }
     return out;
 }

@@ -5,8 +5,7 @@
  * Supports every cell of the paper's configuration matrix:
  *  - formats: dense OIHW weights or CSR ([cout, cin*kh*kw]);
  *  - algorithms: direct convolution or im2col + GEMM;
- *  - backends: serial and OpenMP. The simulated OpenCL backends are
- *    estimate-only (hw/cost_model); a forward under them throws.
+ *  - backends: serial and OpenMP.
  *
  * Channel surgery (keepOutputChannels / keepInputChannels) implements
  * the "recast as a new dense network" step of channel pruning (§III-B).

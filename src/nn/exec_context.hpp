@@ -24,23 +24,18 @@ class Metrics;
 } // namespace obs
 
 /**
- * Systems-layer candidate (paper §IV-D). The two OpenCL backends are
- * estimate-only: hw/cost_model prices them for the Mali GPU, and the
- * host cannot execute them.
+ * Systems-layer candidate the host executes (paper §IV-D). The paper's
+ * two OpenCL backends run on the Mali GPU only, so they exist solely
+ * as hw/cost_model estimates, not as values of this type.
  */
 enum class Backend
 {
-    Serial,       //!< single-threaded C reference
-    OpenMP,       //!< CPU parallel-for, dynamic schedule
-    OclHandTuned, //!< hand-tuned OpenCL dot-product kernels (estimated)
-    OclGemmLib,   //!< CLBlast-style im2col + tuned GEMM (estimated)
+    Serial, //!< single-threaded C reference
+    OpenMP, //!< CPU parallel-for, dynamic schedule
 };
 
 /** Human-readable backend name. */
 const char *backendName(Backend b);
-
-/** True for the backends the host executes (Serial, OpenMP). */
-bool runsOnHost(Backend b);
 
 /** Data-format layer candidate (paper §IV-C). */
 enum class WeightFormat

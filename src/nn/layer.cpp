@@ -8,18 +8,10 @@ const char *
 backendName(Backend b)
 {
     switch (b) {
-      case Backend::Serial:       return "serial";
-      case Backend::OpenMP:       return "openmp";
-      case Backend::OclHandTuned: return "opencl-hand-tuned";
-      case Backend::OclGemmLib:   return "opencl-clblast";
+      case Backend::Serial: return "serial";
+      case Backend::OpenMP: return "openmp";
     }
     return "?";
-}
-
-bool
-runsOnHost(Backend b)
-{
-    return b == Backend::Serial || b == Backend::OpenMP;
 }
 
 const char *
@@ -47,10 +39,8 @@ const char *
 backendToken(Backend b)
 {
     switch (b) {
-      case Backend::Serial:       return "serial";
-      case Backend::OpenMP:       return "openmp";
-      case Backend::OclHandTuned: return "opencl";
-      case Backend::OclGemmLib:   return "clblast";
+      case Backend::Serial: return "serial";
+      case Backend::OpenMP: return "openmp";
     }
     return "?";
 }
@@ -62,10 +52,6 @@ backendFromToken(const std::string &token, Backend &out)
         out = Backend::Serial;
     } else if (token == "openmp") {
         out = Backend::OpenMP;
-    } else if (token == "opencl") {
-        out = Backend::OclHandTuned;
-    } else if (token == "clblast") {
-        out = Backend::OclGemmLib;
     } else {
         return false;
     }

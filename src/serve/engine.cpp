@@ -87,14 +87,6 @@ InferenceEngine::InferenceEngine(InferenceStack &stack,
     if (!preflight.ok())
         throw RejectedError(RejectReason::BadConfig,
                             preflight.firstError());
-    if (!runsOnHost(config_.backend))
-        throw RejectedError(
-            RejectReason::BadConfig,
-            std::string("[") +
-                analysis::checkName(analysis::Check::BadConfig) +
-                "] backend '" + backendName(config_.backend) +
-                "' is estimate-only (hw/cost_model); the engine serves "
-                "on serial or openmp");
 
     // Plan pre-flight: a tuned per-layer plan must parse and must
     // apply to THIS host and THIS network before any worker executes

@@ -215,7 +215,7 @@ class InferenceEngine
      * The constructor pre-flights the deployment: the model is run
      * through the static verifier (analysis::verifyNetwork) against
      * the configured backend/algorithm/threads, and a deployment that
-     * would fail mid-request — sparse weights on an OpenCL backend, a
+     * would fail mid-request — an OpenMP team of zero threads, a
      * corrupt CSR image, a broken residual block — throws
      * RejectedError(RejectReason::BadConfig) with the first diagnostic
      * as detail, before any worker thread spawns.

@@ -152,6 +152,25 @@ collectRunReport(InferenceStack &stack, ExecContext &ctx,
     obs::Metrics *saved = ctx.metrics;
     ctx.metrics = metrics;
 
+    const auto makeInput = [&] {
+        Rng rng(stack.config().seed + 99);
+        Tensor input(stack.inputShape(batch));
+        input.fillNormal(rng, 0.0f, 1.0f);
+        return input;
+    };
+
+    // One untimed forward first, so thread-team start-up and cold
+    // caches stay out of the timed repeats. It runs under a copy of
+    // ctx with no observers and its own arena, which it frees, so the
+    // counters, spans and peaks below are those of the repeats alone.
+    {
+        ExecContext warm = ctx;
+        warm.tracer = nullptr;
+        warm.metrics = nullptr;
+        warm.arena = std::make_shared<ScratchArena>();
+        stack.model().net.forward(makeInput(), warm);
+    }
+
     // Snapshot the tracker before the input exists so the observed
     // peaks below are deltas over exactly what the static estimate
     // models: the held input plus the forward's transients.
@@ -161,9 +180,7 @@ collectRunReport(InferenceStack &stack, ExecContext &ctx,
     const size_t preScratch = tracker.currentBytes(MemClass::Scratch);
     tracker.resetPeaks();
 
-    Rng rng(stack.config().seed + 99);
-    Tensor input(stack.inputShape(batch));
-    input.fillNormal(rng, 0.0f, 1.0f);
+    const Tensor input = makeInput();
 
     // Per-repeat forwards; forwardProfiled yields the per-layer wall
     // clock (top-level layers — residual blocks time as one stage).
@@ -192,7 +209,7 @@ collectRunReport(InferenceStack &stack, ExecContext &ctx,
     rep.format = weightFormatName(cfg.format);
     rep.backend = backendName(ctx.backend);
     rep.convAlgo = convAlgoName(ctx.convAlgo);
-    rep.threads = ctx.threads;
+    rep.threads = ctx.policy().threads;
     rep.repeats = repeats;
     rep.batch = batch;
     rep.latency = obs::LatencyStats::from(std::move(forwardTimes));

@@ -96,7 +96,7 @@ struct RunReport
     std::string format;
     std::string backend;
     std::string convAlgo;
-    int threads = 1;
+    int threads = 1; //!< threads the forwards ran (Serial: 1)
     size_t repeats = 0;
     size_t batch = 1;
     obs::LatencyStats latency; //!< whole-forward latency (seconds)
@@ -107,9 +107,9 @@ struct RunReport
 };
 
 /**
- * Measure @p stack for @p repeats forwards under @p ctx and join the
- * LayerCost predictions with the observed kernel counters and per-layer
- * latencies. Uses ctx.metrics when attached (resetting it first) or a
+ * Measure @p stack for @p repeats forwards under @p ctx, after one
+ * untimed warm-up forward, and join the LayerCost predictions with the
+ * observed kernel counters and per-layer latencies. Uses ctx.metrics when attached (resetting it first) or a
  * private registry otherwise; ctx.tracer, when attached, receives one
  * nested span per layer per repeat under a "forward#N" parent.
  */

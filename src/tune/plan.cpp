@@ -627,9 +627,6 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
                        "plan signature " + plan.networkSignature +
                            " does not match this network (" + sig +
                            "); model, width, format or input differ");
-    if (!runsOnHost(plan.defaultBackend))
-        analysis::diag(out, Severity::Error, Check::BadConfig, "",
-                       "default_backend must be a CPU backend");
     if (plan.defaultThreads < 1)
         analysis::diag(out, Severity::Error, Check::BadConfig, "",
                        "default_threads must be >= 1");
@@ -651,17 +648,6 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
                            lp.layer, "threads must be >= 1");
             continue;
         }
-        // The tuner measures only the host's CPU backends; a layer on
-        // a simulated OpenCL backend was never measured here.
-        if (!runsOnHost(lp.backend)) {
-            analysis::diag(out, Severity::Error, Check::BadConfig,
-                           lp.layer,
-                           std::string("backend '") +
-                               backendToken(lp.backend) +
-                               "' is not a CPU backend; plan layers "
-                               "run on serial or openmp");
-            continue;
-        }
         const auto it = byName.find(lp.layer);
         if (it == byName.end()) {
             analysis::diag(out, Severity::Error,
@@ -669,10 +655,10 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
                            "network has no layer of this name");
             continue;
         }
-        // Capability rules: an Error here would panic a worker
-        // mid-request; a Warning (sparse weights pin direct) runs.
-        for (analysis::Diagnostic &d : analysis::checkLayerExecution(
-                 *it->second, lp.backend, lp.algo))
+        // Capability rules: sparse weights pin the direct kernel, so
+        // an im2col entry on them runs, with a warning.
+        for (analysis::Diagnostic &d :
+             analysis::checkLayerExecution(*it->second, lp.algo))
             out.push_back(std::move(d));
     }
 

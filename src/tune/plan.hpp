@@ -37,15 +37,15 @@ namespace dlis::tune {
 
 /**
  * Schema version written to (and required of) every plan file.
- * v6 restricted layer entries to the CPU backends (an
- * `opencl`/`clblast` layer is BadConfig), made peak_bytes_bound
- * mandatory and dropped one algorithm token (DESIGN.md §13); v5
- * dropped the per-layer cost-model seed; v4 replaced the static error
- * bounds with measured deviations (top-level and per-layer
- * max_abs_dev); v3 added the memory-planning fields (mem_budget,
- * peak_bytes_bound); v2 added error_budget. Older plans parse but
- * fail validatePlan with PlanVersion — re-run --tune — except one
- * naming the dropped algorithm token, which fails to parse
+ * v6 restricted every backend to the host's CPU backends, made
+ * peak_bytes_bound mandatory and dropped one algorithm token
+ * (DESIGN.md §13); v5 dropped the per-layer cost-model seed; v4
+ * replaced the static error bounds with measured deviations (top-level
+ * and per-layer max_abs_dev); v3 added the memory-planning fields
+ * (mem_budget, peak_bytes_bound); v2 added error_budget. Older plans
+ * parse but fail validatePlan with PlanVersion — re-run --tune —
+ * except one naming a token this build lacks (the `winograd`
+ * algorithm, the `opencl`/`clblast` backends), which fails to parse
  * (PlanParse).
  */
 constexpr int kPlanVersion = 6;

@@ -90,8 +90,7 @@ hasIm2col(const TunableLayer &tl)
  * grid only contains distinct executions: im2col appears only on
  * dense convolutions (sparse weights, depthwise and linear layers pin
  * the direct kernel), and OpenMP x 1 thread (identical to Serial) is
- * skipped. The simulated OpenCL backends are CPU-run emulations of
- * another device, so their timings say nothing about this host.
+ * skipped.
  */
 std::vector<CandidatePoint>
 enumerateCandidates(const TunableLayer &tl, const TuneOptions &options)
@@ -109,24 +108,7 @@ enumerateCandidates(const TunableLayer &tl, const TuneOptions &options)
         for (ConvAlgo algo : algos)
             grid.push_back({Backend::OpenMP, algo, t});
     }
-
-    // Capability gate: a candidate the verifier rejects would panic
-    // mid-measurement — drop it before anything is timed. The grid
-    // above is built not to generate illegal points, but the verifier
-    // owns the rules; enforcement stays here if they ever diverge.
-    std::vector<CandidatePoint> legal;
-    for (const CandidatePoint &cp : grid) {
-        const auto diags = analysis::checkLayerExecution(
-            *tl.layer, cp.backend, cp.algo);
-        const bool bad = std::any_of(
-            diags.begin(), diags.end(), [](const auto &d) {
-                return d.severity == analysis::Severity::Error;
-            });
-        if (!bad)
-            legal.push_back(cp);
-    }
-
-    return legal;
+    return grid;
 }
 
 /**
@@ -270,7 +252,7 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
         search.layer = tl.layer->name();
         search.candidates = enumerateCandidates(tl, options);
 
-        // Stage 2: measure every legal candidate on the real geometry
+        // Stage 2: measure every candidate on the real geometry
         // with a per-layer deterministic input, and record each one's
         // max |out - ref| against the layer's serial/direct output on
         // the same input (computed once, untimed).

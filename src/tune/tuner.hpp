@@ -8,18 +8,15 @@
  * host actually runs — algorithm (direct / im2col, sparse formats
  * pinned to direct) x CPU backend (serial / OpenMP) x thread count —
  * and emits the fastest point per layer as a DeploymentPlan. The
- * simulated OpenCL backends are CPU-run emulations of the paper's
- * Mali GPU: they stay available for whole-network runs and the
- * expected-vs-actual figures, but a host timing of them is not a
- * measurement of any device, so they are never tuned.
+ * paper's OpenCL backends run only on its Mali GPU, which the host
+ * lacks; hw/cost_model prices them and the tuner never sees them.
  *
  * The search has two stages:
  *
- *  1. enumerate only LEGAL, distinct candidates — the analysis
- *     verifier's capability rules (checkLayerExecution) gate the
- *     grid, and a point that would duplicate another (im2col on CSR
- *     weights, OpenMP x 1) is never generated;
- *  2. measure every legal candidate, in enumeration order, on the
+ *  1. enumerate only distinct candidates — a point that would
+ *     duplicate another (im2col on CSR weights, OpenMP x 1) is never
+ *     generated;
+ *  2. measure every candidate, in enumeration order, on the
  *     real layer geometry with the shared warmup+median-of-k harness
  *     (tune/measure.hpp) — the same loop the kernel microbench
  *     runs, lifted to whole layers. The grid holds at most six
@@ -85,7 +82,7 @@ struct TuneOptions
      * Hard peak-RAM budget in bytes (0 = unconstrained). When set,
      * the memory planner (tune/mem_planner.hpp) re-selects each
      * layer's point after measurement so the plan's static peak
-     * footprint fits the budget. Every legal candidate is measured,
+     * footprint fits the budget. Every candidate is measured,
      * so the minimum feasible peak is always realisable. An
      * infeasible budget throws PlanError with the stable
      * `plan-mem-infeasible` code, naming the minimum feasible peak.

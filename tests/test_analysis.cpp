@@ -182,15 +182,6 @@ TEST(Corpus, CleanSeededModelsPass)
 // Additional verifier rules.
 // ---------------------------------------------------------------------
 
-TEST(Verifier, OclBackendRejectsSparseFormats)
-{
-    const VerifyReport rep = verify(csrConvNet(validSlice()),
-                                    Shape{1, 1, 8, 8},
-                                    Backend::OclHandTuned);
-    EXPECT_FALSE(rep.ok());
-    EXPECT_TRUE(rep.has(Check::UnsupportedFormat));
-}
-
 TEST(Verifier, SparseWeightsPinDirectAlgorithm)
 {
     const VerifyReport rep =
@@ -275,8 +266,6 @@ TEST(Matrix, PaperModelsAcrossSupportedConfigs)
         {Technique::Quantisation, WeightFormat::PackedTernary},
     };
     const Backend cpuBackends[] = {Backend::Serial, Backend::OpenMP};
-    const Backend oclBackends[] = {Backend::OclHandTuned,
-                                   Backend::OclGemmLib};
 
     for (const char *model : {"vgg16", "resnet18", "mobilenet"}) {
         for (const MatrixCase &mc : cases) {
@@ -290,7 +279,7 @@ TEST(Matrix, PaperModelsAcrossSupportedConfigs)
             config.format = mc.format;
             InferenceStack stack(config);
 
-            // CPU backends support every format.
+            // Every backend supports every format.
             for (Backend b : cpuBackends) {
                 const VerifyReport rep =
                     verify(stack.model().net, stack.inputShape(1), b);
@@ -298,20 +287,6 @@ TEST(Matrix, PaperModelsAcrossSupportedConfigs)
                     << model << " x " << weightFormatName(mc.format)
                     << " x " << backendName(b) << ":\n"
                     << rep.str();
-            }
-            // The simulated OpenCL backends are dense-only.
-            for (Backend b : oclBackends) {
-                const VerifyReport rep =
-                    verify(stack.model().net, stack.inputShape(1), b);
-                if (mc.format == WeightFormat::Dense) {
-                    EXPECT_TRUE(rep.ok()) << rep.str();
-                } else {
-                    EXPECT_FALSE(rep.ok())
-                        << model << " x "
-                        << weightFormatName(mc.format) << " x "
-                        << backendName(b);
-                    EXPECT_TRUE(rep.has(Check::UnsupportedFormat));
-                }
             }
         }
     }
@@ -506,46 +481,20 @@ TEST(ServePreflight, BadDeploymentRejectedBeforeWorkersSpawn)
     StackConfig config;
     config.modelName = "vgg16";
     config.widthMult = 0.25;
-    config.technique = Technique::WeightPruning;
-    config.wpSparsity = 0.5;
-    config.format = WeightFormat::Csr;
     InferenceStack stack(config);
 
     serve::ServeConfig serveConfig;
     serveConfig.workers = 1;
-    serveConfig.backend = Backend::OclHandTuned; // no sparse kernels
+    serveConfig.backend = Backend::OpenMP;
+    serveConfig.threads = 0; // the verifier's bad-config rule
     try {
         serve::InferenceEngine engine(stack, serveConfig);
-        FAIL() << "engine accepted a CSR model on an OpenCL backend";
+        FAIL() << "engine accepted an OpenMP team of 0 threads";
     } catch (const serve::RejectedError &e) {
         EXPECT_EQ(e.reason(), serve::RejectReason::BadConfig);
-        EXPECT_NE(std::string(e.what()).find("unsupported-format"),
-                  std::string::npos);
-    }
-}
-
-TEST(ServePreflight, SimulatedBackendIsRejected)
-{
-    // The OpenCL backends are estimate-only: a dense model passes the
-    // verifier on them, but no worker could run a single request.
-    StackConfig config;
-    config.modelName = "vgg16";
-    config.widthMult = 0.25;
-    InferenceStack stack(config);
-
-    for (const Backend b : {Backend::OclHandTuned, Backend::OclGemmLib}) {
-        serve::ServeConfig serveConfig;
-        serveConfig.workers = 1;
-        serveConfig.backend = b;
-        try {
-            serve::InferenceEngine engine(stack, serveConfig);
-            ADD_FAILURE() << "engine accepted " << backendName(b);
-        } catch (const serve::RejectedError &e) {
-            EXPECT_EQ(e.reason(), serve::RejectReason::BadConfig);
-            EXPECT_NE(std::string(e.what()).find("estimate-only"),
-                      std::string::npos)
-                << e.what();
-        }
+        EXPECT_NE(std::string(e.what()).find("bad-config"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -190,26 +190,5 @@ TEST(BackendParity, PaperModelsAgreeAcrossHostBackends)
     }
 }
 
-TEST(BackendParity, EstimateOnlyBackendsRefuseToRun)
-{
-    // The OpenCL backends exist only in hw/cost_model's Mali
-    // estimates; a host forward under them must fail loudly.
-    Rng rng(5);
-    Model m = makeVgg16(10, 0.0625, rng);
-    const Tensor in = test::randomTensor(Shape{1, 3, 32, 32}, 6);
-    for (const Backend b : {Backend::OclHandTuned, Backend::OclGemmLib}) {
-        ExecContext ctx;
-        ctx.backend = b;
-        try {
-            (void)m.net.forward(in, ctx);
-            ADD_FAILURE() << backendName(b) << " ran on the host";
-        } catch (const FatalError &e) {
-            EXPECT_NE(std::string(e.what()).find("estimate-only"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-}
-
 } // namespace
 } // namespace dlis

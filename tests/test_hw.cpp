@@ -76,7 +76,7 @@ TEST(DeviceModel, I7HasNoGpu)
     EXPECT_EQ(d.maxThreads(), 4);
     const CostModel model(d);
     InferenceStack stack(configAt("vgg16", Technique::None));
-    EXPECT_THROW(model.estimateOclHandTuned(stack.stageCosts()),
+    EXPECT_THROW(model.estimateGpuHandTuned(stack.stageCosts()),
                  FatalError);
 }
 
@@ -204,7 +204,7 @@ TEST(CostModel, HandTunedOpenClBeatsOpenMpAtCifarScale)
     for (const char *name : {"vgg16", "resnet18", "mobilenet"}) {
         InferenceStack stack(configAt(name, Technique::None));
         const auto costs = stack.stageCosts();
-        EXPECT_LT(odroid.estimateOclHandTuned(costs).total(),
+        EXPECT_LT(odroid.estimateGpuHandTuned(costs).total(),
                   odroid.estimateCpu(costs, 8).total())
             << name;
     }
@@ -217,9 +217,9 @@ TEST(CostModel, ClBlastLosesAtCifarScale)
     for (const char *name : {"vgg16", "resnet18", "mobilenet"}) {
         InferenceStack stack(configAt(name, Technique::None));
         const auto costs = stack.stageCosts();
-        const double lib = odroid.estimateOclGemmLib(costs).total();
+        const double lib = odroid.estimateGpuGemmLib(costs).total();
         EXPECT_GT(lib, odroid.estimateCpu(costs, 8).total()) << name;
-        EXPECT_GT(lib, odroid.estimateOclHandTuned(costs).total())
+        EXPECT_GT(lib, odroid.estimateGpuHandTuned(costs).total())
             << name;
     }
 }
@@ -250,7 +250,7 @@ TEST(CostModel, ClBlastWinsAtImageNetScale)
             h /= 2;
     }
     const CostModel odroid(odroidXu4());
-    EXPECT_LT(odroid.estimateOclGemmLib(costs).total(),
+    EXPECT_LT(odroid.estimateGpuGemmLib(costs).total(),
               odroid.estimateCpu(costs, 8).total());
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Kernel consistency tests: every convolution path (direct dense,
- * per-slice CSR, flat CSR, im2col+GEMM, simulated OpenCL, tiled GEMM)
+ * per-slice CSR, flat CSR, im2col+GEMM, tiled GEMM)
  * must agree with a trusted naive reference bit-for-bit or within
  * floating-point reassociation tolerance.
  */

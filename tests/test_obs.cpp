@@ -345,6 +345,46 @@ TEST(RunReport, ObservedCsrRowVisitsMatchPrediction)
     EXPECT_EQ(forwards, repeats);
 }
 
+TEST(RunReport, HostRunHonoursBackendAndThreads)
+{
+    // stack_cli times the host under the backend and thread count it
+    // was given: the report names both, an OpenMP run opens parallel
+    // regions (when built with OpenMP) and a Serial run opens none.
+    StackConfig config;
+    config.modelName = "mobilenet";
+    config.widthMult = 0.25;
+    InferenceStack stack(config);
+
+    const auto ompRegions = [](const RunReport &r) {
+        const std::string suffix =
+            std::string(".") + obs::counter_names::ompRegions;
+        uint64_t total = 0;
+        for (const auto &[key, value] : r.counters)
+            if (key.size() > suffix.size() &&
+                key.compare(key.size() - suffix.size(), suffix.size(),
+                            suffix) == 0)
+                total += value;
+        return total;
+    };
+
+    ExecContext omp;
+    omp.backend = Backend::OpenMP;
+    omp.threads = 2;
+    const RunReport parallel = collectRunReport(stack, omp, 1);
+    EXPECT_EQ("openmp", parallel.backend);
+    EXPECT_EQ(2, parallel.threads);
+#if DLIS_HAVE_OPENMP
+    EXPECT_GT(ompRegions(parallel), 0u);
+#endif
+
+    ExecContext serial;
+    serial.threads = 2;
+    const RunReport single = collectRunReport(stack, serial, 1);
+    EXPECT_EQ("serial", single.backend);
+    EXPECT_EQ(1, single.threads);
+    EXPECT_EQ(0u, ompRegions(single));
+}
+
 TEST(RunReport, FoldedIm2colCountsGroupsAndColumnBytes)
 {
     // MobileNet at batch 8 on a 32x32 input: im2col folds images into

@@ -689,7 +689,7 @@ const char *const kGoldenPlan = R"({
   "layers": [
     {"layer": "conv1", "backend": "openmp", "algo": "im2col", "threads": 4, "measured_s": 0.001953125, "max_abs_dev": 0.00048828125},
     {"layer": "conv2", "backend": "serial", "algo": "direct", "threads": 1, "measured_s": 0.0078125, "max_abs_dev": 0.000244140625},
-    {"layer": "fc1", "backend": "clblast", "algo": "im2col", "threads": 1, "measured_s": 0.5, "max_abs_dev": 0.0001220703125}
+    {"layer": "fc1", "backend": "serial", "algo": "im2col", "threads": 1, "measured_s": 0.5, "max_abs_dev": 0.0001220703125}
   ]
 }
 )";
@@ -716,7 +716,7 @@ goldenPlan()
          0.001953125, 0.00048828125},
         {"conv2", Backend::Serial, ConvAlgo::Direct, 1, 0.0078125,
          0.000244140625},
-        {"fc1", Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1, 0.5,
+        {"fc1", Backend::Serial, ConvAlgo::Im2colGemm, 1, 0.5,
          0.0001220703125},
     };
     return plan;
@@ -756,7 +756,8 @@ TEST(PlanFile, ParsedFieldsSurviveTheTrip)
     EXPECT_EQ(4194304u, p.memBudget);
     EXPECT_EQ(3145728u, p.peakBytesBound);
     ASSERT_EQ(3u, p.layers.size());
-    EXPECT_EQ(Backend::OclGemmLib, p.layers[2].backend);
+    EXPECT_EQ(Backend::OpenMP, p.layers[0].backend);
+    EXPECT_EQ(Backend::Serial, p.layers[1].backend);
     EXPECT_EQ(ConvAlgo::Direct, p.layers[1].algo);
     EXPECT_DOUBLE_EQ(0.001953125, p.layers[0].measuredSeconds);
     EXPECT_DOUBLE_EQ(0.00048828125, p.layers[0].maxAbsDev);
@@ -981,21 +982,6 @@ TEST(PlanReject, OlderSchemaVersionsFailWithPlanVersionNotParse)
     const std::string direct = "\"algo\": \"direct\"";
     v5.replace(v5.find(direct), direct.size(), "\"algo\": \"winograd\"");
     expectPlanError(v5, analysis::Check::PlanParse);
-
-    // A v6 layer on a simulated OpenCL backend parses (the token
-    // still names a backend) but fails validation: plans run only
-    // the CPU backends the tuner measured.
-    for (Backend ocl : {Backend::OclHandTuned, Backend::OclGemmLib}) {
-        tune::DeploymentPlan plan = current;
-        plan.layers[0].backend = ocl;
-        const tune::DeploymentPlan parsed =
-            tune::planFromJson(tune::planToJson(plan));
-        EXPECT_TRUE(hasError(tune::validatePlan(parsed,
-                                                stack.model().net,
-                                                stack.inputShape(1)),
-                             analysis::Check::BadConfig))
-            << backendToken(ocl);
-    }
 }
 
 TEST(PlanReject, RecordedPeakBoundMustMatchThisBuild)
@@ -1031,24 +1017,22 @@ TEST(PlanReject, RecordedPeakBoundMustMatchThisBuild)
         anyError(tune::validatePlan(inconsistent, net, input)));
 }
 
-TEST(PlanReject, IllegalPointOnSparseWeightsIsAnError)
+TEST(PlanReject, EstimateOnlyBackendTokensFailToParse)
 {
-    // CSR weights cannot run on the simulated OpenCL backends (and no
-    // plan layer may name one); a plan claiming otherwise must be
-    // rejected, not timed or executed.
-    StackConfig config;
-    config.modelName = "vgg16";
-    config.widthMult = 0.25;
-    config.technique = Technique::WeightPruning;
-    config.wpSparsity = 0.8;
-    config.format = WeightFormat::Csr;
-    InferenceStack stack{config};
-
-    tune::DeploymentPlan plan = emptyValidPlan(stack);
-    plan.layers.push_back({"conv1", Backend::OclGemmLib,
-                           ConvAlgo::Im2colGemm, 1, 0.0, 0.0});
-    EXPECT_TRUE(anyError(tune::validatePlan(
-        plan, stack.model().net, stack.inputShape(1))));
+    // The paper's OpenCL backends exist only as Mali cost-model
+    // estimates, so no backend field of a v6 plan can name one: like
+    // the deleted `winograd` algorithm, the token fails to parse.
+    for (const std::string field :
+         {"\"default_backend\": \"", "\"backend\": \""}) {
+        for (const char *token : {"opencl", "clblast"}) {
+            std::string doc = kGoldenPlan;
+            const size_t at = doc.find(field);
+            ASSERT_NE(std::string::npos, at) << field;
+            const size_t value = at + field.size();
+            doc.replace(value, doc.find('"', value) - value, token);
+            expectPlanError(doc, analysis::Check::PlanParse);
+        }
+    }
 }
 
 // ---------------------------------------------------------------- //
@@ -1570,8 +1554,7 @@ TEST(PlanIdentity, FingerprintNamesHostCpuAndIsa)
 
 TEST(PlanIdentity, TokensRoundTrip)
 {
-    for (Backend b : {Backend::Serial, Backend::OpenMP,
-                      Backend::OclHandTuned, Backend::OclGemmLib}) {
+    for (Backend b : {Backend::Serial, Backend::OpenMP}) {
         Backend out;
         ASSERT_TRUE(
             backendFromToken(backendToken(b), out));
@@ -1585,6 +1568,8 @@ TEST(PlanIdentity, TokensRoundTrip)
     Backend b;
     ConvAlgo a;
     EXPECT_FALSE(backendFromToken("cuda", b));
+    EXPECT_FALSE(backendFromToken("opencl", b));
+    EXPECT_FALSE(backendFromToken("clblast", b));
     EXPECT_FALSE(algoFromToken("fft", a));
 }
 
