@@ -45,12 +45,11 @@
  *
  *   curl http://127.0.0.1:<p>/metrics
  *
- * Bad arguments (an unknown token, a malformed number) exit 1 with a
- * message on stderr.
+ * Bad arguments (an unknown token or option, a malformed number) exit
+ * 1 with a message on stderr.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <string>
@@ -63,31 +62,26 @@
 #include "serve/telemetry_server.hpp"
 #include "stack/inference_stack.hpp"
 
+#include "cli_args.hpp"
+
 using namespace dlis;
+using cli::argValue;
+using cli::hasFlag;
 
 namespace {
-
-const char *
-argValue(int argc, char **argv, const char *flag, const char *fallback)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    return fallback;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
-}
 
 int
 runServeCli(int argc, char **argv)
 {
+    cli::rejectUnknownOptions(
+        argc, argv,
+        {"--model", "--width", "--technique", "--rate-param", "--format",
+         "--backend", "--threads", "--plan", "--workers",
+         "--node-mem-budget", "--max-batch", "--max-delay-us", "--queue",
+         "--requests", "--rate", "--seed", "--telemetry-port",
+         "--slo-p99-ms", "--slo-max-shed", "--trace"},
+        {"--hold"});
+
     StackConfig config;
     config.modelName = argValue(argc, argv, "--model", "mobilenet");
     config.widthMult =
@@ -162,12 +156,17 @@ runServeCli(int argc, char **argv)
     slo.minWindowRequests = 8;
     slo.evalPeriodSeconds = 0.5;
 
+    // A worker runs its forward under this backend and thread count;
+    // print the threads it actually gets (one when serial).
+    ExecContext workerCtx;
+    workerCtx.backend = serveConfig.backend;
+    workerCtx.threads = serveConfig.threads;
     std::printf("serve: %s width %.2f | %s | %s backend x%d | "
                 "%zu workers | max-batch %zu | linger %llu us | "
                 "queue %zu\n",
                 config.modelName.c_str(), config.widthMult,
                 techniqueName(config.technique),
-                backend.c_str(), serveConfig.threads,
+                backend.c_str(), workerCtx.policy().threads,
                 serveConfig.workers, serveConfig.maxBatch,
                 static_cast<unsigned long long>(
                     serveConfig.maxDelayUs),

@@ -20,28 +20,16 @@
  *                                        CLBlast estimates
  *             [--backend serial|openmp]  host backend of the timed
  *                                        run, the CPU estimate and
- *                                        the --verify/--analyze
- *                                        target (default openmp)
+ *                                        the --verify target
+ *                                        (default openmp)
  *             [--algo direct|im2col]
  *             [--repeat <n>]             host-timing repeats (default 1)
  *             [--verify]                 statically verify the stack
  *                                        configuration (shapes, algorithm
  *                                        capabilities, sparse formats,
- *                                        memory estimate) and exit;
- *                                        nonzero exit on any error
- *             [--analyze]                numerical-safety analysis:
- *                                        interval dataflow (per-layer
- *                                        activation ranges, overflow /
- *                                        non-finite / dead-output
- *                                        findings); nonzero exit on
- *                                        any error
- *             [--json]                   with --analyze: emit the
- *                                        machine-readable JSON report
- *                                        instead of the human one
- *             [--input-min <v>] [--input-max <v>]
- *                                        declared input range the
- *                                        interval pass starts from
- *                                        (default [-1, 1])
+ *                                        finite parameters, memory
+ *                                        estimate) and exit; nonzero
+ *                                        exit on any error
  *             [--error-budget <eps>]     with --tune: exclude
  *                                        candidates whose measured
  *                                        max |out - ref| against the
@@ -83,22 +71,21 @@
  *
  * Prints the configured stack's achieved compression, simulated
  * platform time, host-measured time, and memory footprint. Bad
- * arguments exit 1 with a message on stderr. With
- * --repeat > 1 the host time becomes a p50/p90/p99 distribution and
- * the expected-vs-actual table is printed per conv layer. Serving
- * (the batched engine under an arrival trace) is serve_cli's job.
+ * arguments, including an option not listed above, exit 1 with a
+ * message on stderr. With --repeat > 1 the host time becomes a
+ * p50/p90/p99 distribution and the expected-vs-actual table is
+ * printed per conv layer. Serving (the batched engine under an
+ * arrival trace) is serve_cli's job.
  */
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
 
-#include "analysis/analyzer.hpp"
 #include "analysis/memory_estimate.hpp"
 #include "analysis/verifier.hpp"
 #include "core/logging.hpp"
@@ -112,27 +99,13 @@
 #include "tune/plan.hpp"
 #include "tune/tuner.hpp"
 
+#include "cli_args.hpp"
+
 using namespace dlis;
+using cli::argValue;
+using cli::hasFlag;
 
 namespace {
-
-const char *
-argValue(int argc, char **argv, const char *flag, const char *fallback)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    return fallback;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
-}
 
 Backend
 parseBackend(const std::string &name)
@@ -187,34 +160,6 @@ runVerify(InferenceStack &stack, Backend backend,
                     fmtMb(m.sparseMeta).c_str(),
                     fmtMb(m.activationsPeak).c_str(),
                     fmtMb(m.scratchPeak).c_str());
-    }
-    return report.ok() ? 0 : 1;
-}
-
-/** --analyze mode: interval dataflow, no run. */
-int
-runAnalyze(int argc, char **argv, InferenceStack &stack,
-           Backend backend, const std::string &algo, int threads)
-{
-    analysis::AnalyzeOptions opts;
-    opts.input = stack.inputShape(1);
-    opts.backend = backend;
-    opts.convAlgo = parseConvAlgo(algo);
-    opts.threads = threads;
-    opts.inputRange = analysis::Interval{
-        std::stod(argValue(argc, argv, "--input-min", "-1")),
-        std::stod(argValue(argc, argv, "--input-max", "1"))};
-
-    const analysis::AnalysisReport report =
-        analysis::analyzeNetwork(stack.model().net, opts);
-    if (hasFlag(argc, argv, "--json")) {
-        std::printf("%s\n", report.json().c_str());
-    } else {
-        std::printf("analyze: %s | %s | %s | input %s\n",
-                    stack.config().modelName.c_str(),
-                    backendToken(backend),
-                    algo.c_str(), opts.input.str().c_str());
-        std::printf("%s\n", report.str().c_str());
     }
     return report.ok() ? 0 : 1;
 }
@@ -466,6 +411,14 @@ runPlan(int argc, char **argv, InferenceStack &stack,
 int
 runStackCli(int argc, char **argv)
 {
+    cli::rejectUnknownOptions(
+        argc, argv,
+        {"--model", "--technique", "--rate", "--format", "--width",
+         "--threads", "--platform", "--backend", "--algo", "--repeat",
+         "--error-budget", "--trace", "--metrics", "--plan-dir",
+         "--tune-reps", "--mem-budget", "--mem-out", "--plan"},
+        {"--verify", "--tune", "--mem-report"});
+
     const std::string model = argValue(argc, argv, "--model", "vgg16");
     const std::string technique =
         argValue(argc, argv, "--technique", "plain");
@@ -513,11 +466,6 @@ runStackCli(int argc, char **argv)
         return runVerify(stack, backend,
                          argValue(argc, argv, "--algo", "direct"),
                          threads);
-
-    if (hasFlag(argc, argv, "--analyze"))
-        return runAnalyze(argc, argv, stack, backend,
-                          argValue(argc, argv, "--algo", "direct"),
-                          threads);
 
     if (hasFlag(argc, argv, "--tune"))
         return runTune(argc, argv, stack);

@@ -45,8 +45,6 @@ static constexpr const char *kCheckNames[] = {
     "plan-unknown-layer",
     "duplicate-layer-name",
     "non-finite-weight",
-    "activation-overflow",
-    "dead-output",
     "error-budget-exceeded",
     "plan-mem-infeasible",
     "node-mem-exceeded",

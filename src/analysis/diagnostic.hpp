@@ -66,13 +66,13 @@ enum class Check
     // Structure (addressability)
     DuplicateLayerName, //!< two layers share a name; overrides alias
 
-    // Numerical safety (interval dataflow + measured deviation)
-    NonFiniteWeight,     //!< NaN/Inf parameter (or negative BN var)
-    ActivationOverflow,  //!< activation interval exceeds float range
-    DeadOutput,          //!< ReLU output provably pinned <= 0
+    // Numerical safety (parameter scan + measured deviation)
+    NonFiniteWeight,     //!< NaN/Inf parameter, or BN var + eps <= 0
     ErrorBudgetExceeded, //!< measured deviation above the budget
-    PlanMemInfeasible,   //!< no per-layer assignment fits the budget
-    NodeMemExceeded,     //!< replicas x plan peak above node budget
+
+    // Memory budgets
+    PlanMemInfeasible, //!< no per-layer assignment fits the budget
+    NodeMemExceeded,   //!< replicas x plan peak above node budget
 
     Count_, //!< sentinel — keep last; sizes checkName()'s table
 };

@@ -82,7 +82,24 @@ verifyCsrArrays(const std::vector<int32_t> &rowPtr,
     }
 }
 
+/** The non-finite-weight Error for a CSR image's values. */
+void
+nonFiniteValues(const std::string &where, std::vector<Diagnostic> &out)
+{
+    diag(out, Severity::Error, Check::NonFiniteWeight, where,
+         "CSR values contain NaN/Inf; every forward is poisoned");
+}
+
 } // namespace
+
+bool
+allFinite(const float *p, size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        if (!std::isfinite(p[i]))
+            return false;
+    return true;
+}
 
 void
 verifyCsrSlice(const CsrSlice &slice, size_t kh, size_t kw,
@@ -97,17 +114,21 @@ verifyCsrFilterBank(const CsrFilterBank &bank, const std::string &where,
                     std::vector<Diagnostic> &out)
 {
     size_t expectedBytes = 0;
+    bool finite = true;
     for (size_t oc = 0; oc < bank.outChannels(); ++oc) {
         for (size_t ci = 0; ci < bank.inChannels(); ++ci) {
             const CsrSlice &s = bank.slice(oc, ci);
             verifyCsrSlice(s, bank.kernelH(), bank.kernelW(),
                            sliceLabel(where, oc, ci), out);
+            finite = finite && allFinite(s.values.data(), s.values.size());
             expectedBytes += s.values.size() * sizeof(float) +
                              s.rowPtr.size() * sizeof(int32_t) +
                              s.colIdx.size() * sizeof(int32_t) +
                              CsrFilterBank::perSliceOverheadBytes;
         }
     }
+    if (!finite)
+        nonFiniteValues(where, out);
     if (bank.storageBytes() != expectedBytes)
         diag(out, Severity::Error, Check::ByteAccounting, where,
              "storageBytes() reports " +
@@ -122,6 +143,8 @@ verifyCsrMatrix(const CsrMatrix &m, const std::string &where,
 {
     verifyCsrArrays(m.rowPtr(), m.colIdx(), m.values().size(),
                     m.rows(), m.cols(), where, out);
+    if (!allFinite(m.values().data(), m.values().size()))
+        nonFiniteValues(where, out);
     const size_t expectedBytes =
         m.values().size() * sizeof(float) +
         m.colIdx().size() * sizeof(int32_t) +

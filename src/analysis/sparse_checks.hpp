@@ -7,7 +7,8 @@
  * (Conv2d::setCsrWeight / setPackedWeight trust the caller). These
  * checks prove an image is well-formed *before* a kernel walks it:
  * a non-monotone row_ptr or out-of-range column index would read out
- * of bounds mid-inference, where no check exists on the hot path.
+ * of bounds mid-inference, where no check exists on the hot path,
+ * and a NaN/Inf value would poison every output it reaches.
  */
 
 #ifndef DLIS_ANALYSIS_SPARSE_CHECKS_HPP
@@ -19,6 +20,9 @@
 #include "sparse/packed_ternary.hpp"
 
 namespace dlis::analysis {
+
+/** True when none of the @p n values at @p p is NaN or Inf. */
+bool allFinite(const float *p, size_t n);
 
 /**
  * Verify one CSR slice: row_ptr has @p kh + 1 entries, starts at 0,
@@ -33,13 +37,16 @@ void verifyCsrSlice(const CsrSlice &slice, size_t kh, size_t kw,
 /**
  * Verify every slice of a filter bank plus the bank-level byte
  * accounting (storageBytes == values + metadata, recomputed from the
- * arrays themselves).
+ * arrays themselves) and the finiteness of every stored value.
  */
 void verifyCsrFilterBank(const CsrFilterBank &bank,
                          const std::string &where,
                          std::vector<Diagnostic> &out);
 
-/** Verify a flat CSR matrix (the Linear-layer deployment format). */
+/**
+ * Verify a flat CSR matrix (the Linear-layer deployment format):
+ * its arrays, byte accounting and finite values.
+ */
 void verifyCsrMatrix(const CsrMatrix &m, const std::string &where,
                      std::vector<Diagnostic> &out);
 

@@ -52,7 +52,7 @@ class NetworkVerifier
             diag(diags, Severity::Error, Check::BadConfig, "",
                  "batch dimension is 0 in " + opt_.input.str());
 
-        // Layer names key DeploymentPlan overrides and --analyze
+        // Layer names key DeploymentPlan overrides and per-layer
         // report rows; a duplicate silently aliases both.
         std::set<std::string> seen;
         for (const auto &layer : net.layers())
@@ -100,6 +100,18 @@ class NetworkVerifier
         }
     }
 
+    /** A non-finite-weight Error unless every value of @p t is
+     *  finite; the shape walk goes on either way. */
+    void
+    requireFinite(const Layer &layer, const Tensor &t, const char *what)
+    {
+        if (!allFinite(t.data(), t.numel()))
+            diag(diags, Severity::Error, Check::NonFiniteWeight,
+                 layer.name(),
+                 std::string(what) +
+                     " contains NaN/Inf; every forward is poisoned");
+    }
+
     bool
     requireRank4(const Layer &layer, const Shape &s)
     {
@@ -137,6 +149,10 @@ class NetworkVerifier
 
         const WeightFormat fmt = conv.format();
         convCapabilityDiags(conv, opt_.convAlgo, diags);
+        if (fmt == WeightFormat::Dense)
+            requireFinite(conv, conv.weight(), "weight tensor");
+        if (conv.hasBias())
+            requireFinite(conv, conv.bias(), "bias vector");
 
         if (fmt == WeightFormat::Csr) {
             const CsrFilterBank &bank = conv.csrWeight();
@@ -190,6 +206,9 @@ class NetworkVerifier
                  "kernel larger than padded input " + shapeStr(s));
             ok = false;
         }
+        requireFinite(dw, dw.weight(), "weight tensor");
+        if (dw.hasBias())
+            requireFinite(dw, dw.bias(), "bias vector");
         return ok;
     }
 
@@ -204,6 +223,23 @@ class NetworkVerifier
                  "normalises " + std::to_string(bn.channels()) +
                      " channels, gets " + std::to_string(s.c()));
             return false;
+        }
+        requireFinite(bn, bn.gamma(), "gamma");
+        requireFinite(bn, bn.beta(), "beta");
+        requireFinite(bn, bn.runningMean(), "running mean");
+        requireFinite(bn, bn.runningVar(), "running variance");
+        // The inference scale is gamma / sqrt(var + eps), in float.
+        const float *var = bn.runningVar().data();
+        for (size_t ch = 0; ch < bn.channels(); ++ch) {
+            if (!(var[ch] + bn.eps() > 0.0f)) {
+                diag(diags, Severity::Error, Check::NonFiniteWeight,
+                     bn.name(),
+                     "running variance + eps is not positive for "
+                     "channel " +
+                         std::to_string(ch) +
+                         "; the inference scale is NaN");
+                break;
+            }
         }
         return true;
     }
@@ -225,6 +261,9 @@ class NetworkVerifier
                      " from " + shapeStr(s));
             return false;
         }
+        if (fc.format() == WeightFormat::Dense)
+            requireFinite(fc, fc.weight(), "weight matrix");
+        requireFinite(fc, fc.bias(), "bias vector");
         if (fc.format() == WeightFormat::Csr) {
             const CsrMatrix &m = fc.csrWeight();
             if (m.rows() != fc.outFeatures() ||

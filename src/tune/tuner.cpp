@@ -169,6 +169,7 @@ enumerateGlobals(const Network &net, const Shape &input,
     }
 
     std::vector<GlobalSpec> legal;
+    std::string refusal;
     for (const GlobalSpec &spec : specs) {
         analysis::VerifyOptions vopts;
         vopts.input = input;
@@ -176,9 +177,15 @@ enumerateGlobals(const Network &net, const Shape &input,
         vopts.convAlgo = spec.algo;
         vopts.threads = spec.threads;
         vopts.estimateMemory = false;
-        if (analysis::verifyNetwork(net, vopts).ok())
+        const analysis::VerifyReport report =
+            analysis::verifyNetwork(net, vopts);
+        if (report.ok())
             legal.push_back(spec);
+        else if (refusal.empty())
+            refusal = report.firstError();
     }
+    DLIS_CHECK(!legal.empty(),
+               "tuner: no legal global configuration: ", refusal);
     return legal;
 }
 
@@ -203,6 +210,13 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
 {
     Network &net = stack.model().net;
     const Shape input = stack.inputShape(1);
+
+    // The best single global {backend, algo, threads} the plan
+    // competes against. A network no global configuration verifies
+    // (a shape error, a NaN weight) is refused here, before anything
+    // is timed.
+    const std::vector<GlobalSpec> globals =
+        enumerateGlobals(net, input, options);
 
     // Shared measurement context: one arena (steady-state, no kernel
     // heap allocations after warmup) for every candidate.
@@ -341,13 +355,9 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
                    plan.peakBytesBound <= options.memBudget,
                "tuner: planner exceeded the mem budget");
 
-    // The competition: best single global {backend, algo, threads},
-    // scored from the same per-layer samples so the comparison is
-    // apples-to-apples, then (optionally) both measured end-to-end.
-    const std::vector<GlobalSpec> globals =
-        enumerateGlobals(net, input, options);
-    DLIS_CHECK(!globals.empty(),
-               "tuner: no legal global configuration");
+    // The competition: the best global config, scored from the same
+    // per-layer samples so the comparison is apples-to-apples, then
+    // (optionally) both measured end-to-end.
     const GlobalSpec *bestGlobal = nullptr;
     double bestGlobalScore =
         std::numeric_limits<double>::infinity();

@@ -361,6 +361,31 @@ TEST(Tuner, DepthwiseLayersNeverGetGemmBackends)
     }
 }
 
+TEST(Tuner, NonFiniteWeightsRefusedBeforeAnythingIsTimed)
+{
+    // A NaN weight fails every global configuration's verification;
+    // the tuner refuses with the verifier's code before timing a
+    // single candidate.
+    InferenceStack stack = makeStack("vgg16");
+    auto *conv =
+        dynamic_cast<Conv2d *>(stack.model().net.layers().front().get());
+    ASSERT_NE(conv, nullptr);
+    conv->weight()[0] = std::nanf("");
+
+    tune::TuneOptions options = fastOptions();
+    size_t clockReads = 0;
+    options.clock = [&clockReads] { return double(++clockReads); };
+    try {
+        tunePlan(stack, options);
+        FAIL() << "tuner accepted a NaN weight";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("non-finite-weight"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(0u, clockReads);
+}
+
 TEST(Tuner, ErrorBudgetGatesOnMeasuredDeviation)
 {
     // Every candidate records max |out - ref| against the layer's

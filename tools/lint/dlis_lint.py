@@ -34,13 +34,11 @@ expresses:
                    call site keeps a scalar reference path and the
                    binary stays runnable on any host.
   float-sentinel   No ``std::numeric_limits<float>`` sentinel
-                   comparisons outside src/analysis/: hand-rolled
-                   max()/infinity()/lowest() range checks are how
-                   overflow bugs hide (float max compared against a
-                   double, infinity() used where a NaN slips past).
-                   Ask the interval layer instead —
-                   analysis::overflowsFloat() / isFiniteValue() /
-                   analysis::kFloatMax (src/analysis/interval.hpp).
+                   comparisons: hand-rolled max()/infinity()/lowest()
+                   range checks are how overflow bugs hide (float max
+                   compared against a double, infinity() used where a
+                   NaN slips past). Ask ``std::isfinite`` instead; it
+                   rejects NaN and both infinities in one test.
 
 Suppress a finding with a same-line comment::
 
@@ -79,7 +77,6 @@ RULE_ONLY = {
 # above).
 RULE_EXCEPT = {
     "simd-intrinsics": ("src/backend/simd/",),
-    "float-sentinel": ("src/analysis/",),
 }
 
 RULES = [
@@ -149,9 +146,8 @@ RULES = [
     (
         "float-sentinel",
         re.compile(r"std\s*::\s*numeric_limits\s*<\s*float\s*>"),
-        "float sentinel comparison outside src/analysis/; use "
-        "analysis::overflowsFloat()/isFiniteValue()/kFloatMax "
-        "(analysis/interval.hpp)",
+        "float sentinel comparison; use std::isfinite, which rejects "
+        "NaN and both infinities",
     ),
 ]
 

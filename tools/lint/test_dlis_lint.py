@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Unit tests for dlis_lint.py's simd-intrinsics rule (stdlib unittest).
+"""Unit tests for dlis_lint.py's path-scoped rules (stdlib unittest).
 
-Vector code lives only under src/backend/simd/; the rule keeps raw x86
-and Arm intrinsics out of every other directory, including Arm ones no
-kernel in the tree uses today. These tests pin that scope and the
+Vector code lives only under src/backend/simd/; the simd-intrinsics
+rule keeps raw x86 and Arm intrinsics out of every other directory,
+including Arm ones no kernel in the tree uses today. The float-sentinel
+rule has no exempt directory. These tests pin both scopes and the
 same-line suppression on temporary files. Run with:
 
     python3 -m unittest discover -s tools/lint -p 'test_*.py'
@@ -24,7 +25,9 @@ INTRINSIC_LINES = {
 }
 
 
-class SimdIntrinsicsRule(unittest.TestCase):
+class LintCase(unittest.TestCase):
+    RULE = ""
+
     def setUp(self):
         self._tmp = tempfile.TemporaryDirectory()
         self.root = Path(self._tmp.name)
@@ -37,7 +40,11 @@ class SimdIntrinsicsRule(unittest.TestCase):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
         return [v for v in dlis_lint.lint_file(path)
-                if "[simd-intrinsics]" in v]
+                if f"[{self.RULE}]" in v]
+
+
+class SimdIntrinsicsRule(LintCase):
+    RULE = "simd-intrinsics"
 
     def test_flagged_outside_simd_directory(self):
         for what, line in INTRINSIC_LINES.items():
@@ -65,6 +72,19 @@ class SimdIntrinsicsRule(unittest.TestCase):
         line = ("#include <arm_neon.h>"
                 "  // dlis-lint: allow(raw-assert)\n")
         self.assertTrue(self.lint("src/nn/conv2d.cpp", line))
+
+
+class FloatSentinelRule(LintCase):
+    RULE = "float-sentinel"
+    LINE = "bool big(float x) { return x > std::numeric_limits<float>::max(); }\n"
+
+    def test_flagged_under_analysis(self):
+        found = self.lint("src/analysis/verifier.cpp", self.LINE)
+        self.assertTrue(found, "float sentinel under src/analysis/ not flagged")
+        self.assertIn("std::isfinite", found[0])
+
+    def test_flagged_elsewhere(self):
+        self.assertTrue(self.lint("src/nn/batchnorm.cpp", self.LINE))
 
 
 if __name__ == "__main__":
