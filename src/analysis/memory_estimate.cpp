@@ -22,21 +22,14 @@ bytesOf(const Shape &s)
 /**
  * Thread count gemmBlocked's per-thread C tiles are sized for, given
  * the context's backend and thread setting (ExecContext::policy gives
- * the Serial backend a serial kernel policy; a build without OpenMP
- * runs every GEMM on one thread).
+ * the Serial backend a serial kernel policy).
  */
 size_t
 effectiveThreads(Backend backend, int threads)
 {
-#if DLIS_HAVE_OPENMP
     return backend == Backend::OpenMP && threads > 1
                ? static_cast<size_t>(threads)
                : size_t{1};
-#else
-    (void)backend;
-    (void)threads;
-    return 1;
-#endif
 }
 
 /**

@@ -4,10 +4,10 @@
  *
  * These are the paper's baseline compute path (§V-D uses direct
  * convolution, not im2col, for the baseline experiments). Each kernel
- * has a serial body; the OpenMP variant parallelises the outer
- * output-channel loop with dynamic scheduling, exactly as described in
- * §IV-D, and synchronises at the end of every layer (implicit in the
- * parallel-for join).
+ * has a serial body; the OpenMP-backend variant runs the outer
+ * output-channel loop on the worker team with dynamic scheduling, as
+ * described in §IV-D, and synchronises at the end of every layer
+ * (team::run returns when every task has).
  */
 
 #ifndef DLIS_BACKEND_CONV_KERNELS_HPP

@@ -6,9 +6,11 @@
 #ifndef DLIS_BACKEND_CONV_PARAMS_HPP
 #define DLIS_BACKEND_CONV_PARAMS_HPP
 
+#include <atomic>
 #include <cstddef>
 
 #include "core/error.hpp"
+#include "core/thread_pool.hpp"
 #include "obs/counters.hpp"
 
 namespace dlis {
@@ -55,7 +57,7 @@ struct ConvParams
 /** Threading policy (and observability handles) handed to kernels. */
 struct KernelPolicy
 {
-    int threads = 1; //!< OpenMP thread count (1 = serial path)
+    int threads = 1; //!< worker-team width (1 = serial path)
     /**
      * Counter handles the kernel publishes into (all-null = not
      * measured; layers fill them from ExecContext::metrics so counts
@@ -81,10 +83,11 @@ struct KernelPolicy
 };
 
 /**
- * The kernels' one parallel driver: run @p body(image, channel) over
- * the flattened (image x channel) loop, serially or as one OpenMP
- * parallel region with dynamic scheduling per the paper's §IV-D
- * (counted in omp_regions when counters are attached).
+ * The kernels' one parallel loop: run @p body(image, channel) over the
+ * flattened (image x channel) loop, serially or on the calling
+ * thread's worker team, each task taking the next index from one
+ * shared counter (the paper's §IV-D dynamic schedule; one team wake,
+ * counted in omp_regions when counters are attached).
  */
 template <typename Body>
 void
@@ -92,19 +95,17 @@ forEachImageChannel(size_t images, size_t channels,
                     const KernelPolicy &policy, Body &&body)
 {
     const size_t total = images * channels;
-#if DLIS_HAVE_OPENMP
     if (policy.threads > 1) {
         if (policy.counters.ompRegions)
             policy.counters.ompRegions->add(1);
-        #pragma omp parallel for schedule(dynamic) \
-            num_threads(policy.threads)
-        for (size_t i = 0; i < total; ++i)
-            body(i / channels, i % channels);
+        std::atomic<size_t> next{0};
+        auto task = [&](size_t, size_t) {
+            for (size_t i; (i = next.fetch_add(1)) < total;)
+                body(i / channels, i % channels);
+        };
+        team::run(static_cast<size_t>(policy.threads), task);
         return;
     }
-#else
-    (void)policy;
-#endif
     for (size_t i = 0; i < total; ++i)
         body(i / channels, i % channels);
 }

@@ -3,24 +3,25 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/thread_pool.hpp"
+
 namespace dlis::kernels {
 
 void
 reluInPlace(float *data, size_t count, const KernelPolicy &policy)
 {
-#if DLIS_HAVE_OPENMP
     if (policy.threads > 1) {
         if (policy.counters.ompRegions)
             policy.counters.ompRegions->add(1);
-        #pragma omp parallel for schedule(static) \
-            num_threads(policy.threads)
-        for (size_t i = 0; i < count; ++i)
-            data[i] = data[i] > 0.0f ? data[i] : 0.0f;
+        // A static split: one contiguous chunk per task.
+        auto task = [&](size_t tid, size_t nt) {
+            const size_t end = count * (tid + 1) / nt;
+            for (size_t i = count * tid / nt; i < end; ++i)
+                data[i] = data[i] > 0.0f ? data[i] : 0.0f;
+        };
+        team::run(static_cast<size_t>(policy.threads), task);
         return;
     }
-#else
-    (void)policy;
-#endif
     for (size_t i = 0; i < count; ++i)
         data[i] = data[i] > 0.0f ? data[i] : 0.0f;
 }

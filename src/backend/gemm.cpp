@@ -1,15 +1,13 @@
 #include "backend/gemm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "backend/simd/dispatch.hpp"
 #include "core/error.hpp"
 #include "core/scratch_arena.hpp"
-
-#if DLIS_HAVE_OPENMP
-#include <omp.h>
-#endif
+#include "core/thread_pool.hpp"
 
 namespace dlis::kernels {
 
@@ -49,12 +47,8 @@ gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
     if (policy.counters.gemmMacs)
         policy.counters.gemmMacs->add(static_cast<uint64_t>(m) * k * n);
 
-#if DLIS_HAVE_OPENMP
     const size_t nthreads =
         policy.threads > 1 ? static_cast<size_t>(policy.threads) : 1;
-#else
-    const size_t nthreads = 1;
-#endif
 
     const size_t rowTiles = (m + tm - 1) / tm;
     const size_t colTiles = (n + tn - 1) / tn;
@@ -124,30 +118,26 @@ gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
         }
     };
 
-#if DLIS_HAVE_OPENMP
     if (teams > 1) {
         if (policy.counters.ompRegions)
             policy.counters.ompRegions->add(1);
-        #pragma omp parallel num_threads(static_cast<int>(teams))
-        {
-            const size_t tid = static_cast<size_t>(omp_get_thread_num());
+        std::atomic<size_t> next{0};
+        team::run(teams, [&](size_t tid, size_t nt) {
             if (pack) {
-                // Split by the team actually granted, which may be
-                // smaller than the one requested.
-                const size_t nt = static_cast<size_t>(omp_get_num_threads());
+                // Split by the team actually run, which is one thread
+                // when this call is nested inside another task.
                 const size_t tasks = pack->tasks();
-                im2colPack(*pack, tasks * tid / nt, tasks * (tid + 1) / nt);
-                #pragma omp barrier
+                im2colPack(*pack, tasks * tid / nt,
+                           tasks * (tid + 1) / nt);
+                team::barrier();
             }
-            // The region's closing barrier is the only one the tile
-            // loop needs.
-            #pragma omp for schedule(dynamic) nowait
-            for (size_t t = 0; t < tiles; ++t)
+            // Dynamic tile assignment; run()'s return is the only
+            // other synchronisation the tile loop needs.
+            for (size_t t; (t = next.fetch_add(1)) < tiles;)
                 tile_body(t, ctiles + tid * tm * tn);
-        }
+        });
         return;
     }
-#endif
     if (pack)
         im2colPack(*pack, 0, pack->tasks());
     for (size_t t = 0; t < tiles; ++t)

@@ -64,7 +64,7 @@ struct GemmConvFusion
 };
 
 /**
- * Cache-blocked GEMM: C = A * B, tiled MC/KC/NC, serial or OpenMP over
+ * Cache-blocked GEMM: C = A * B, tiled MC/KC/NC, serial or on the team over
  * the flattened (row tile, column tile) grid, in at most one parallel
  * region. Parallel runs accumulate into per-thread C tiles drawn from
  * the policy's scratch arena (a call-local arena when policy.arena is

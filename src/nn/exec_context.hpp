@@ -31,7 +31,7 @@ class Metrics;
 enum class Backend
 {
     Serial, //!< single-threaded C reference
-    OpenMP, //!< CPU parallel-for, dynamic schedule
+    OpenMP, //!< CPU parallel loop on the caller's worker team
 };
 
 /** Human-readable backend name. */

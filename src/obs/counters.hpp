@@ -19,7 +19,7 @@ namespace dlis::obs {
 
 /**
  * A monotonic event counter. add() is safe from any thread (relaxed
- * atomic), so OpenMP workers can publish partial counts concurrently;
+ * atomic), so a worker team's threads can publish partial counts at once;
  * kernels accumulate per-work-item totals locally and publish once per
  * item to keep the atomic traffic negligible.
  */
@@ -77,7 +77,7 @@ struct KernelCounters
     Counter *gemmMacs = nullptr;
     /** im2col bytes staged into scratch buffers. */
     Counter *im2colBytes = nullptr;
-    /** OpenMP parallel regions launched. */
+    /** Parallel regions launched: worker-team wakes. */
     Counter *ompRegions = nullptr;
     /**
      * Scratch-arena capacity growth (bytes) caused by this layer's

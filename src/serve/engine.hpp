@@ -97,7 +97,7 @@ struct ServeConfig
     size_t queueCapacity = 64; //!< admission bound (backpressure)
 
     Backend backend = Backend::Serial; //!< per-worker compute backend
-    int threads = 1;                   //!< OpenMP threads per worker
+    int threads = 1;                   //!< team width per worker
     ConvAlgo convAlgo = ConvAlgo::Direct;
 
     /**

@@ -627,9 +627,23 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
                        "plan signature " + plan.networkSignature +
                            " does not match this network (" + sig +
                            "); model, width, format or input differ");
-    if (plan.defaultThreads < 1)
+    if (plan.defaultThreads < 1) {
         analysis::diag(out, Severity::Error, Check::BadConfig, "",
                        "default_threads must be >= 1");
+    } else {
+        // The signature hashes structure, never values, so a plan
+        // tuned for a clean model also matches its NaN-weight twin:
+        // the network itself must still pass the verifier.
+        analysis::VerifyOptions vopts;
+        vopts.input = input;
+        vopts.backend = plan.defaultBackend;
+        vopts.threads = plan.defaultThreads;
+        vopts.estimateMemory = false;
+        analysis::VerifyReport report = analysis::verifyNetwork(net, vopts);
+        for (analysis::Diagnostic &d : report.diagnostics)
+            if (d.severity == Severity::Error)
+                out.push_back(std::move(d));
+    }
 
     std::unordered_map<std::string, const Layer *> byName;
     for (const auto &layer : net.layers())

@@ -186,10 +186,11 @@ std::string planCacheFile(const std::string &dir,
  * Returns diagnostics — version mismatch (PlanVersion), foreign host
  * (PlanHostMismatch), different network (PlanNetworkMismatch), layer
  * names the network lacks (PlanUnknownLayer), illegal per-layer
- * points (the verifier capability codes), and BadConfig for bad
- * thread counts, non-CPU layer backends and a peak_bytes_bound that
- * is not planPeakBytes. Error severity means the plan must not
- * execute.
+ * points (the verifier capability codes), every Error the verifier
+ * finds in @p net at the plan's default backend and threads (a
+ * non-finite weight: the signature never hashes values), and
+ * BadConfig for bad thread counts and a peak_bytes_bound that is not
+ * planPeakBytes. Error severity means the plan must not execute.
  */
 std::vector<analysis::Diagnostic>
 validatePlan(const DeploymentPlan &plan, const Network &net,

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <limits>
+#include <optional>
+#include <tuple>
+#include <utility>
 
 #include "analysis/verifier.hpp"
 #include "tune/mem_planner.hpp"
@@ -125,17 +128,17 @@ effectivePoint(const TunableLayer &tl, Backend b, ConvAlgo a, int t)
             hasIm2col(tl) ? a : ConvAlgo::Direct, threads};
 }
 
-/** Measured score of @p search's point matching the candidate key. */
-double
-layerScore(const LayerSearch &search, const CandidatePoint &key)
+/** @p search's measured point matching the candidate key. */
+const CandidatePoint &
+measuredPoint(const LayerSearch &search, const CandidatePoint &key)
 {
     for (const CandidatePoint &cp : search.candidates)
         if (cp.backend == key.backend && cp.algo == key.algo &&
             cp.threads == key.threads)
-            return cp.measuredSeconds;
+            return cp;
     DLIS_CHECK(false, "tuner: global config resolves to a point ",
                "missing from layer '", search.layer, "' grid");
-    return std::numeric_limits<double>::infinity();
+    return search.candidates.front();
 }
 
 /** One whole-network configuration the tuned plan competes against. */
@@ -145,6 +148,40 @@ struct GlobalSpec
     ConvAlgo algo = ConvAlgo::Direct;
     int threads = 1;
 };
+
+/**
+ * @p plan with every layer at the point @p spec resolves to there,
+ * carrying that point's measured seconds and deviation, @p spec as its
+ * base config and its own peak bound; nullopt when one of those points
+ * is over the error budget or the peak is over @p memBudget (0 = none).
+ */
+std::optional<DeploymentPlan>
+uniformPlan(const DeploymentPlan &plan, const GlobalSpec &spec,
+            const std::vector<TunableLayer> &tunable,
+            const std::vector<LayerSearch> &searches, const Network &net,
+            const Shape &input, size_t memBudget)
+{
+    DeploymentPlan uniform = plan;
+    uniform.defaultBackend = spec.backend;
+    uniform.defaultThreads = spec.threads;
+    for (size_t li = 0; li < searches.size(); ++li) {
+        const CandidatePoint &cp = measuredPoint(
+            searches[li], effectivePoint(tunable[li], spec.backend,
+                                         spec.algo, spec.threads));
+        if (cp.budgetExcluded)
+            return std::nullopt;
+        LayerPlan &lp = uniform.layers[li];
+        lp.backend = cp.backend;
+        lp.algo = cp.algo;
+        lp.threads = cp.threads;
+        lp.measuredSeconds = cp.measuredSeconds;
+        lp.maxAbsDev = cp.maxAbsDev;
+    }
+    uniform.peakBytesBound = planPeakBytes(uniform, net, input);
+    if (memBudget > 0 && uniform.peakBytesBound > memBudget)
+        return std::nullopt;
+    return uniform;
+}
 
 std::string
 globalSpecName(const GlobalSpec &spec)
@@ -189,17 +226,31 @@ enumerateGlobals(const Network &net, const Shape &input,
     return legal;
 }
 
-/** Median e2e seconds of a forward under @p ctx (shared harness). */
-double
-measureForward(Network &net, const Tensor &input, ExecContext &ctx,
-               const TuneOptions &options)
+/**
+ * Median e2e seconds of forwards under @p a and under @p b, timed in
+ * alternating order (a, b, a, b, ...) after options.warmup untimed
+ * forwards of each, so host drift reaches both sides alike.
+ */
+std::pair<double, double>
+measureAlternating(Network &net, const Tensor &input, ExecContext &a,
+                   ExecContext &b, const TuneOptions &options)
 {
-    MeasureOptions mo;
-    mo.warmup = options.warmup;
-    mo.reps = options.reps;
-    mo.clock = options.clock;
-    return measureMedianSeconds(
-        [&] { (void)net.forward(input, ctx); }, mo);
+    for (size_t w = 0; w < options.warmup; ++w) {
+        (void)net.forward(input, a);
+        (void)net.forward(input, b);
+    }
+    MeasureOptions once;
+    once.warmup = 0;
+    once.reps = 1;
+    once.clock = options.clock;
+    std::vector<double> sa, sb;
+    for (size_t r = 0; r < options.reps; ++r) {
+        sa.push_back(measureMedianSeconds(
+            [&] { (void)net.forward(input, a); }, once));
+        sb.push_back(measureMedianSeconds(
+            [&] { (void)net.forward(input, b); }, once));
+    }
+    return {medianOf(std::move(sa)), medianOf(std::move(sb))};
 }
 
 } // namespace
@@ -227,19 +278,18 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
     mo.reps = options.reps;
     mo.clock = options.clock;
 
-    // Seeded whole-network input: the untimed OpenMP warm-up below,
-    // the end-to-end deviation and the e2e measurements all read it.
+    // Seeded whole-network input: the untimed warm-up below, the
+    // end-to-end deviation and the e2e measurements all read it.
     Rng netRng(options.seed, 0);
     Tensor netInput(input);
     netInput.fillUniform(netRng, -1.0f, 1.0f);
 
-    // One untimed forward per OpenMP width before anything is timed.
-    // A fresh worker team can start with busy-waiting workers sharing
-    // a core with the thread that holds the work; until the scheduler
-    // spreads the team, every parallel region waits out whole
-    // scheduler ticks, and the first candidates timed at that width
-    // read milliseconds for sub-millisecond work. A forward with real
-    // work gives the scheduler the chance to spread the team first.
+    // One untimed forward per OpenMP width before anything is timed:
+    // it starts this thread's worker team at that width and lets the
+    // scheduler spread the new workers over the cores, so neither
+    // lands in the first candidates timed at that width. Without it,
+    // 1 of 10 fresh VGG-16 searches still picked a serial best global
+    // config on a 4-vCPU Xeon.
     for (int t : options.threadCandidates) {
         if (t <= 1)
             continue;
@@ -365,9 +415,10 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
         double score = 0.0;
         for (const LayerSearch &search : searches) {
             const TunableLayer &tl = tunable[&search - &searches[0]];
-            score += layerScore(
-                search, effectivePoint(tl, spec.backend, spec.algo,
-                                       spec.threads));
+            score += measuredPoint(search,
+                                   effectivePoint(tl, spec.backend,
+                                                  spec.algo, spec.threads))
+                         .measuredSeconds;
         }
         if (score < bestGlobalScore) {
             bestGlobalScore = score;
@@ -382,26 +433,45 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
 
     // End-to-end deviation of the whole plan from the serial/direct
     // forward on the seeded network input.
-    const PlanRuntime runtime(plan);
-    ExecContext tunedCtx;
-    runtime.bind(tunedCtx);
     ExecContext refCtx;
-    plan.maxAbsDev = net.forward(netInput, tunedCtx)
-                         .maxAbsDiff(net.forward(netInput, refCtx));
+    const Tensor ref = net.forward(netInput, refCtx);
+    const auto deviation = [&](const DeploymentPlan &p) {
+        const PlanRuntime runtime(p);
+        ExecContext ctx;
+        runtime.bind(ctx);
+        return net.forward(netInput, ctx).maxAbsDiff(ref);
+    };
+    plan.maxAbsDev = deviation(plan);
 
-    if (options.measureEndToEnd) {
-        plan.tunedP50 =
-            measureForward(net, netInput, tunedCtx, options);
-
+    if (!options.measureEndToEnd) {
+        plan.tunedP50 = tunedScore;
+        plan.bestGlobalP50 = bestGlobalScore;
+    } else {
+        const PlanRuntime runtime(plan);
+        ExecContext tunedCtx;
+        runtime.bind(tunedCtx);
         ExecContext globalCtx;
         globalCtx.backend = bestGlobal->backend;
         globalCtx.convAlgo = bestGlobal->algo;
         globalCtx.threads = bestGlobal->threads;
-        plan.bestGlobalP50 =
-            measureForward(net, netInput, globalCtx, options);
-    } else {
-        plan.tunedP50 = tunedScore;
-        plan.bestGlobalP50 = bestGlobalScore;
+        std::tie(plan.tunedP50, plan.bestGlobalP50) = measureAlternating(
+            net, netInput, tunedCtx, globalCtx, options);
+
+        // Adoption rule: a tuned plan that did not beat the best
+        // global config in its own A/B rounds gives way to that config
+        // as a uniform plan, unless a point of it is over the error
+        // budget or its peak is over the memory budget.
+        std::optional<DeploymentPlan> uniform;
+        if (!(plan.tunedP50 < plan.bestGlobalP50))
+            uniform = uniformPlan(plan, *bestGlobal, tunable, searches, net,
+                                  input, options.memBudget);
+        if (uniform) {
+            uniform->maxAbsDev = deviation(*uniform);
+            uniform->tunedP50 = plan.bestGlobalP50;
+            plan = std::move(*uniform);
+            for (size_t li = 0; li < searches.size(); ++li)
+                searches[li].winner = plan.layers[li];
+        }
     }
 
     if (audit)

@@ -29,9 +29,13 @@
  *
  * Because per-layer winners differ (the paper's core observation: the
  * best configuration is not fixed across a network — depthwise layers
- * hate fork/join, 1x1 convolutions hate CSR), the emitted plan
- * routinely beats the best single global configuration, which
- * tunePlan also identifies and records in the plan for comparison.
+ * hate fork/join, 1x1 convolutions hate CSR), the per-layer plan can
+ * beat the best single global configuration, which tunePlan also
+ * identifies and records in the plan for comparison. Layers timed
+ * alone never pay for waking the worker team after a serial layer,
+ * so the two are also timed end to end, in alternating forwards; a
+ * per-layer plan that does not win there is not emitted, the global
+ * config is, as a uniform plan.
  */
 
 #ifndef DLIS_TUNE_TUNER_HPP
@@ -61,9 +65,12 @@ struct TuneOptions
 
     /**
      * Measure the tuned plan and the best global configuration
-     * end-to-end (median of reps full forwards) to fill the plan's
-     * tunedP50/bestGlobalP50. When false both are the sum of the
-     * per-layer scores instead (cheaper; used by unit tests).
+     * end-to-end, reps forwards of each in alternating order after
+     * warmup untimed ones, and take each median as the plan's
+     * tunedP50/bestGlobalP50. A tuned plan whose median is not lower
+     * is replaced by the global config as a uniform plan (see
+     * tunePlan). When false both are the sum of the per-layer scores
+     * instead and nothing is replaced (cheaper; used by unit tests).
      */
     bool measureEndToEnd = true;
 
@@ -122,9 +129,16 @@ struct TuneOutcome
 
 /**
  * Run the two-stage search over every tunable layer of @p stack and
- * return the winning plan. @p audit, when non-null, receives one
- * LayerSearch per tunable layer. Deterministic for a fixed options
- * struct whenever options.clock is.
+ * return the winning plan. Under options.measureEndToEnd, a tuned plan
+ * whose end-to-end median is not below the best global config's is
+ * replaced by that config applied to every layer (each layer's point
+ * keeps its own measured seconds and deviation; the base config,
+ * maxAbsDev, peakBytesBound and tunedP50 are the uniform plan's),
+ * unless one of those points is over the error budget or the uniform
+ * plan's peak is over the memory budget. @p audit, when non-null,
+ * receives one LayerSearch per tunable layer, its winner the emitted
+ * layer plan. Deterministic for a fixed options struct whenever
+ * options.clock is.
  */
 DeploymentPlan tunePlan(InferenceStack &stack,
                         const TuneOptions &options,

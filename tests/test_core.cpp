@@ -1,15 +1,23 @@
 /**
  * @file
- * Core module tests: shapes, RNG, tensors, memory accounting, errors.
+ * Core module tests: shapes, RNG, tensors, memory accounting, errors,
+ * the worker team.
  */
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/error.hpp"
 #include "core/memory_tracker.hpp"
 #include "core/scratch_arena.hpp"
+#include "core/thread_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace dlis {
@@ -341,6 +349,109 @@ TEST(ScratchArena, ScopePublishesGrowthAndRewinds)
     }
     EXPECT_EQ(grown.value(), 4096u);
     EXPECT_EQ(rewinds.value(), 2u);
+}
+
+/** Threads of this process, as the kernel lists them. */
+size_t
+liveThreads()
+{
+    namespace fs = std::filesystem;
+    return static_cast<size_t>(std::distance(
+        fs::directory_iterator("/proc/self/task"), fs::directory_iterator{}));
+}
+
+/** One team run at width @p n: per-task visit counts, the width each
+ *  task saw, whether each saw every pre-barrier write after the
+ *  barrier, and whether its nested run() ran inline. */
+struct TeamProbe
+{
+    std::vector<std::atomic<int>> visits, width, sawAll, nestedInline;
+    std::vector<std::atomic<size_t>> slot;
+
+    explicit TeamProbe(size_t n)
+        : visits(n), width(n), sawAll(n), nestedInline(n), slot(n)
+    {
+    }
+
+    void run(size_t n)
+    {
+        team::run(n, [&](size_t tid, size_t nt) {
+            visits[tid].fetch_add(1);
+            width[tid] = static_cast<int>(nt);
+            slot[tid].store(tid + 1, std::memory_order_relaxed);
+            team::barrier();
+            bool all = true;
+            for (size_t t = 0; t < nt; ++t)
+                all &= slot[t].load(std::memory_order_relaxed) == t + 1;
+            sawAll[tid] = all;
+            const std::thread::id self = std::this_thread::get_id();
+            int inner = 0;
+            team::run(4, [&](size_t itid, size_t inw) {
+                inner += itid == 0 && inw == 1 &&
+                         std::this_thread::get_id() == self;
+            });
+            nestedInline[tid] = inner;
+        });
+    }
+};
+
+TEST(WorkerTeam, RunsEachTaskOnceBarriersNestsInlineAndJoinsAtExit)
+{
+    // A sanitizer runtime starts a helper thread with the first
+    // std::thread; let it start before any thread count is taken.
+    std::thread([] {}).join();
+    for (size_t n : {1, 2, 3, 4, 8}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+
+        // Every task index once, at the requested width; writes before
+        // the barrier are visible after it; a nested run is inline.
+        TeamProbe probe(n);
+        probe.run(n);
+        for (size_t tid = 0; tid < n; ++tid) {
+            EXPECT_EQ(probe.visits[tid], 1) << "tid " << tid;
+            EXPECT_EQ(probe.width[tid], static_cast<int>(n));
+            EXPECT_EQ(probe.sawAll[tid], 1) << "tid " << tid;
+            EXPECT_EQ(probe.nestedInline[tid], 1) << "tid " << tid;
+        }
+
+        // Two threads drive their own teams at the same time, and each
+        // joins its workers when it exits.
+        const size_t before = liveThreads();
+        std::latch looped(2), counted(2);
+        std::atomic<int> clean{0};
+        std::atomic<size_t> during{SIZE_MAX};
+        auto caller = [&] {
+            for (int rep = 0; rep < 200; ++rep) {
+                TeamProbe p(n);
+                p.run(n);
+                bool ok = true;
+                for (size_t tid = 0; tid < n; ++tid)
+                    ok &= p.visits[tid] == 1 && p.sawAll[tid] == 1;
+                clean += ok;
+            }
+            // Both loops are done, both teams still live.
+            looped.arrive_and_wait();
+            const size_t live = liveThreads();
+            size_t low = during.load();
+            while (live < low && !during.compare_exchange_weak(low, live)) {
+            }
+            counted.arrive_and_wait();
+        };
+        std::thread a(caller), b(caller);
+        a.join();
+        b.join();
+        EXPECT_EQ(clean, 400);
+        // Two callers, each with its own n - 1 workers.
+        EXPECT_EQ(during, before + 2 * n);
+        // A joined thread's task entry can outlive join() until the
+        // exiting thread is scheduled again; allow a loaded host 10 s.
+        size_t after = liveThreads();
+        for (int i = 0; i < 10000 && after != before; ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            after = liveThreads();
+        }
+        EXPECT_EQ(after, before);
+    }
 }
 
 TEST(Errors, FatalVersusPanic)

@@ -170,7 +170,6 @@ TEST(MemorySteadyState, SmallGemmSkipsTileCarve)
         runGemm(16, 24, 32, 4, arena);
         EXPECT_EQ(arena.capacityBytes(), 0u) << "clamped team carved";
     }
-#if DLIS_HAVE_OPENMP
     {
         // Genuinely parallel multi-tile run: exactly one block of
         // teams * tileM * tileN floats, nothing else.
@@ -181,7 +180,6 @@ TEST(MemorySteadyState, SmallGemmSkipsTileCarve)
                                         kernels::kGemmTileN *
                                         sizeof(float)));
     }
-#endif
 }
 
 TEST(MemorySteadyState, ServingWithTelemetryKeepsScratchWarm)

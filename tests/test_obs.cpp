@@ -177,9 +177,6 @@ TEST(Metrics, ReluCountsItsOmpRegionUnderItsScope)
     // The conv and the ReLU each open one parallel region under
     // OpenMP x2 and none when serial; each is charged to its own
     // layer's scope.
-#if !DLIS_HAVE_OPENMP
-    GTEST_SKIP() << "built without OpenMP";
-#else
     Network net("conv-relu");
     net.emplace<Conv2d>("conv", 2, 4, 3, 1, 1);
     net.emplace<ReLU>("relu");
@@ -197,7 +194,6 @@ TEST(Metrics, ReluCountsItsOmpRegionUnderItsScope)
         EXPECT_EQ(metrics.value("conv.omp_regions"), regions)
             << "threads=" << threads;
     }
-#endif
 }
 
 TEST(Metrics, Im2colConvCountsOneOmpRegion)
@@ -206,9 +202,6 @@ TEST(Metrics, Im2colConvCountsOneOmpRegion)
     // region, so under OpenMP x2 it opens exactly one region per GEMM
     // call: one for a one-image 8x8 plane (two row tiles), and one per
     // folded group for a batch of 2x2 planes.
-#if !DLIS_HAVE_OPENMP
-    GTEST_SKIP() << "built without OpenMP";
-#else
     struct Case
     {
         Shape input;
@@ -230,7 +223,6 @@ TEST(Metrics, Im2colConvCountsOneOmpRegion)
         EXPECT_EQ(metrics.value("conv.omp_regions"), c.gemmCalls)
             << c.input.str();
     }
-#endif
 }
 
 TEST(Stats, PercentileInterpolatesBetweenRanks)
@@ -373,9 +365,7 @@ TEST(RunReport, HostRunHonoursBackendAndThreads)
     const RunReport parallel = collectRunReport(stack, omp, 1);
     EXPECT_EQ("openmp", parallel.backend);
     EXPECT_EQ(2, parallel.threads);
-#if DLIS_HAVE_OPENMP
     EXPECT_GT(ompRegions(parallel), 0u);
-#endif
 
     ExecContext serial;
     serial.threads = 2;

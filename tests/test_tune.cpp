@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -80,6 +81,22 @@ makeFakeClock(double step = 1e-3)
     return [t, step] {
         *t += step;
         return *t;
+    };
+}
+
+/**
+ * Clock whose k-th read advances by @p step(k): the search's per-layer
+ * samples and the end-to-end A/B rounds read one stream, so a test
+ * can script each phase by read index.
+ */
+tune::ClockFn
+scriptedClock(std::function<double(size_t)> step)
+{
+    auto reads = std::make_shared<size_t>(0);
+    auto now = std::make_shared<double>(0.0);
+    return [reads, now, step] {
+        *now += step((*reads)++);
+        return *now;
     };
 }
 
@@ -384,6 +401,160 @@ TEST(Tuner, NonFiniteWeightsRefusedBeforeAnythingIsTimed)
             << e.what();
     }
     EXPECT_EQ(0u, clockReads);
+}
+
+TEST(Tuner, CachedPlanOfANonFiniteTwinIsRefused)
+{
+    // The network signature hashes structure, never values, so the
+    // clean model's cached plan names its NaN-weight twin too. The
+    // cache must not hand it back: validatePlan runs the verifier, the
+    // hit falls through to a retune, and the retune refuses before
+    // timing anything.
+    InferenceStack stack = makeStack("vgg16");
+    const std::string dir = "test_tune_nan_twin";
+    std::filesystem::remove_all(dir);
+    const tune::TuneOutcome clean =
+        tuneOrLoadPlan(stack, fastOptions(), dir);
+    ASSERT_FALSE(clean.cacheHit);
+
+    auto *conv =
+        dynamic_cast<Conv2d *>(stack.model().net.layers().front().get());
+    ASSERT_NE(conv, nullptr);
+    conv->weight()[0] = std::nanf("");
+    EXPECT_TRUE(hasError(tune::validatePlan(clean.plan,
+                                            stack.model().net,
+                                            stack.inputShape(1)),
+                         analysis::Check::NonFiniteWeight));
+
+    tune::TuneOptions options = fastOptions();
+    size_t clockReads = 0;
+    options.clock = [&clockReads] { return double(++clockReads); };
+    try {
+        tuneOrLoadPlan(stack, options, dir);
+        FAIL() << "cache handed back a plan for a NaN-weight model";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("non-finite-weight"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(0u, clockReads);
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * A MobileNet search whose per-layer samples come from an uneven
+ * clock, so the winners mix configs, followed by end-to-end A/B
+ * rounds whose k-th clock read (counted from the first A/B read)
+ * advances by @p abStep(k). Returns the plan, its audit and the plan
+ * the same search emits without the A/B rounds.
+ */
+struct AbSearch
+{
+    tune::DeploymentPlan plan, perLayer;
+    std::vector<tune::LayerSearch> audit;
+};
+
+AbSearch
+searchWithAbRounds(InferenceStack &stack,
+                   const std::function<double(size_t)> &abStep)
+{
+    const auto uneven = [](size_t k) {
+        return 1e-3 * (1.0 + static_cast<double>(k * 7919 % 101) / 101);
+    };
+    AbSearch out;
+    size_t searchReads = 0;
+    tune::TuneOptions options = fastOptions();
+    options.reps = 3;
+    options.clock = scriptedClock([&](size_t k) {
+        searchReads = k + 1;
+        return uneven(k);
+    });
+    out.perLayer = tunePlan(stack, options);
+
+    options.measureEndToEnd = true;
+    options.clock = scriptedClock([&, n = searchReads](size_t k) {
+        return k < n ? uneven(k) : abStep(k - n);
+    });
+    out.plan = tunePlan(stack, options, &out.audit);
+    return out;
+}
+
+TEST(Tuner, TunedPlanThatWinsItsAbRoundsIsKept)
+{
+    // Each round times the tuned plan, then the best global config.
+    // With every clock step longer than the last, the tuned side
+    // reads shorter in every round.
+    InferenceStack stack = makeStack("mobilenet");
+    const AbSearch s = searchWithAbRounds(
+        stack, [](size_t k) { return 1e-3 * static_cast<double>(k + 1); });
+    EXPECT_LT(s.plan.tunedP50, s.plan.bestGlobalP50);
+    ASSERT_EQ(s.plan.layers.size(), s.perLayer.layers.size());
+    for (size_t i = 0; i < s.plan.layers.size(); ++i) {
+        EXPECT_EQ(s.plan.layers[i].backend, s.perLayer.layers[i].backend);
+        EXPECT_EQ(s.plan.layers[i].algo, s.perLayer.layers[i].algo);
+        EXPECT_EQ(s.plan.layers[i].threads, s.perLayer.layers[i].threads);
+    }
+    EXPECT_EQ(s.plan.defaultBackend, s.perLayer.defaultBackend);
+    EXPECT_EQ(s.plan.defaultThreads, s.perLayer.defaultThreads);
+}
+
+TEST(Tuner, TunedPlanThatLosesItsAbRoundsBecomesTheBestGlobalConfig)
+{
+    // With every clock step shorter than the last, the tuned side
+    // reads longer in every round: the plan becomes the best global
+    // config, applied uniformly, with that config's own numbers.
+    InferenceStack stack = makeStack("mobilenet");
+    Network &net = stack.model().net;
+    const AbSearch s = searchWithAbRounds(
+        stack, [](size_t k) { return 1e-3 / static_cast<double>(k + 1); });
+    const tune::DeploymentPlan &plan = s.plan;
+    EXPECT_EQ(plan.tunedP50, plan.bestGlobalP50);
+
+    // "backend/algo/tN", e.g. "serial/im2col/t1".
+    const std::string &cfg = plan.bestGlobalConfig;
+    const size_t s1 = cfg.find('/'), s2 = cfg.rfind("/t");
+    Backend backend;
+    ConvAlgo algo;
+    ASSERT_TRUE(backendFromToken(cfg.substr(0, s1), backend)) << cfg;
+    ASSERT_TRUE(algoFromToken(cfg.substr(s1 + 1, s2 - s1 - 1), algo));
+    const int threads = std::stoi(cfg.substr(s2 + 2));
+    EXPECT_EQ(plan.defaultBackend, backend);
+    EXPECT_EQ(plan.defaultThreads, threads);
+
+    bool changed = false;
+    ASSERT_EQ(plan.layers.size(), s.audit.size());
+    for (size_t i = 0; i < plan.layers.size(); ++i) {
+        const tune::LayerPlan &lp = plan.layers[i];
+        bool hasIm2col = false;
+        for (const tune::CandidatePoint &cp : s.audit[i].candidates)
+            hasIm2col |= cp.algo == ConvAlgo::Im2colGemm;
+        EXPECT_EQ(lp.backend, backend) << lp.layer;
+        EXPECT_EQ(lp.threads, threads) << lp.layer;
+        EXPECT_EQ(lp.algo, hasIm2col ? algo : ConvAlgo::Direct)
+            << lp.layer;
+        for (const tune::CandidatePoint &cp : s.audit[i].candidates)
+            if (cp.backend == lp.backend && cp.algo == lp.algo &&
+                cp.threads == lp.threads) {
+                EXPECT_EQ(lp.measuredSeconds, cp.measuredSeconds);
+                EXPECT_EQ(lp.maxAbsDev, cp.maxAbsDev);
+            }
+        const tune::LayerPlan &was = s.perLayer.layers[i];
+        changed |= was.backend != lp.backend || was.algo != lp.algo ||
+                   was.threads != lp.threads;
+    }
+    EXPECT_TRUE(changed) << "the per-layer winners were already uniform";
+
+    // Plan-wide fields are the uniform plan's own.
+    EXPECT_EQ(plan.peakBytesBound,
+              tune::planPeakBytes(plan, net, stack.inputShape(1)));
+    Rng rng(plan.seed, 0);
+    Tensor in(stack.inputShape(1));
+    in.fillUniform(rng, -1.0f, 1.0f);
+    ExecContext ref;
+    EXPECT_EQ(plan.maxAbsDev, forwardWithPlan(net, plan, in)
+                                  .maxAbsDiff(net.forward(in, ref)));
+    EXPECT_FALSE(anyError(
+        tune::validatePlan(plan, net, stack.inputShape(1))));
 }
 
 TEST(Tuner, ErrorBudgetGatesOnMeasuredDeviation)
