@@ -70,7 +70,8 @@
  *                                        forward, report its p50
  *
  * Prints the configured stack's achieved compression, simulated
- * platform time, host-measured time, and memory footprint. Bad
+ * platform time, host-measured time, and memory footprint (the
+ * tracked classes, and the process's peak RSS). Bad
  * arguments, including an option not listed above, exit 1 with a
  * message on stderr. With --repeat > 1 the host time becomes a
  * p50/p90/p99 distribution and the expected-vs-actual table is
@@ -85,6 +86,8 @@
 #include <fstream>
 #include <limits>
 #include <string>
+
+#include <sys/resource.h>
 
 #include "analysis/memory_estimate.hpp"
 #include "analysis/verifier.hpp"
@@ -106,6 +109,24 @@ using cli::argValue;
 using cli::hasFlag;
 
 namespace {
+
+/**
+ * Peak resident set of this process in bytes: VmHWM from
+ * /proc/self/status, which execve resets; else getrusage's ru_maxrss
+ * (KiB on Linux), which also counts the launcher's peak before exec.
+ */
+size_t
+peakRssBytes()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);) {
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::stoull(line.substr(6)) * 1024; // "... kB"
+    }
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<size_t>(ru.ru_maxrss) * 1024;
+}
 
 Backend
 parseBackend(const std::string &name)
@@ -553,10 +574,11 @@ runStackCli(int argc, char **argv)
     else
         std::printf("  %-18s%.4f s\n", host.c_str(), run.latency.p50);
     std::printf("  memory: total %s MB (weights %s, csr-meta %s, "
-                "activations %s)\n",
+                "activations %s), peak RSS %s MB\n",
                 fmtMb(fp.total).c_str(), fmtMb(fp.weights).c_str(),
                 fmtMb(fp.sparseMeta).c_str(),
-                fmtMb(fp.activations).c_str());
+                fmtMb(fp.activations).c_str(),
+                fmtMb(peakRssBytes()).c_str());
     if (ctx.metrics)
         printRunReport(run);
     return 0;

@@ -13,9 +13,7 @@ BatchNorm2d::BatchNorm2d(std::string name, size_t channels, float eps,
       gamma_(Shape{channels}, MemClass::Weights),
       beta_(Shape{channels}, MemClass::Weights),
       runningMean_(Shape{channels}, MemClass::Weights),
-      runningVar_(Shape{channels}, MemClass::Weights),
-      gradGamma_(Shape{channels}, MemClass::Other),
-      gradBeta_(Shape{channels}, MemClass::Other)
+      runningVar_(Shape{channels}, MemClass::Weights)
 {
     gamma_.fill(1.0f);
     runningVar_.fill(1.0f);
@@ -97,6 +95,9 @@ BatchNorm2d::backward(const Tensor &gradOut, ExecContext &ctx)
     const Shape &s = cachedInput_.shape();
     const size_t n = s.n(), hw = s.h() * s.w();
     const float count = static_cast<float>(n * hw);
+    const std::vector<Tensor *> grads = gradients();
+    Tensor &gradGamma = *grads[0];
+    Tensor &gradBeta = *grads[1];
     Tensor gradIn(s);
 
     for (size_t ch = 0; ch < channels_; ++ch) {
@@ -117,8 +118,8 @@ BatchNorm2d::backward(const Tensor &gradOut, ExecContext &ctx)
                 sum_gx += go[i] * xhat;
             }
         }
-        gradBeta_[ch] += static_cast<float>(sum_g);
-        gradGamma_[ch] += static_cast<float>(sum_gx);
+        gradBeta[ch] += static_cast<float>(sum_g);
+        gradGamma[ch] += static_cast<float>(sum_gx);
 
         const float k1 = static_cast<float>(sum_g) / count;
         const float k2 = static_cast<float>(sum_gx) / count;
@@ -143,12 +144,6 @@ std::vector<Tensor *>
 BatchNorm2d::parameters()
 {
     return {&gamma_, &beta_};
-}
-
-std::vector<Tensor *>
-BatchNorm2d::gradients()
-{
-    return {&gradGamma_, &gradBeta_};
 }
 
 LayerCost
@@ -183,8 +178,6 @@ BatchNorm2d::keepChannels(const std::vector<size_t> &keep)
     shrink(runningMean_);
     shrink(runningVar_);
     channels_ = keep.size();
-    gradGamma_ = Tensor(Shape{channels_}, MemClass::Other);
-    gradBeta_ = Tensor(Shape{channels_}, MemClass::Other);
 }
 
 } // namespace dlis

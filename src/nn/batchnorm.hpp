@@ -27,7 +27,6 @@ class BatchNorm2d : public Layer
     Tensor forward(const Tensor &input, ExecContext &ctx) override;
     Tensor backward(const Tensor &gradOut, ExecContext &ctx) override;
     std::vector<Tensor *> parameters() override;
-    std::vector<Tensor *> gradients() override;
     LayerCost cost(const Shape &input) const override;
 
     size_t channels() const { return channels_; }
@@ -53,7 +52,6 @@ class BatchNorm2d : public Layer
     float eps_, momentum_;
     Tensor gamma_, beta_;
     Tensor runningMean_, runningVar_;
-    Tensor gradGamma_, gradBeta_;
 
     // Training caches.
     Tensor cachedInput_;

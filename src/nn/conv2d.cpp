@@ -17,10 +17,7 @@ Conv2d::Conv2d(std::string name, size_t cin, size_t cout, size_t kernel,
       cin_(cin), cout_(cout), kernel_(kernel), stride_(stride), pad_(pad),
       withBias_(withBias),
       weight_(Shape{cout, cin, kernel, kernel}, MemClass::Weights),
-      bias_(withBias ? Tensor(Shape{cout}, MemClass::Weights) : Tensor()),
-      gradWeight_(Shape{cout, cin, kernel, kernel}, MemClass::Other),
-      gradBias_(withBias ? Tensor(Shape{cout}, MemClass::Other)
-                         : Tensor())
+      bias_(withBias ? Tensor(Shape{cout}, MemClass::Weights) : Tensor())
 {
     DLIS_CHECK(cin > 0 && cout > 0 && kernel > 0 && stride > 0,
                "conv '", name_, "' has a zero dimension");
@@ -43,7 +40,6 @@ Conv2d::enableBias()
         return;
     withBias_ = true;
     bias_ = Tensor(Shape{cout_}, MemClass::Weights);
-    gradBias_ = Tensor(Shape{cout_}, MemClass::Other);
 }
 
 ConvParams
@@ -172,6 +168,7 @@ Conv2d::backward(const Tensor &gradOut, ExecContext &ctx)
     const size_t spatial = ho * wo;
     const size_t ck = cin_ * kernel_ * kernel_;
 
+    const std::vector<Tensor *> grads = gradients();
     Tensor gradIn(cachedInput_.shape());
     Tensor cols(Shape{ck, spatial}, MemClass::Scratch);
     Tensor colsGrad(Shape{ck, spatial}, MemClass::Scratch);
@@ -185,7 +182,7 @@ Conv2d::backward(const Tensor &gradOut, ExecContext &ctx)
         kernels::im2col(p, in_img, cols.data());
 
         // dW += gradOut [cout, S] x cols^T [S, ck]
-        kernels::gemmABt(go_img, cols.data(), gradWeight_.data(), cout_,
+        kernels::gemmABt(go_img, cols.data(), grads[0]->data(), cout_,
                          spatial, ck, /*accumulate=*/true);
 
         // dX_cols = W^T [ck, cout] x gradOut [cout, S]
@@ -199,7 +196,7 @@ Conv2d::backward(const Tensor &gradOut, ExecContext &ctx)
                 float acc = 0.0f;
                 for (size_t i = 0; i < spatial; ++i)
                     acc += row[i];
-                gradBias_[oc] += acc;
+                (*grads[1])[oc] += acc;
             }
         }
     }
@@ -212,15 +209,6 @@ Conv2d::parameters()
     std::vector<Tensor *> out{&weight_};
     if (withBias_)
         out.push_back(&bias_);
-    return out;
-}
-
-std::vector<Tensor *>
-Conv2d::gradients()
-{
-    std::vector<Tensor *> out{&gradWeight_};
-    if (withBias_)
-        out.push_back(&gradBias_);
     return out;
 }
 
@@ -354,12 +342,9 @@ Conv2d::keepOutputChannels(const std::vector<size_t> &keep)
         for (size_t i = 0; i < keep.size(); ++i)
             b[i] = bias_[keep[i]];
         bias_ = std::move(b);
-        gradBias_ = Tensor(Shape{keep.size()}, MemClass::Other);
     }
     weight_ = std::move(w);
     cout_ = keep.size();
-    gradWeight_ =
-        Tensor(Shape{cout_, cin_, kernel_, kernel_}, MemClass::Other);
 }
 
 void
@@ -381,8 +366,6 @@ Conv2d::keepInputChannels(const std::vector<size_t> &keep)
     }
     weight_ = std::move(w);
     cin_ = keep.size();
-    gradWeight_ =
-        Tensor(Shape{cout_, cin_, kernel_, kernel_}, MemClass::Other);
 }
 
 } // namespace dlis

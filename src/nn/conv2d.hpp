@@ -49,7 +49,6 @@ class Conv2d : public Layer
     Tensor forward(const Tensor &input, ExecContext &ctx) override;
     Tensor backward(const Tensor &gradOut, ExecContext &ctx) override;
     std::vector<Tensor *> parameters() override;
-    std::vector<Tensor *> gradients() override;
     LayerCost cost(const Shape &input) const override;
 
     /** @name Geometry accessors. */
@@ -120,8 +119,6 @@ class Conv2d : public Layer
 
     Tensor weight_;    //!< OIHW (empty while format is Csr)
     Tensor bias_;
-    Tensor gradWeight_;
-    Tensor gradBias_;
     std::optional<CsrFilterBank> bank_;
     std::optional<PackedTernary> packed_;
 

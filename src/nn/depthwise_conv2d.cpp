@@ -10,8 +10,7 @@ DepthwiseConv2d::DepthwiseConv2d(std::string name, size_t channels,
                                  size_t kernel, size_t stride, size_t pad)
     : Layer(std::move(name)),
       channels_(channels), kernel_(kernel), stride_(stride), pad_(pad),
-      weight_(Shape{channels, 1, kernel, kernel}, MemClass::Weights),
-      gradWeight_(Shape{channels, 1, kernel, kernel}, MemClass::Other)
+      weight_(Shape{channels, 1, kernel, kernel}, MemClass::Weights)
 {
     DLIS_CHECK(channels > 0 && kernel > 0 && stride > 0,
                "depthwise conv '", name_, "' has a zero dimension");
@@ -30,7 +29,6 @@ DepthwiseConv2d::enableBias()
         return;
     withBias_ = true;
     bias_ = Tensor(Shape{channels_}, MemClass::Weights);
-    gradBias_ = Tensor(Shape{channels_}, MemClass::Other);
 }
 
 std::vector<Tensor *>
@@ -39,15 +37,6 @@ DepthwiseConv2d::parameters()
     std::vector<Tensor *> out{&weight_};
     if (withBias_)
         out.push_back(&bias_);
-    return out;
-}
-
-std::vector<Tensor *>
-DepthwiseConv2d::gradients()
-{
-    std::vector<Tensor *> out{&gradWeight_};
-    if (withBias_)
-        out.push_back(&gradBias_);
     return out;
 }
 
@@ -104,6 +93,7 @@ DepthwiseConv2d::backward(const Tensor &gradOut, ExecContext &ctx)
                "'");
     const ConvParams p = paramsFor(cachedInput_.shape());
     const size_t ho = p.hout(), wo = p.wout();
+    const std::vector<Tensor *> grads = gradients();
     Tensor gradIn(cachedInput_.shape());
 
     for (size_t img = 0; img < p.n; ++img) {
@@ -114,7 +104,7 @@ DepthwiseConv2d::backward(const Tensor &gradOut, ExecContext &ctx)
                 gradOut.data() + (img * channels_ + ch) * ho * wo;
             float *gi_ch =
                 gradIn.data() + (img * channels_ + ch) * p.hin * p.win;
-            float *gw_ch = gradWeight_.data() + ch * kernel_ * kernel_;
+            float *gw_ch = grads[0]->data() + ch * kernel_ * kernel_;
             float gb = 0.0f;
 
             for (size_t oy = 0; oy < ho; ++oy) {
@@ -148,7 +138,7 @@ DepthwiseConv2d::backward(const Tensor &gradOut, ExecContext &ctx)
                 }
             }
             if (withBias_)
-                gradBias_[ch] += gb;
+                (*grads[1])[ch] += gb;
         }
     }
     return gradIn;
@@ -193,12 +183,9 @@ DepthwiseConv2d::keepChannels(const std::vector<size_t> &keep)
         for (size_t i = 0; i < keep.size(); ++i)
             b[i] = bias_[keep[i]];
         bias_ = std::move(b);
-        gradBias_ = Tensor(Shape{keep.size()}, MemClass::Other);
     }
     weight_ = std::move(w);
     channels_ = keep.size();
-    gradWeight_ =
-        Tensor(Shape{channels_, 1, kernel_, kernel_}, MemClass::Other);
 }
 
 } // namespace dlis

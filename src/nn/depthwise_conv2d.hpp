@@ -46,7 +46,6 @@ class DepthwiseConv2d : public Layer
     Tensor forward(const Tensor &input, ExecContext &ctx) override;
     Tensor backward(const Tensor &gradOut, ExecContext &ctx) override;
     std::vector<Tensor *> parameters() override;
-    std::vector<Tensor *> gradients() override;
     LayerCost cost(const Shape &input) const override;
 
     size_t channels() const { return channels_; }
@@ -68,8 +67,6 @@ class DepthwiseConv2d : public Layer
     bool withBias_ = false;
     Tensor weight_; //!< [channels, 1, k, k]
     Tensor bias_;
-    Tensor gradWeight_;
-    Tensor gradBias_;
     Tensor cachedInput_;
 };
 

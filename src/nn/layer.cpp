@@ -89,6 +89,30 @@ Layer::backward(const Tensor &gradOut, ExecContext &ctx)
     fatal("layer '", name_, "' does not implement backward");
 }
 
+std::vector<Tensor *>
+Layer::gradients()
+{
+    const std::vector<Tensor *> params = parameters();
+    bool stale = grads_.size() != params.size();
+    for (size_t i = 0; !stale && i < params.size(); ++i)
+        stale = grads_[i].shape() != params[i]->shape();
+    if (stale) {
+        grads_.clear();
+        grads_.reserve(params.size());
+        // An empty parameter (dense weights dropped for a sparse
+        // format) gets an empty gradient, not a one-element one.
+        for (const Tensor *p : params)
+            grads_.push_back(p->numel()
+                                 ? Tensor(p->shape(), MemClass::Other)
+                                 : Tensor());
+    }
+    std::vector<Tensor *> out;
+    out.reserve(grads_.size());
+    for (Tensor &g : grads_)
+        out.push_back(&g);
+    return out;
+}
+
 void
 Layer::zeroGrad()
 {

@@ -2,9 +2,11 @@
  * @file
  * Abstract network layer.
  *
- * Layers own their parameters and gradients, support forward on any
- * backend and backward on the serial backend (training always runs
- * serially; the paper trains offline and characterises inference).
+ * Layers own their parameters, support forward on any backend and
+ * backward on the serial backend (training always runs serially; the
+ * paper trains offline and characterises inference). Gradients are
+ * training state: the base class allocates them on first use, so an
+ * inference-only model holds its parameters and nothing more.
  */
 
 #ifndef DLIS_NN_LAYER_HPP
@@ -48,8 +50,14 @@ class Layer
     /** Trainable parameter tensors (may be empty). */
     virtual std::vector<Tensor *> parameters() { return {}; }
 
-    /** Gradient tensors, aligned with parameters(). */
-    virtual std::vector<Tensor *> gradients() { return {}; }
+    /**
+     * Gradient tensors, aligned with parameters(): zero-filled
+     * MemClass::Other tensors of the parameters' shapes. They are
+     * allocated on the first call and re-allocated (zeroed) whenever
+     * the parameter count or a parameter's shape no longer matches
+     * them (channel surgery, enableBias, a format switch).
+     */
+    virtual std::vector<Tensor *> gradients();
 
     /** Zero all gradient tensors. */
     void zeroGrad();
@@ -69,6 +77,9 @@ class Layer
     KernelPolicy kernelPolicy(const ExecContext &ctx) const;
 
     std::string name_;
+
+  private:
+    std::vector<Tensor> grads_; //!< built by gradients() on first use
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -10,9 +10,7 @@ Linear::Linear(std::string name, size_t inFeatures, size_t outFeatures)
     : Layer(std::move(name)),
       inFeatures_(inFeatures), outFeatures_(outFeatures),
       weight_(Shape{outFeatures, inFeatures}, MemClass::Weights),
-      bias_(Shape{outFeatures}, MemClass::Weights),
-      gradWeight_(Shape{outFeatures, inFeatures}, MemClass::Other),
-      gradBias_(Shape{outFeatures}, MemClass::Other)
+      bias_(Shape{outFeatures}, MemClass::Weights)
 {
     DLIS_CHECK(inFeatures > 0 && outFeatures > 0,
                "linear '", name_, "' has a zero dimension");
@@ -69,6 +67,9 @@ Linear::backward(const Tensor &gradOut, ExecContext &ctx)
                "backward without training-mode forward in '", name_,
                "'");
     const size_t batch = cachedInput_.shape()[0];
+    const std::vector<Tensor *> grads = gradients();
+    Tensor &gradWeight = *grads[0];
+    Tensor &gradBias = *grads[1];
     Tensor gradIn(cachedInput_.shape());
 
     for (size_t b = 0; b < batch; ++b) {
@@ -77,11 +78,11 @@ Linear::backward(const Tensor &gradOut, ExecContext &ctx)
         float *gi_row = gradIn.data() + b * inFeatures_;
         for (size_t o = 0; o < outFeatures_; ++o) {
             const float g = go_row[o];
-            gradBias_[o] += g;
+            gradBias[o] += g;
             if (g == 0.0f)
                 continue;
             const float *w_row = weight_.data() + o * inFeatures_;
-            float *gw_row = gradWeight_.data() + o * inFeatures_;
+            float *gw_row = gradWeight.data() + o * inFeatures_;
             for (size_t i = 0; i < inFeatures_; ++i) {
                 gw_row[i] += g * in_row[i];
                 gi_row[i] += g * w_row[i];
@@ -95,12 +96,6 @@ std::vector<Tensor *>
 Linear::parameters()
 {
     return {&weight_, &bias_};
-}
-
-std::vector<Tensor *>
-Linear::gradients()
-{
-    return {&gradWeight_, &gradBias_};
 }
 
 LayerCost
@@ -178,7 +173,6 @@ Linear::keepInputChannels(const std::vector<size_t> &keep, size_t spatial)
     }
     weight_ = std::move(w);
     inFeatures_ = new_in;
-    gradWeight_ = Tensor(Shape{outFeatures_, new_in}, MemClass::Other);
 }
 
 } // namespace dlis

@@ -27,7 +27,6 @@ class Linear : public Layer
     Tensor forward(const Tensor &input, ExecContext &ctx) override;
     Tensor backward(const Tensor &gradOut, ExecContext &ctx) override;
     std::vector<Tensor *> parameters() override;
-    std::vector<Tensor *> gradients() override;
     LayerCost cost(const Shape &input) const override;
 
     size_t inFeatures() const { return inFeatures_; }
@@ -63,8 +62,6 @@ class Linear : public Layer
     WeightFormat format_ = WeightFormat::Dense;
     Tensor weight_; //!< [out, in] (empty while format is Csr)
     Tensor bias_;
-    Tensor gradWeight_;
-    Tensor gradBias_;
     std::optional<CsrMatrix> csr_;
     Tensor cachedInput_;
 };

@@ -159,26 +159,26 @@ collectRunReport(InferenceStack &stack, ExecContext &ctx,
         return input;
     };
 
-    // One untimed forward first, so thread-team start-up and cold
-    // caches stay out of the timed repeats. It runs under a copy of
-    // ctx with no observers and its own arena, which it frees, so the
-    // counters, spans and peaks below are those of the repeats alone.
-    {
-        ExecContext warm = ctx;
-        warm.tracer = nullptr;
-        warm.metrics = nullptr;
-        warm.arena = std::make_shared<ScratchArena>();
-        stack.model().net.forward(makeInput(), warm);
-    }
-
-    // Snapshot the tracker before the input exists so the observed
+    // Snapshot the tracker before any input exists so the observed
     // peaks below are deltas over exactly what the static estimate
-    // models: the held input plus the forward's transients.
+    // models: the held input plus the forward's transients, the
+    // arena's growth included.
     auto &tracker = MemoryTracker::instance();
     const size_t preActivations =
         tracker.currentBytes(MemClass::Activations);
     const size_t preScratch = tracker.currentBytes(MemClass::Scratch);
     tracker.resetPeaks();
+
+    // One untimed forward first, so thread-team start-up, cold caches
+    // and the growth of ctx's own arena stay out of the timed repeats.
+    // It runs under a copy of ctx with no observers, so the counters
+    // and spans below are those of the repeats alone.
+    {
+        ExecContext warm = ctx;
+        warm.tracer = nullptr;
+        warm.metrics = nullptr;
+        stack.model().net.forward(makeInput(), warm);
+    }
 
     const Tensor input = makeInput();
 

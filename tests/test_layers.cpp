@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include "compress/random_pruner.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/depthwise_conv2d.hpp"
 #include "nn/fold_bn.hpp"
 #include "nn/linear.hpp"
+#include "nn/models/model.hpp"
 #include "nn/network.hpp"
 #include "nn/pooling.hpp"
 #include "nn/residual_block.hpp"
@@ -343,6 +345,85 @@ TEST(DepthwiseLayer, KeepChannelsMatchesSubsetWithBias)
                 EXPECT_FLOAT_EQ(out[(img * 2 + i) * 25 + p],
                                 full[(img * 4 + keep[i]) * 25 + p])
                     << "image " << img << " kept channel " << keep[i];
+}
+
+/** Each layer's gradients() has its parameters()' count and shapes. */
+void
+expectGradientsFollowParameters(Network &net, const std::string &step)
+{
+    SCOPED_TRACE(step);
+    for (size_t i = 0; i < net.size(); ++i) {
+        Layer &layer = net.layer(i);
+        const std::vector<Tensor *> params = layer.parameters();
+        const std::vector<Tensor *> grads = layer.gradients();
+        ASSERT_EQ(grads.size(), params.size()) << layer.name();
+        for (size_t t = 0; t < params.size(); ++t) {
+            EXPECT_EQ(grads[t]->shape(), params[t]->shape())
+                << layer.name() << " tensor " << t;
+            EXPECT_EQ(grads[t]->numel(), params[t]->numel())
+                << layer.name() << " tensor " << t;
+        }
+    }
+}
+
+/** Sum of |g| over every gradient of @p net. */
+double
+gradientMass(Network &net)
+{
+    double mass = 0.0;
+    for (const Tensor *g : net.gradients())
+        for (size_t i = 0; i < g->numel(); ++i)
+            mass += std::fabs((*g)[i]);
+    return mass;
+}
+
+/** One training forward and backward of a batch of two. */
+void
+trainingStep(Network &net, uint64_t seed)
+{
+    ExecContext ctx;
+    ctx.training = true;
+    const Tensor logits =
+        net.forward(randomTensor(Shape{2, 3, 32, 32}, seed), ctx);
+    net.backward(randomTensor(logits.shape(), seed + 1), ctx);
+}
+
+/**
+ * Gradients are training state the layer builds on demand: whatever
+ * reshapes a parameter (channel surgery, BN folding's enableBias, a
+ * sparse format dropping the dense weights) leaves gradients() shaped
+ * like parameters(), and zeroGrad() zeroes every one of them.
+ */
+TEST(Layer, GradientsFollowParameterShapes)
+{
+    for (const std::string name : {"mobilenet", "resnet18"}) {
+        SCOPED_TRACE(name);
+        Rng rng(21);
+        Model model = makeModel(name, 10, 0.25, rng);
+
+        trainingStep(model.net, 22);
+        expectGradientsFollowParameters(model.net, "backward");
+        EXPECT_GT(gradientMass(model.net), 0.0);
+
+        RandomPruner(model, 23).removeChannels(12);
+        expectGradientsFollowParameters(model.net, "channel surgery");
+        model.net.zeroGrad();
+        EXPECT_EQ(gradientMass(model.net), 0.0);
+
+        ASSERT_GT(foldBatchNorms(model.net), 0u);
+        expectGradientsFollowParameters(model.net, "bn folding");
+
+        model.setFormat(WeightFormat::Csr);
+        expectGradientsFollowParameters(model.net, "csr format");
+        model.setFormat(WeightFormat::Dense);
+        expectGradientsFollowParameters(model.net, "dense again");
+
+        trainingStep(model.net, 24);
+        expectGradientsFollowParameters(model.net, "second backward");
+        EXPECT_GT(gradientMass(model.net), 0.0);
+        model.net.zeroGrad();
+        EXPECT_EQ(gradientMass(model.net), 0.0);
+    }
 }
 
 } // namespace

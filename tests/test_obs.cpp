@@ -337,6 +337,20 @@ TEST(RunReport, ObservedCsrRowVisitsMatchPrediction)
     EXPECT_EQ(forwards, repeats);
 }
 
+/** Sum of counter @p name over every layer scope of @p r. */
+uint64_t
+counterTotal(const RunReport &r, const char *name)
+{
+    const std::string suffix = std::string(".") + name;
+    uint64_t total = 0;
+    for (const auto &[key, value] : r.counters)
+        if (key.size() > suffix.size() &&
+            key.compare(key.size() - suffix.size(), suffix.size(),
+                        suffix) == 0)
+            total += value;
+    return total;
+}
+
 TEST(RunReport, HostRunHonoursBackendAndThreads)
 {
     // stack_cli times the host under the backend and thread count it
@@ -347,32 +361,39 @@ TEST(RunReport, HostRunHonoursBackendAndThreads)
     config.widthMult = 0.25;
     InferenceStack stack(config);
 
-    const auto ompRegions = [](const RunReport &r) {
-        const std::string suffix =
-            std::string(".") + obs::counter_names::ompRegions;
-        uint64_t total = 0;
-        for (const auto &[key, value] : r.counters)
-            if (key.size() > suffix.size() &&
-                key.compare(key.size() - suffix.size(), suffix.size(),
-                            suffix) == 0)
-                total += value;
-        return total;
-    };
-
     ExecContext omp;
     omp.backend = Backend::OpenMP;
     omp.threads = 2;
     const RunReport parallel = collectRunReport(stack, omp, 1);
     EXPECT_EQ("openmp", parallel.backend);
     EXPECT_EQ(2, parallel.threads);
-    EXPECT_GT(ompRegions(parallel), 0u);
+    EXPECT_GT(counterTotal(parallel, obs::counter_names::ompRegions), 0u);
 
     ExecContext serial;
     serial.threads = 2;
     const RunReport single = collectRunReport(stack, serial, 1);
     EXPECT_EQ("serial", single.backend);
     EXPECT_EQ(1, single.threads);
-    EXPECT_EQ(0u, ompRegions(single));
+    EXPECT_EQ(0u, counterTotal(single, obs::counter_names::ompRegions));
+}
+
+TEST(RunReport, TimedRepeatsGrowNoArena)
+{
+    // The untimed warm-up forward runs on the context's own arena, so
+    // its growth stays out of the timed repeats: every im2col scope
+    // they open rewinds without growing the arena.
+    StackConfig config;
+    config.modelName = "vgg16";
+    config.widthMult = 0.25;
+    InferenceStack stack(config);
+
+    ExecContext ctx;
+    ctx.backend = Backend::OpenMP;
+    ctx.threads = 2;
+    ctx.convAlgo = ConvAlgo::Im2colGemm;
+    const RunReport report = collectRunReport(stack, ctx, 3);
+    EXPECT_GT(counterTotal(report, obs::counter_names::arenaRewinds), 0u);
+    EXPECT_EQ(counterTotal(report, obs::counter_names::arenaBytes), 0u);
 }
 
 TEST(RunReport, FoldedIm2colCountsGroupsAndColumnBytes)

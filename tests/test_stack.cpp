@@ -118,6 +118,39 @@ TEST(InferenceStack, FootprintShapesMatchTableIV)
     }
 }
 
+/**
+ * An inference-only stack holds no training state: neither building
+ * it (compression included) nor a forward allocates gradients, the
+ * only MemClass::Other tensors a layer owns.
+ */
+TEST(InferenceStack, BuildHoldsNoTrainingState)
+{
+    auto &tracker = MemoryTracker::instance();
+    for (const std::string &model : paperModels()) {
+        const BaselineRates r = tableIII(model);
+        for (Technique t :
+             {Technique::None, Technique::WeightPruning,
+              Technique::ChannelPruning, Technique::Quantisation}) {
+            SCOPED_TRACE(model + " / " + techniqueName(t));
+            StackConfig c = smallConfig(model, t);
+            c.wpSparsity = r.wpSparsity;
+            c.cpRate = r.cpRate;
+            c.ttqThreshold = r.ttqThreshold;
+            if (t == Technique::WeightPruning ||
+                t == Technique::Quantisation)
+                c.format = WeightFormat::Csr;
+
+            const size_t before = tracker.currentBytes(MemClass::Other);
+            InferenceStack stack(c);
+            EXPECT_EQ(tracker.currentBytes(MemClass::Other), before);
+
+            ExecContext ctx;
+            stack.model().net.forward(Tensor(stack.inputShape(1)), ctx);
+            EXPECT_EQ(tracker.currentBytes(MemClass::Other), before);
+        }
+    }
+}
+
 TEST(InferenceStack, MobileNetSuffersWorstCsrBlowup)
 {
     // §V-D / Table IV: 1x1-filter layers make MobileNet's CSR
