@@ -276,23 +276,19 @@ runMemReport(int argc, char **argv, InferenceStack &stack)
                        stack.config().modelName +
                        ", transient+scratch bytes)");
     table.setHeader({"layer", "input", "output", "direct", "im2col"});
-    Shape cur = input;
-    for (const auto &layerPtr : net.layers()) {
-        const Layer &layer = *layerPtr;
-        auto algoCell = [&](ConvAlgo algo) {
-            const analysis::LayerMemory lm =
-                analysis::layerForwardMemory(layer, cur,
-                                             Backend::Serial, algo, 1);
-            return std::to_string(lm.transientBytes) + "+" +
-                   std::to_string(lm.scratchBytes);
-        };
-        const analysis::LayerMemory lm = analysis::layerForwardMemory(
-            layer, cur, Backend::Serial, ConvAlgo::Direct, 1);
-        table.addRow({layer.name(), std::to_string(lm.inputBytes),
-                      std::to_string(lm.outputBytes),
-                      algoCell(ConvAlgo::Direct),
-                      algoCell(ConvAlgo::Im2colGemm)});
-        cur = layer.outputShape(cur);
+    const analysis::MemoryEstimate direct = analysis::estimateForwardMemory(
+        net, input, Backend::Serial, ConvAlgo::Direct, 1);
+    const analysis::MemoryEstimate im2col = analysis::estimateForwardMemory(
+        net, input, Backend::Serial, ConvAlgo::Im2colGemm, 1);
+    auto cell = [](const analysis::LayerMemory &lm) {
+        return std::to_string(lm.transientBytes) + "+" +
+               std::to_string(lm.scratchBytes);
+    };
+    for (size_t i = 0; i < direct.perLayer.size(); ++i) {
+        const analysis::LayerMemory &lm = direct.perLayer[i];
+        table.addRow({lm.name, std::to_string(lm.inputBytes),
+                      std::to_string(lm.outputBytes), cell(lm),
+                      cell(im2col.perLayer[i])});
     }
     table.print();
 

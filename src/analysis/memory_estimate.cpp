@@ -55,13 +55,12 @@ gemmTileDemand(size_t m, size_t n, size_t threads, bool planar)
 }
 
 /** Activation + scratch bytes a Conv2d::forward allocates beyond its
- *  input. Mirrors the dispatch in Conv2d::forward: the output tensor
- *  is always constructed up front, so the im2col path pays for it
- *  *plus* its own result tensor. Scratch is the layer's total
- *  scratch-arena demand — the sum of the aligned block sizes its
- *  kernels bump-allocate within one scope (im2col columns, GEMM C
- *  tiles); the arena's grow-only capacity, and therefore the
- *  tracker's Scratch class, peaks at the largest layer demand. */
+ *  input: its output tensor, whichever kernel fills it. Scratch is the
+ *  layer's total scratch-arena demand — the sum of the aligned block
+ *  sizes its kernels bump-allocate within one scope (a fused
+ *  BatchNorm's scale and shift, im2col columns, GEMM C tiles); the
+ *  arena's grow-only capacity, and therefore the tracker's Scratch
+ *  class, peaks at the largest layer demand. */
 struct Transient
 {
     size_t act = 0;
@@ -70,12 +69,13 @@ struct Transient
 
 Transient
 convTransient(const Conv2d &conv, const Shape &in, Backend backend,
-              ConvAlgo algo, int threads)
+              ConvAlgo algo, int threads, const ConvTail &tail = {})
 {
     const size_t out = bytesOf(conv.outputShape(in));
+    const size_t epilogue = tail.scratchBytes(conv.cout());
     if (conv.format() != WeightFormat::Dense ||
         algo != ConvAlgo::Im2colGemm)
-        return {out, 0}; // direct kernels write the outer tensor
+        return {out, epilogue};
 
     // Conv2d::forwardIm2col's group workspace, the [k, g*hw] column
     // matrix (none for a one-image pointwise group, whose input is
@@ -92,7 +92,7 @@ convTransient(const Conv2d &conv, const Shape &in, Backend backend,
         copyCols ? ScratchArena::alignUp(k * n * sizeof(float)) : 0;
     const size_t tiles =
         gemmTileDemand(m, n, effectiveThreads(backend, threads), g > 1);
-    return {2 * out, cols + tiles};
+    return {out, epilogue + cols + tiles};
 }
 
 /** Transients of a residual block's forward, relative to its input.
@@ -169,16 +169,18 @@ accumulateParams(const Layer &layer, MemoryEstimate &est)
     }
 }
 
-/** Per-layer transient/scratch terms under one configuration — the
- *  shared pricing core of layerForwardMemory and the whole-network
- *  estimators. */
+/** Per-layer transient/scratch terms under one configuration, for a
+ *  layer that runs @p tail in its output store. */
 Transient
 layerTransient(const Layer &layer, const Shape &in, Backend backend,
-               ConvAlgo algo, int threads)
+               ConvAlgo algo, int threads, const ConvTail &tail)
 {
     Transient t{bytesOf(layer.outputShape(in)), 0};
     if (const auto *conv = dynamic_cast<const Conv2d *>(&layer))
-        t = convTransient(*conv, in, backend, algo, threads);
+        t = convTransient(*conv, in, backend, algo, threads, tail);
+    else if (const auto *dw =
+                 dynamic_cast<const DepthwiseConv2d *>(&layer))
+        t.scratch = tail.scratchBytes(dw->channels());
     else if (const auto *block =
                  dynamic_cast<const ResidualBlock *>(&layer))
         t = residualTransient(*block, in, backend, algo, threads);
@@ -202,8 +204,9 @@ memoryEstimateForPlan(
     size_t peakBeyondInput = inputBytes;
 
     Shape cur = input;
-    for (const auto &layerPtr : net.layers()) {
-        const Layer &layer = *layerPtr;
+    size_t fusedEnd = 0; // layers below this ran in a conv's store
+    for (size_t i = 0; i < net.size(); ++i) {
+        const Layer &layer = *net.layers()[i];
         accumulateParams(layer, est);
 
         // Resolve the layer's effective configuration the same way
@@ -220,9 +223,16 @@ memoryEstimateForPlan(
             threads = it->second.threads;
         }
 
+        // A BatchNorm or ReLU fused into the conv before it allocates
+        // nothing; the conv prices its tail (Network::forward decides
+        // with the same inferenceTail).
         const Shape out = layer.outputShape(cur);
-        const Transient t =
-            layerTransient(layer, cur, backend, algo, threads);
+        Transient t;
+        if (i >= fusedEnd) {
+            const ConvTail tail = inferenceTail(net.layers(), i);
+            t = layerTransient(layer, cur, backend, algo, threads, tail);
+            fusedEnd = i + 1 + tail.layers();
+        }
 
         LayerMemory lm;
         lm.name = layer.name();
@@ -249,21 +259,6 @@ estimateForwardMemory(const Network &net, const Shape &input,
     // A single global configuration is the empty-override plan.
     return memoryEstimateForPlan(net, input, {}, backend, algo,
                                  threads);
-}
-
-LayerMemory
-layerForwardMemory(const Layer &layer, const Shape &input,
-                   Backend backend, ConvAlgo algo, int threads)
-{
-    const Transient t =
-        layerTransient(layer, input, backend, algo, threads);
-    LayerMemory lm;
-    lm.name = layer.name();
-    lm.inputBytes = bytesOf(input);
-    lm.outputBytes = bytesOf(layer.outputShape(input));
-    lm.transientBytes = t.act;
-    lm.scratchBytes = t.scratch;
-    return lm;
 }
 
 } // namespace dlis::analysis

@@ -12,11 +12,13 @@
  * the measurement harness holds the input tensor for the whole
  * forward, Network::forward copies it into its layer cursor, and each
  * layer's forward allocates its output (plus per-layer transients —
- * the ReLU copy, the BatchNorm output, the im2col column buffer, the
- * residual block's skip copy) while its input is still live. For the
- * serial dense direct configuration the estimate matches the tracker's
- * observed peak byte-for-byte (tests/test_analysis.cpp pins this on
- * all three paper models).
+ * the im2col column buffer, a fused BatchNorm's scale and shift, the
+ * residual block's skip copy and internal BatchNorm/ReLU outputs)
+ * while its input is still live. A BatchNorm or ReLU that runs in the
+ * output store of the conv before it (nn/conv_tail.hpp) allocates
+ * nothing. The estimate matches the tracker's observed peak
+ * byte-for-byte (tests/test_analysis.cpp pins this on all three paper
+ * models).
  */
 
 #ifndef DLIS_ANALYSIS_MEMORY_ESTIMATE_HPP
@@ -40,12 +42,14 @@ struct LayerMemory
     /**
      * Peak activation bytes *allocated by this layer's forward* while
      * its input is live (includes the output; excludes the input).
+     * 0 for a layer fused into the conv before it.
      */
     size_t transientBytes = 0;
     /**
      * The layer's scratch-arena demand: the sum of the aligned blocks
-     * its kernels bump-allocate within one arena scope (im2col
-     * columns, per-thread GEMM C tiles).
+     * its kernels bump-allocate within one arena scope (a fused
+     * BatchNorm's scale and shift, im2col columns, per-thread GEMM C
+     * tiles).
      */
     size_t scratchBytes = 0;
 };
@@ -63,6 +67,11 @@ struct MemoryEstimate
      * arena keeps its capacity across forwards.
      */
     size_t scratchPeak = 0;
+    /**
+     * One entry per top-level layer, in order, each priced under the
+     * configuration that layer runs: the terms the planner and
+     * `stack_cli --mem-report` price candidates with.
+     */
     std::vector<LayerMemory> perLayer;
 
     /** Peak total footprint (weights + meta + activations + scratch). */
@@ -108,17 +117,6 @@ MemoryEstimate memoryEstimateForPlan(
     const std::unordered_map<std::string, LayerExecOverride> &overrides,
     Backend defaultBackend = Backend::Serial,
     ConvAlgo defaultAlgo = ConvAlgo::Direct, int defaultThreads = 1);
-
-/**
- * One layer's memory contribution under one concrete configuration:
- * the building block the memory-budgeted planner prices candidates
- * with. @p input is the activation shape entering the layer. The
- * returned transient/scratch figures are the same per-layer terms the
- * whole-network estimators above take their maxima over.
- */
-LayerMemory layerForwardMemory(const Layer &layer, const Shape &input,
-                               Backend backend, ConvAlgo algo,
-                               int threads);
 
 } // namespace dlis::analysis
 

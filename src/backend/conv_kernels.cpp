@@ -170,7 +170,8 @@ packedTernaryConvOneChannel(const ConvParams &p, const float *input,
 void
 depthwiseConvOneChannel(const ConvParams &p, const float *input,
                         const float *weight, const float *bias,
-                        float *output, size_t img, size_t ch)
+                        const ConvEpilogue &epilogue, float *output,
+                        size_t img, size_t ch)
 {
     const size_t ho = p.hout(), wo = p.wout();
     const float *in_ch =
@@ -198,7 +199,7 @@ depthwiseConvOneChannel(const ConvParams &p, const float *input,
                            in_ch[iy * p.win + ix];
                 }
             }
-            out_ch[oy * wo + ox] = acc;
+            out_ch[oy * wo + ox] = epilogue.apply(acc, ch);
         }
     }
 }
@@ -208,8 +209,9 @@ depthwiseConvOneChannel(const ConvParams &p, const float *input,
 void
 convDirectDense(const ConvParams &p, const float *input,
                 const float *weight, const float *bias, float *output,
-                const KernelPolicy &policy)
+                const KernelPolicy &policy, const ConvEpilogue &epilogue)
 {
+    const size_t hw = p.hout() * p.wout();
     // The 3x3 stride-1 shape (most convs in the paper's models) has a
     // vectorised variant; everything else runs the reference loop.
     const simd::MicroKernels &mk = simd::activeKernels();
@@ -217,19 +219,24 @@ convDirectDense(const ConvParams &p, const float *input,
         forEachImageChannel(p.n, p.cout, policy,
             [&](size_t img, size_t oc) {
                 mk.conv3x3s1(p, input, weight, bias, output, img, oc);
+                epilogue.applyPlane(output + (img * p.cout + oc) * hw,
+                                    hw, oc);
             });
         return;
     }
     forEachImageChannel(p.n, p.cout, policy,
         [&](size_t img, size_t oc) {
             denseConvOneChannel(p, input, weight, bias, output, img, oc);
+            epilogue.applyPlane(output + (img * p.cout + oc) * hw, hw,
+                                oc);
         });
 }
 
 void
 convDirectCsrBank(const ConvParams &p, const float *input,
                   const CsrFilterBank &bank, const float *bias,
-                  float *output, const KernelPolicy &policy)
+                  float *output, const KernelPolicy &policy,
+                  const ConvEpilogue &epilogue)
 {
     DLIS_CHECK(bank.outChannels() == p.cout &&
                bank.inChannels() == p.cin && bank.kernelH() == p.kh &&
@@ -238,21 +245,26 @@ convDirectCsrBank(const ConvParams &p, const float *input,
                bank.inChannels(), ", ", bank.kernelH(), ", ",
                bank.kernelW(), "], conv expects [", p.cout, ", ", p.cin,
                ", ", p.kh, ", ", p.kw, "]");
+    const size_t hw = p.hout() * p.wout();
     forEachImageChannel(p.n, p.cout, policy,
         [&](size_t img, size_t oc) {
             csrBankConvOneChannel(p, input, bank, bias, output, img, oc,
                                   policy.counters.csrRowVisits);
+            epilogue.applyPlane(output + (img * p.cout + oc) * hw, hw,
+                                oc);
         });
 }
 
 void
 convDirectPackedTernary(const ConvParams &p, const float *input,
                         const PackedTernary &weight, const float *bias,
-                        float *output, const KernelPolicy &policy)
+                        float *output, const KernelPolicy &policy,
+                        const ConvEpilogue &epilogue)
 {
     DLIS_CHECK(weight.numel() == p.cout * p.cin * p.kh * p.kw,
                "packed ternary weight has ", weight.numel(),
                " codes, conv expects ", p.cout * p.cin * p.kh * p.kw);
+    const size_t hw = p.hout() * p.wout();
     // Stride 1 lets the vector variant reuse one decode across a
     // whole block of output pixels (bit-exact; ternary_decodes counts
     // the decode() calls actually made, so it drops accordingly).
@@ -262,6 +274,8 @@ convDirectPackedTernary(const ConvParams &p, const float *input,
             [&](size_t img, size_t oc) {
                 mk.ternaryConvS1(p, input, weight, bias, output, img,
                                  oc, policy.counters.ternaryDecodes);
+                epilogue.applyPlane(output + (img * p.cout + oc) * hw,
+                                    hw, oc);
             });
         return;
     }
@@ -270,13 +284,16 @@ convDirectPackedTernary(const ConvParams &p, const float *input,
             packedTernaryConvOneChannel(p, input, weight, bias, output,
                                         img, oc,
                                         policy.counters.ternaryDecodes);
+            epilogue.applyPlane(output + (img * p.cout + oc) * hw, hw,
+                                oc);
         });
 }
 
 void
 convDepthwiseDense(const ConvParams &p, const float *input,
                    const float *weight, const float *bias, float *output,
-                   const KernelPolicy &policy)
+                   const KernelPolicy &policy,
+                   const ConvEpilogue &epilogue)
 {
     DLIS_CHECK(p.cout == p.cin, "depthwise conv needs cout == cin, got ",
                p.cout, " vs ", p.cin);
@@ -291,15 +308,15 @@ convDepthwiseDense(const ConvParams &p, const float *input,
         forEachImageChannel(1, (planes + 7) / 8, policy,
             [&](size_t, size_t block) {
                 const size_t q0 = block * 8;
-                mk.depthwise3x3(p, input, weight, bias, output, q0,
-                                std::min<size_t>(8, planes - q0));
+                mk.depthwise3x3(p, input, weight, bias, epilogue, output,
+                                q0, std::min<size_t>(8, planes - q0));
             });
         return;
     }
     forEachImageChannel(p.n, p.cout, policy,
         [&](size_t img, size_t ch) {
-            depthwiseConvOneChannel(p, input, weight, bias, output, img,
-                                    ch);
+            depthwiseConvOneChannel(p, input, weight, bias, epilogue,
+                                    output, img, ch);
         });
 }
 

@@ -54,6 +54,57 @@ struct ConvParams
     }
 };
 
+/**
+ * What a conv does to each output value where it stores it, after its
+ * bias: an inference BatchNorm's y = scale[c]*y, then y + shift[c],
+ * then a ReLU's y > 0 ? y : 0. Each operation rounds on its own, in
+ * the order the unfused BatchNorm2d and ReLU layers run them (no FMA
+ * contraction), so a fused output is bit-identical to the
+ * layer-by-layer one, NaN and -0.0 included. The default does nothing.
+ */
+struct ConvEpilogue
+{
+    const float *scale = nullptr; //!< per output channel; null = no BN
+    const float *shift = nullptr; //!< per output channel, with scale
+    bool relu = false;            //!< clamp at zero, last
+
+    /** True when apply() is the identity. */
+    bool empty() const { return !scale && !relu; }
+
+    /** Output @p y of channel @p ch after the epilogue. */
+    float
+    apply(float y, size_t ch) const
+    {
+        if (scale) {
+            y = scale[ch] * y;
+            y = y + shift[ch];
+        }
+        return relu ? (y > 0.0f ? y : 0.0f) : y;
+    }
+
+    /** apply() over @p count values of channel @p ch, in place. */
+    void
+    applyPlane(float *plane, size_t count, size_t ch) const
+    {
+        if (empty())
+            return;
+        for (size_t i = 0; i < count; ++i)
+            plane[i] = apply(plane[i], ch);
+    }
+
+    /** The same epilogue with channel @p ch0 as channel 0. */
+    ConvEpilogue
+    from(size_t ch0) const
+    {
+        ConvEpilogue e = *this;
+        if (scale) {
+            e.scale += ch0;
+            e.shift += ch0;
+        }
+        return e;
+    }
+};
+
 /** Threading policy (and observability handles) handed to kernels. */
 struct KernelPolicy
 {

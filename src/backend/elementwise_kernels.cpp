@@ -8,22 +8,35 @@
 namespace dlis::kernels {
 
 void
-reluInPlace(float *data, size_t count, const KernelPolicy &policy)
+relu(const float *input, float *output, size_t count,
+     const KernelPolicy &policy)
 {
+    auto clamp = [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i)
+            output[i] = input[i] > 0.0f ? input[i] : 0.0f;
+    };
     if (policy.threads > 1) {
         if (policy.counters.ompRegions)
             policy.counters.ompRegions->add(1);
         // A static split: one contiguous chunk per task.
-        auto task = [&](size_t tid, size_t nt) {
-            const size_t end = count * (tid + 1) / nt;
-            for (size_t i = count * tid / nt; i < end; ++i)
-                data[i] = data[i] > 0.0f ? data[i] : 0.0f;
-        };
-        team::run(static_cast<size_t>(policy.threads), task);
+        team::run(static_cast<size_t>(policy.threads),
+                  [&](size_t tid, size_t nt) {
+                      clamp(count * tid / nt, count * (tid + 1) / nt);
+                  });
         return;
     }
-    for (size_t i = 0; i < count; ++i)
-        data[i] = data[i] > 0.0f ? data[i] : 0.0f;
+    clamp(0, count);
+}
+
+void
+batchNormScaleShift(const float *gamma, const float *beta,
+                    const float *mean, const float *var, float eps,
+                    size_t c, float *scale, float *shift)
+{
+    for (size_t ch = 0; ch < c; ++ch) {
+        scale[ch] = gamma[ch] / std::sqrt(var[ch] + eps);
+        shift[ch] = beta[ch] - scale[ch] * mean[ch];
+    }
 }
 
 void
@@ -32,18 +45,20 @@ batchNormInference(const float *input, float *output, size_t n, size_t c,
                    const float *mean, const float *var, float eps,
                    const KernelPolicy &policy)
 {
-    (void)policy;
-    for (size_t img = 0; img < n; ++img) {
-        for (size_t ch = 0; ch < c; ++ch) {
-            const float scale =
-                gamma[ch] / std::sqrt(var[ch] + eps);
-            const float shift = beta[ch] - scale * mean[ch];
+    // One task per channel: its scale and shift are computed once and
+    // serve the channel's plane in every image.
+    forEachImageChannel(1, c, policy, [&](size_t, size_t ch) {
+        float scale = 0.0f, shift = 0.0f;
+        batchNormScaleShift(gamma + ch, beta + ch, mean + ch, var + ch,
+                            eps, 1, &scale, &shift);
+        const ConvEpilogue bn{&scale, &shift, false};
+        for (size_t img = 0; img < n; ++img) {
             const float *in = input + (img * c + ch) * hw;
             float *out = output + (img * c + ch) * hw;
             for (size_t i = 0; i < hw; ++i)
-                out[i] = scale * in[i] + shift;
+                out[i] = bn.apply(in[i], 0);
         }
-    }
+    });
 }
 
 void

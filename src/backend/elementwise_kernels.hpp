@@ -13,12 +13,30 @@
 
 namespace dlis::kernels {
 
-/** In-place ReLU over @p count elements. */
-void reluInPlace(float *data, size_t count, const KernelPolicy &policy);
+/**
+ * ReLU, output[i] = input[i] > 0 ? input[i] : 0, over @p count
+ * elements: NaN and -0.0 become +0.0. On the worker team (one region)
+ * when the policy asks for threads.
+ */
+void relu(const float *input, float *output, size_t count,
+          const KernelPolicy &policy);
 
 /**
- * Inference batch-norm: y = gamma * (x - mean) / sqrt(var + eps) + beta,
- * applied per channel of an NCHW tensor.
+ * Inference batch-norm as a per-channel scale and shift:
+ * scale = gamma / sqrt(var + eps), then shift = beta - scale * mean,
+ * each rounded on its own. The unfused kernel below and every conv
+ * epilogue (ConvEpilogue) take their scale and shift from this one
+ * function, so the two cannot round differently.
+ */
+void batchNormScaleShift(const float *gamma, const float *beta,
+                         const float *mean, const float *var, float eps,
+                         size_t c, float *scale, float *shift);
+
+/**
+ * Inference batch-norm of an NCHW tensor: y = scale * x + shift per
+ * channel (batchNormScaleShift, computed once per channel per call),
+ * with the rounding of ConvEpilogue::apply. One task per channel, on
+ * the worker team when the policy asks for threads.
  */
 void batchNormInference(const float *input, float *output, size_t n,
                         size_t c, size_t hw, const float *gamma,

@@ -41,6 +41,8 @@ gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
     const Im2colGroup *pack = fusion.packB;
     DLIS_ASSERT(!pack || pack->cols == b,
                 "gemmBlocked packs B into packB->cols");
+    DLIS_ASSERT(k > 0 || (!fusion.bias && fusion.epilogue.empty()),
+                "gemmBlocked's epilogue runs at the last k block");
 
     if (policy.counters.gemmCalls)
         policy.counters.gemmCalls->add(1);
@@ -76,8 +78,9 @@ gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
     // C tile itself otherwise), sweep the K dimension in ascending p
     // order (the same per-element addition chain as a straight i/p/j
     // loop, so results are bit-identical for every thread count),
-    // then copy out, splitting each row at image-plane boundaries. No
-    // two parallel tasks touch the same C cacheline.
+    // applying the conv's bias and epilogue as the last k block is
+    // stored, then copy out, splitting each row at image-plane
+    // boundaries. No two parallel tasks touch the same C cacheline.
     auto tile_body = [&](size_t t, float *ctile) {
         const size_t i0 = (t / colTiles) * tm;
         const size_t j0 = (t % colTiles) * tn;
@@ -87,9 +90,11 @@ gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
         const size_t ldc = ctile ? cols : n;
         for (size_t i = 0; i < rows; ++i)
             std::memset(dst + i * ldc, 0, cols * sizeof(float));
+        const float *bias = fusion.bias ? fusion.bias + i0 : nullptr;
+        const ConvEpilogue epilogue = fusion.epilogue.from(i0);
         if (mk.gemmTile) {
             mk.gemmTile(a + i0 * k, k, b + j0, n, dst, ldc, rows, cols,
-                        k, tk);
+                        k, tk, bias, epilogue);
         } else {
             for (size_t p0 = 0; p0 < k; p0 += tk) {
                 const size_t p1 = std::min(p0 + tk, k);
@@ -101,6 +106,12 @@ gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
                         const float *brow = b + p * n + j0;
                         for (size_t j = 0; j < cols; ++j)
                             crow[j] += av * brow[j];
+                    }
+                    if (p1 < k || (!bias && epilogue.empty()))
+                        continue;
+                    for (size_t j = 0; j < cols; ++j) {
+                        const float y = bias ? crow[j] + bias[i] : crow[j];
+                        crow[j] = epilogue.apply(y, i);
                     }
                 }
             }

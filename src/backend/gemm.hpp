@@ -61,6 +61,13 @@ struct GemmConvFusion
      * 0 means one row-major [m, n] matrix.
      */
     size_t imageCols = 0;
+    /**
+     * Per-row (output channel) bias, or null. Each element's final
+     * value is (acc + bias[i]) rounded, then epilogue.apply(·, i),
+     * computed on the accumulator as the last k block is stored.
+     */
+    const float *bias = nullptr;
+    ConvEpilogue epilogue{}; //!< indexed by row (output channel)
 };
 
 /**
@@ -83,7 +90,8 @@ struct GemmConvFusion
  * (vector ISAs differ from scalar only by FMA's single rounding,
  * within the parity-test tolerances).
  *
- * @param fusion  in-region im2col pack and NCHW store
+ * @param fusion  in-region im2col pack, NCHW store and the conv's
+ *                bias and epilogue (k must be > 0 when either is set)
  */
 void gemmBlocked(const float *a, const float *b, float *c, size_t m,
                  size_t k, size_t n, const KernelPolicy &policy,

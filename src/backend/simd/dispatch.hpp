@@ -60,11 +60,15 @@ struct MicroKernels
      * B[p*ldb + j] for i < rows, j < cols, sweeping p in ascending
      * order in tileK-sized blocks (the accumulator round-trips
      * through dst between blocks, exactly like the reference loop in
-     * gemmBlocked). The caller zeroes dst first.
+     * gemmBlocked). The caller zeroes dst first. As the last block is
+     * stored, row i's accumulator gets + bias[i] (when bias is set),
+     * then epilogue.apply(·, i), each a separate rounding.
      */
     void (*gemmTile)(const float *a, size_t lda, const float *b,
                      size_t ldb, float *dst, size_t ldc, size_t rows,
-                     size_t cols, size_t k, size_t tileK) = nullptr;
+                     size_t cols, size_t k, size_t tileK,
+                     const float *bias,
+                     const ConvEpilogue &epilogue) = nullptr;
 
     /**
      * One (image, output-channel) pair of a dense direct conv,
@@ -84,11 +88,13 @@ struct MicroKernels
      * plane's result is independent of the block it runs in, which
      * keeps batch invariance and thread-count identity exact. Lane
      * offsets are 32-bit: 8*hin*win and 9*C must fit in an int32_t.
+     * Each lane's accumulator gets the epilogue of its channel before
+     * it is stored.
      */
     void (*depthwise3x3)(const ConvParams &p, const float *input,
                          const float *weight, const float *bias,
-                         float *output, size_t plane0,
-                         size_t planes) = nullptr;
+                         const ConvEpilogue &epilogue, float *output,
+                         size_t plane0, size_t planes) = nullptr;
 
     /**
      * One (image, output-channel) pair of a packed-ternary conv for

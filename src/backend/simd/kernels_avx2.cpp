@@ -41,20 +41,47 @@ spanMask(size_t span)
 }
 
 /**
+ * ConvEpilogue::apply on eight lanes of one channel, after an optional
+ * bias: separate add, mul, add roundings, then max(y, 0), which is
+ * y > 0 ? y : 0 exactly (vmaxps returns its second operand for a NaN
+ * or a pair of zeros).
+ */
+__m256
+epilogueAvx2(__m256 y, const float *bias, const ConvEpilogue &ep,
+             size_t ch)
+{
+    if (bias)
+        y = _mm256_add_ps(y, _mm256_set1_ps(bias[ch]));
+    if (ep.scale) {
+        y = _mm256_mul_ps(_mm256_set1_ps(ep.scale[ch]), y);
+        y = _mm256_add_ps(y, _mm256_set1_ps(ep.shift[ch]));
+    }
+    if (ep.relu)
+        y = _mm256_max_ps(y, _mm256_setzero_ps());
+    return y;
+}
+
+/**
  * One MR-row panel of a C tile: dst[r][j] += sum_p a[r][p] * b[p][j]
  * over p in [p0, p1). Columns run eight at a time with one register
  * accumulator per row (MR <= 8 keeps all live values in ymm); the
  * 1..7-column remainder is one masked 8-lane block, so an N<8 GEMM
  * (the 2x2-spatial late layers, N = 4) stays vectorised. Dead lanes
  * neither read nor write memory, and every live lane runs the same
- * single-rounded ascending-p fmadd chain as a full block.
+ * single-rounded ascending-p fmadd chain as a full block. A non-null
+ * @p ep (the last k block) applies the bias and epilogue of row r to
+ * its accumulator before the store.
  */
 template <int MR>
 void
 gemmPanelAvx2(const float *a, size_t lda, const float *b, size_t ldb,
               float *dst, size_t ldc, size_t cols, size_t p0,
-              size_t p1)
+              size_t p1, const float *bias, const ConvEpilogue *ep)
 {
+    auto finish = [&](__m256 acc, int r) {
+        return ep ? epilogueAvx2(acc, bias, *ep, static_cast<size_t>(r))
+                  : acc;
+    };
     size_t j = 0;
     for (; j + 8 <= cols; j += 8) {
         __m256 acc[MR];
@@ -67,7 +94,7 @@ gemmPanelAvx2(const float *a, size_t lda, const float *b, size_t ldb,
                     _mm256_broadcast_ss(a + r * lda + p), bv, acc[r]);
         }
         for (int r = 0; r < MR; ++r)
-            _mm256_storeu_ps(dst + r * ldc + j, acc[r]);
+            _mm256_storeu_ps(dst + r * ldc + j, finish(acc[r], r));
     }
     if (j < cols) {
         const __m256i mask = spanMask(cols - j);
@@ -81,45 +108,61 @@ gemmPanelAvx2(const float *a, size_t lda, const float *b, size_t ldb,
                     _mm256_broadcast_ss(a + r * lda + p), bv, acc[r]);
         }
         for (int r = 0; r < MR; ++r)
-            _mm256_maskstore_ps(dst + r * ldc + j, mask, acc[r]);
+            _mm256_maskstore_ps(dst + r * ldc + j, mask,
+                                finish(acc[r], r));
     }
 }
 
 void
 gemmTileAvx2(const float *a, size_t lda, const float *b, size_t ldb,
              float *dst, size_t ldc, size_t rows, size_t cols,
-             size_t k, size_t tileK)
+             size_t k, size_t tileK, const float *bias,
+             const ConvEpilogue &epilogue)
 {
     const size_t tk = tileK ? tileK : (k ? k : 1);
+    const bool finish = bias || !epilogue.empty();
     for (size_t p0 = 0; p0 < k; p0 += tk) {
         const size_t p1 = std::min(p0 + tk, k);
         size_t i = 0;
-        for (; i + 8 <= rows; i += 8)
+        for (; i + 8 <= rows; i += 8) {
+            const ConvEpilogue ep = epilogue.from(i);
             gemmPanelAvx2<8>(a + i * lda, lda, b, ldb, dst + i * ldc,
-                             ldc, cols, p0, p1);
+                             ldc, cols, p0, p1, bias ? bias + i : nullptr,
+                             finish && p1 == k ? &ep : nullptr);
+        }
         const float *ar = a + i * lda;
         float *dr = dst + i * ldc;
+        const float *br = bias ? bias + i : nullptr;
+        const ConvEpilogue er = epilogue.from(i);
+        const ConvEpilogue *ep = finish && p1 == k ? &er : nullptr;
         switch (rows - i) {
         case 7:
-            gemmPanelAvx2<7>(ar, lda, b, ldb, dr, ldc, cols, p0, p1);
+            gemmPanelAvx2<7>(ar, lda, b, ldb, dr, ldc, cols, p0, p1, br,
+                             ep);
             break;
         case 6:
-            gemmPanelAvx2<6>(ar, lda, b, ldb, dr, ldc, cols, p0, p1);
+            gemmPanelAvx2<6>(ar, lda, b, ldb, dr, ldc, cols, p0, p1, br,
+                             ep);
             break;
         case 5:
-            gemmPanelAvx2<5>(ar, lda, b, ldb, dr, ldc, cols, p0, p1);
+            gemmPanelAvx2<5>(ar, lda, b, ldb, dr, ldc, cols, p0, p1, br,
+                             ep);
             break;
         case 4:
-            gemmPanelAvx2<4>(ar, lda, b, ldb, dr, ldc, cols, p0, p1);
+            gemmPanelAvx2<4>(ar, lda, b, ldb, dr, ldc, cols, p0, p1, br,
+                             ep);
             break;
         case 3:
-            gemmPanelAvx2<3>(ar, lda, b, ldb, dr, ldc, cols, p0, p1);
+            gemmPanelAvx2<3>(ar, lda, b, ldb, dr, ldc, cols, p0, p1, br,
+                             ep);
             break;
         case 2:
-            gemmPanelAvx2<2>(ar, lda, b, ldb, dr, ldc, cols, p0, p1);
+            gemmPanelAvx2<2>(ar, lda, b, ldb, dr, ldc, cols, p0, p1, br,
+                             ep);
             break;
         case 1:
-            gemmPanelAvx2<1>(ar, lda, b, ldb, dr, ldc, cols, p0, p1);
+            gemmPanelAvx2<1>(ar, lda, b, ldb, dr, ldc, cols, p0, p1, br,
+                             ep);
             break;
         default:
             break;
@@ -262,14 +305,16 @@ conv3x3s1Avx2(const ConvParams &p, const float *input,
  * channel q % C, so a block may straddle two images). Every lane's
  * bias and nine taps are gathered once per block; each output pixel
  * then gathers its in-bounds input taps at lane stride hin*win and
- * runs the same single-rounded ky/kx fmadd chain as conv3x3PixelFma.
+ * runs the same single-rounded ky/kx fmadd chain as conv3x3PixelFma,
+ * then the epilogue (ConvEpilogue::apply's roundings) in the register.
  * Whether a tap is in bounds depends only on the pixel, so padding is
  * skipped for all lanes alike. Dead lanes of a partial block are
  * masked out of every gather and never stored.
  */
 void
 depthwise3x3Avx2(const ConvParams &p, const float *input,
-                 const float *weight, const float *bias, float *output,
+                 const float *weight, const float *bias,
+                 const ConvEpilogue &epilogue, float *output,
                  size_t plane0, size_t planes)
 {
     const size_t ho = p.hout(), wo = p.wout();
@@ -301,6 +346,16 @@ depthwise3x3Avx2(const ConvParams &p, const float *input,
     for (size_t t = 0; t < 9; ++t)
         w[t] = _mm256_mask_i32gather_ps(zero, weight + t, tapIdx, live,
                                         4);
+    // The epilogue of each lane's channel, gathered like the bias.
+    const bool bn = epilogue.scale != nullptr;
+    const __m256 scale =
+        bn ? _mm256_mask_i32gather_ps(zero, epilogue.scale, chanIdx,
+                                      live, 4)
+           : zero;
+    const __m256 shift =
+        bn ? _mm256_mask_i32gather_ps(zero, epilogue.shift, chanIdx,
+                                      live, 4)
+           : zero;
 
     const float *in = input + plane0 * inPlane;
     float *out = output + plane0 * outPlane;
@@ -326,6 +381,12 @@ depthwise3x3Avx2(const ConvParams &p, const float *input,
                         acc);
                 }
             }
+            if (bn) {
+                acc = _mm256_mul_ps(scale, acc);
+                acc = _mm256_add_ps(acc, shift);
+            }
+            if (epilogue.relu)
+                acc = _mm256_max_ps(acc, zero);
             _mm256_store_ps(res, acc);
             for (size_t l = 0; l < planes; ++l)
                 out[l * outPlane + oy * wo + ox] = res[l];

@@ -17,8 +17,9 @@ ReLU::outputShape(const Shape &input) const
 Tensor
 ReLU::forward(const Tensor &input, ExecContext &ctx)
 {
-    Tensor out = input;
-    kernels::reluInPlace(out.data(), out.numel(), kernelPolicy(ctx));
+    Tensor out(input.shape());
+    kernels::relu(input.data(), out.data(), out.numel(),
+                  kernelPolicy(ctx));
     if (ctx.training)
         cachedOutput_ = out;
     return out;

@@ -71,34 +71,53 @@ Conv2d::outputShape(const Shape &input) const
 Tensor
 Conv2d::forward(const Tensor &input, ExecContext &ctx)
 {
+    return forward(input, ctx, {});
+}
+
+Tensor
+Conv2d::forward(const Tensor &input, ExecContext &ctx,
+                const ConvTail &tail)
+{
     if (ctx.training) {
         DLIS_CHECK(format_ == WeightFormat::Dense,
                    "training requires dense weights in '", name_, "'");
+        DLIS_CHECK(tail.layers() == 0, "conv '", name_,
+                   "' runs no fused tail in training");
         cachedInput_ = input;
     }
 
     const ConvParams p = paramsFor(input.shape());
     Tensor out(outputShape(input.shape()));
     const float *bias_ptr = withBias_ ? bias_.data() : nullptr;
+    const KernelPolicy pol = kernelPolicy(ctx);
+
+    // The tail's BatchNorm scale and shift (and the im2col columns)
+    // come from the context's scratch arena; a call-local arena serves
+    // arena-less callers.
+    ScratchArena localArena;
+    ScratchArena &ar = pol.arena ? *pol.arena : localArena;
+    ScratchArena::Scope scope(ar, pol.counters);
+    const ConvEpilogue ep = tail.bind(out.shape(), ar);
 
     if (format_ == WeightFormat::Csr) {
         kernels::convDirectCsrBank(p, input.data(), *bank_, bias_ptr,
-                                   out.data(), kernelPolicy(ctx));
+                                   out.data(), pol, ep);
     } else if (format_ == WeightFormat::PackedTernary) {
         kernels::convDirectPackedTernary(p, input.data(), *packed_,
-                                         bias_ptr, out.data(),
-                                         kernelPolicy(ctx));
+                                         bias_ptr, out.data(), pol, ep);
     } else if (ctx.convAlgo == ConvAlgo::Im2colGemm) {
-        return forwardIm2col(input, ctx);
+        forwardIm2col(input, out, ctx, pol, ar, ep);
     } else {
         kernels::convDirectDense(p, input.data(), weight_.data(),
-                                 bias_ptr, out.data(), kernelPolicy(ctx));
+                                 bias_ptr, out.data(), pol, ep);
     }
     return out;
 }
 
-Tensor
-Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
+void
+Conv2d::forwardIm2col(const Tensor &input, Tensor &out,
+                      const ExecContext &ctx, const KernelPolicy &pol,
+                      ScratchArena &ar, const ConvEpilogue &epilogue)
 {
     DLIS_CHECK(format_ == WeightFormat::Dense,
                "im2col/GEMM path requires dense weights in '", name_,
@@ -108,10 +127,6 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
     const size_t ck = cin_ * kernel_ * kernel_;
     const size_t inImg = cin_ * p.hin * p.win;
 
-    Tensor out(outputShape(input.shape()));
-    const float *bias_ptr = withBias_ ? bias_.data() : nullptr;
-    const KernelPolicy pol = kernelPolicy(ctx);
-
     // Images run in groups of g: their columns sit side by side in one
     // [ck, g*hw] matrix, so a small-spatial layer streams its weights
     // once per group instead of once per image. Each output element
@@ -120,12 +135,8 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
     const size_t g = kernels::im2colGroupImages(p);
     const bool copyCols = g > 1 || !kernels::im2colIsIdentity(p);
 
-    // The column matrix comes from the context's scratch arena and is
-    // reused for every group (and every later forward); a call-local
-    // arena serves arena-less callers.
-    ScratchArena localArena;
-    ScratchArena &ar = pol.arena ? *pol.arena : localArena;
-    ScratchArena::Scope scope(ar, pol.counters);
+    // The column matrix is reused for every group (and, through the
+    // context's arena, every later forward).
     float *cols = copyCols ? ar.allocFloats(ck * g * hw) : nullptr;
 
     for (size_t img0 = 0; img0 < p.n; img0 += g) {
@@ -138,22 +149,18 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
             pol.counters.im2colBytes->add(ck * n * sizeof(float));
 
         // The GEMM's own parallel team packs the columns and stores
-        // each tile straight into its images' NCHW planes.
+        // each tile straight into its images' NCHW planes, adding the
+        // bias and applying the epilogue on the way.
         obs::TraceSpan gemmSpan(ctx.tracer, name_ + ".gemm", "kernel");
         const kernels::Im2colGroup group{p, in0, imgs, cols};
+        kernels::GemmConvFusion fusion;
+        fusion.packB = copyCols ? &group : nullptr;
+        fusion.imageCols = hw;
+        fusion.bias = withBias_ ? bias_.data() : nullptr;
+        fusion.epilogue = epilogue;
         kernels::gemmBlocked(weight_.data(), b, out0, cout_, ck, n, pol,
-                             {copyCols ? &group : nullptr, hw});
-        gemmSpan.finish();
-
-        if (!bias_ptr)
-            continue;
-        for (size_t i = 0; i < imgs * cout_; ++i) {
-            float *dst = out0 + i * hw;
-            for (size_t s = 0; s < hw; ++s)
-                dst[s] += bias_ptr[i % cout_];
-        }
+                             fusion);
     }
-    return out;
 }
 
 Tensor

@@ -17,6 +17,7 @@
 #include <optional>
 #include <vector>
 
+#include "nn/conv_tail.hpp"
 #include "nn/layer.hpp"
 #include "sparse/csr_filter_bank.hpp"
 #include "sparse/packed_ternary.hpp"
@@ -47,6 +48,14 @@ class Conv2d : public Layer
 
     Shape outputShape(const Shape &input) const override;
     Tensor forward(const Tensor &input, ExecContext &ctx) override;
+
+    /**
+     * Inference forward that also runs @p tail (the BatchNorm2d and/or
+     * ReLU after this conv) in the kernel's output store; see
+     * nn/conv_tail.hpp. An empty tail is forward(input, ctx).
+     */
+    Tensor forward(const Tensor &input, ExecContext &ctx,
+                   const ConvTail &tail);
     Tensor backward(const Tensor &gradOut, ExecContext &ctx) override;
     std::vector<Tensor *> parameters() override;
     LayerCost cost(const Shape &input) const override;
@@ -111,7 +120,9 @@ class Conv2d : public Layer
     void keepInputChannels(const std::vector<size_t> &keep);
 
   private:
-    Tensor forwardIm2col(const Tensor &input, ExecContext &ctx);
+    void forwardIm2col(const Tensor &input, Tensor &out,
+                       const ExecContext &ctx, const KernelPolicy &pol,
+                       ScratchArena &ar, const ConvEpilogue &epilogue);
 
     size_t cin_, cout_, kernel_, stride_, pad_;
     bool withBias_;

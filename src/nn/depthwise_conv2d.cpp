@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "backend/conv_kernels.hpp"
+#include "core/scratch_arena.hpp"
 
 namespace dlis {
 
@@ -69,10 +70,24 @@ DepthwiseConv2d::outputShape(const Shape &input) const
 Tensor
 DepthwiseConv2d::forward(const Tensor &input, ExecContext &ctx)
 {
-    if (ctx.training)
+    return forward(input, ctx, {});
+}
+
+Tensor
+DepthwiseConv2d::forward(const Tensor &input, ExecContext &ctx,
+                         const ConvTail &tail)
+{
+    if (ctx.training) {
+        DLIS_CHECK(tail.layers() == 0, "depthwise conv '", name_,
+                   "' runs no fused tail in training");
         cachedInput_ = input;
+    }
     const ConvParams p = paramsFor(input.shape());
     Tensor out(outputShape(input.shape()));
+    const KernelPolicy pol = kernelPolicy(ctx);
+    ScratchArena localArena;
+    ScratchArena &ar = pol.arena ? *pol.arena : localArena;
+    ScratchArena::Scope scope(ar, pol.counters);
     // Depthwise stays on the direct path under every backend; the
     // paper's GEMM transformation only covers standard convolutions.
     // A 3x3 filter runs the vector kernel where the ISA has one: it
@@ -80,7 +95,8 @@ DepthwiseConv2d::forward(const Tensor &input, ExecContext &ctx)
     // so the batch fills the lanes as well as the channels do.
     kernels::convDepthwiseDense(p, input.data(), weight_.data(),
                                 withBias_ ? bias_.data() : nullptr,
-                                out.data(), kernelPolicy(ctx));
+                                out.data(), pol,
+                                tail.bind(out.shape(), ar));
     return out;
 }
 

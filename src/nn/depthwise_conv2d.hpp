@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "nn/conv_tail.hpp"
 #include "nn/layer.hpp"
 
 namespace dlis {
@@ -44,6 +45,13 @@ class DepthwiseConv2d : public Layer
 
     Shape outputShape(const Shape &input) const override;
     Tensor forward(const Tensor &input, ExecContext &ctx) override;
+
+    /**
+     * Inference forward that also runs @p tail in the kernel's output
+     * store (nn/conv_tail.hpp). An empty tail is forward(input, ctx).
+     */
+    Tensor forward(const Tensor &input, ExecContext &ctx,
+                   const ConvTail &tail);
     Tensor backward(const Tensor &gradOut, ExecContext &ctx) override;
     std::vector<Tensor *> parameters() override;
     LayerCost cost(const Shape &input) const override;

@@ -20,6 +20,13 @@
  * sequential network (VGG-16, MobileNet). Residual blocks keep their
  * internal batch-norms (their structure is fixed); sequential
  * networks containing blocks are folded where possible.
+ *
+ * This is the paper's weight-fold ablation, not the deployment path:
+ * it rewrites the weights, so outputs move by rounding. Inference
+ * already runs each conv's BatchNorm and ReLU in the conv's output
+ * store with the unfused arithmetic, bit for bit and with no weight
+ * rewritten (nn/conv_tail.hpp); after a fold, the conv's new bias and
+ * its ReLU still fuse that way.
  */
 
 #ifndef DLIS_NN_FOLD_BN_HPP

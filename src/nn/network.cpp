@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "nn/conv2d.hpp"
+#include "nn/depthwise_conv2d.hpp"
 #include "obs/trace.hpp"
 
 namespace dlis {
@@ -32,14 +34,24 @@ Network::eraseLayer(size_t i)
 namespace {
 
 /**
- * Forward @p layer under @p ctx, or — when a deployment plan bound to
- * the context names this layer — under a context copy carrying the
- * plan's backend/algorithm/threads. The copy shares the arena (a
- * shared_ptr bump), so the override path stays allocation-free.
+ * Forward @p layer with @p tail fused into its output store, under
+ * @p ctx or — when a deployment plan bound to the context names this
+ * layer — under a context copy carrying the plan's
+ * backend/algorithm/threads. The copy shares the arena (a shared_ptr
+ * bump), so the override path stays allocation-free. A fused tail
+ * runs under its conv's configuration.
  */
 Tensor
-forwardLayer(Layer &layer, const Tensor &x, ExecContext &ctx)
+forwardLayer(Layer &layer, const ConvTail &tail, const Tensor &x,
+             ExecContext &ctx)
 {
+    auto run = [&](ExecContext &c) {
+        if (tail.layers() == 0)
+            return layer.forward(x, c);
+        if (auto *conv = dynamic_cast<Conv2d *>(&layer))
+            return conv->forward(x, c, tail);
+        return dynamic_cast<DepthwiseConv2d &>(layer).forward(x, c, tail);
+    };
     if (ctx.layerOverrides) {
         const auto it = ctx.layerOverrides->find(layer.name());
         if (it != ctx.layerOverrides->end()) {
@@ -47,10 +59,10 @@ forwardLayer(Layer &layer, const Tensor &x, ExecContext &ctx)
             lctx.backend = it->second.backend;
             lctx.convAlgo = it->second.convAlgo;
             lctx.threads = it->second.threads;
-            return layer.forward(x, lctx);
+            return run(lctx);
         }
     }
-    return layer.forward(x, ctx);
+    return run(ctx);
 }
 
 } // namespace
@@ -58,13 +70,7 @@ forwardLayer(Layer &layer, const Tensor &x, ExecContext &ctx)
 Tensor
 Network::forward(const Tensor &input, ExecContext &ctx)
 {
-    Tensor x = input;
-    for (auto &layer : layers_) {
-        obs::TraceSpan span(ctx.tracer, layer->name(), "layer",
-                            ctx.traceFlowId);
-        x = forwardLayer(*layer, x, ctx);
-    }
-    return x;
+    return run(input, ctx, nullptr);
 }
 
 Tensor
@@ -73,16 +79,35 @@ Network::forwardProfiled(const Tensor &input, ExecContext &ctx,
 {
     timings.clear();
     timings.reserve(layers_.size());
+    return run(input, ctx, &timings);
+}
+
+Tensor
+Network::run(const Tensor &input, ExecContext &ctx,
+             std::vector<LayerTiming> *timings)
+{
     Tensor x = input;
-    for (auto &layer : layers_) {
-        obs::TraceSpan span(ctx.tracer, layer->name(), "layer",
+    for (size_t i = 0; i < layers_.size();) {
+        Layer &layer = *layers_[i];
+        const ConvTail tail =
+            ctx.training ? ConvTail{} : inferenceTail(layers_, i);
+        obs::TraceSpan span(ctx.tracer, layer.name(), "layer",
                             ctx.traceFlowId);
-        const auto t0 = std::chrono::steady_clock::now();
-        x = forwardLayer(*layer, x, ctx);
-        const auto t1 = std::chrono::steady_clock::now();
-        timings.push_back(
-            {layer->name(),
-             std::chrono::duration<double>(t1 - t0).count()});
+        std::chrono::steady_clock::time_point t0;
+        if (timings)
+            t0 = std::chrono::steady_clock::now();
+        x = forwardLayer(layer, tail, x, ctx);
+        if (timings) {
+            const auto t1 = std::chrono::steady_clock::now();
+            timings->push_back(
+                {layer.name(),
+                 std::chrono::duration<double>(t1 - t0).count()});
+            // The fused layers ran inside the conv's store: no time
+            // of their own.
+            for (size_t f = 1; f <= tail.layers(); ++f)
+                timings->push_back({layers_[i + f]->name(), 0.0});
+        }
+        i += 1 + tail.layers();
     }
     return x;
 }

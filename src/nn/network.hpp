@@ -66,10 +66,20 @@ class Network
     /** Remove the layer at index @p i (used by BN folding). */
     void eraseLayer(size_t i);
 
-    /** Run the network. */
+    /**
+     * Run the network. At inference (!ctx.training) each conv runs
+     * the BatchNorm2d and/or ReLU after it in its output store
+     * (inferenceTail, nn/conv_tail.hpp); those layers run no pass of
+     * their own. The output is bit-identical to calling each layer's
+     * forward in turn. Training runs every layer on its own.
+     */
     Tensor forward(const Tensor &input, ExecContext &ctx);
 
-    /** Run the network, recording wall-clock time per layer. */
+    /**
+     * forward(), recording wall-clock time per layer, one entry per
+     * layer in order; a layer fused into a conv's store reads 0 s (its
+     * work is in the conv's time).
+     */
     Tensor forwardProfiled(const Tensor &input, ExecContext &ctx,
                            std::vector<LayerTiming> &timings);
 
@@ -95,6 +105,9 @@ class Network
     Shape outputShape(const Shape &input) const;
 
   private:
+    Tensor run(const Tensor &input, ExecContext &ctx,
+               std::vector<LayerTiming> *timings);
+
     std::string name_;
     std::vector<LayerPtr> layers_;
 };

@@ -128,9 +128,7 @@ InferenceStack::InferenceStack(StackConfig config)
 {
     auto &tracker = MemoryTracker::instance();
     baseline_ = {tracker.currentBytes(MemClass::Weights),
-                 tracker.currentBytes(MemClass::SparseMeta),
-                 tracker.currentBytes(MemClass::Activations),
-                 tracker.currentBytes(MemClass::Scratch)};
+                 tracker.currentBytes(MemClass::SparseMeta)};
 
     Rng rng(config_.seed);
     model_ = makeModel(config_.modelName, config_.classes,
@@ -233,7 +231,13 @@ InferenceStack::measureHostStats(ExecContext &ctx, size_t reps,
 Footprint
 InferenceStack::measureFootprint(size_t batch, ConvAlgo algo)
 {
+    // Activations and scratch are this forward's own: deltas over what
+    // is live when it starts (another context's arena, say), like
+    // collectRunReport's.
     auto &tracker = MemoryTracker::instance();
+    const size_t preActivations =
+        tracker.currentBytes(MemClass::Activations);
+    const size_t preScratch = tracker.currentBytes(MemClass::Scratch);
     tracker.resetPeaks();
 
     Rng rng(config_.seed + 7);
@@ -253,9 +257,8 @@ InferenceStack::measureFootprint(size_t batch, ConvAlgo algo)
     fp.sparseMeta = delta(tracker.peakBytes(MemClass::SparseMeta),
                           baseline_[1]);
     fp.activations = delta(tracker.peakBytes(MemClass::Activations),
-                           baseline_[2]);
-    fp.scratch = delta(tracker.peakBytes(MemClass::Scratch),
-                       baseline_[3]);
+                           preActivations);
+    fp.scratch = delta(tracker.peakBytes(MemClass::Scratch), preScratch);
     fp.total =
         fp.weights + fp.sparseMeta + fp.activations + fp.scratch;
     return fp;

@@ -134,7 +134,7 @@ class InferenceStack
     Model model_;
     size_t denseParams_ = 0;
     size_t deployedParams_ = 0;
-    std::array<size_t, 4> baseline_{}; //!< tracker bytes before build
+    std::array<size_t, 2> baseline_{}; //!< weights, meta before build
 };
 
 /**

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <tuple>
 #include <unordered_map>
 
 #include "analysis/memory_estimate.hpp"
@@ -53,13 +55,15 @@ planUnderMemBudget(const Network &net, const Shape &input,
             floorA = std::max(floorA,
                               lm.inputBytes + lm.transientBytes);
 
-    // Price every measured candidate under its own configuration. The
-    // walk mirrors the estimator's: the running shape entering each
-    // layer is the shape the tuner measured it at.
+    // Price every measured candidate under its own configuration: a
+    // layer's per-layer entry depends only on the configuration it
+    // runs (its fused tail's included), so it is read off the uniform
+    // estimate of that configuration, computed once per configuration.
+    std::map<std::tuple<Backend, ConvAlgo, int>, analysis::MemoryEstimate>
+        uniform;
     std::vector<PricedLayer> priced(searches.size());
-    Shape cur = input;
-    for (const auto &layerPtr : net.layers()) {
-        const Layer &layer = *layerPtr;
+    for (size_t li = 0; li < net.size(); ++li) {
+        const Layer &layer = *net.layers()[li];
         const auto it = searchOf.find(layer.name());
         if (it != searchOf.end()) {
             const LayerSearch &search = searches[it->second];
@@ -68,10 +72,19 @@ planUnderMemBudget(const Network &net, const Shape &input,
                 const CandidatePoint &cp = search.candidates[ci];
                 if (cp.budgetExcluded)
                     continue;
-                const analysis::LayerMemory lm =
-                    analysis::layerForwardMemory(layer, cur,
-                                                 cp.backend, cp.algo,
-                                                 cp.threads);
+                const auto key =
+                    std::make_tuple(cp.backend, cp.algo, cp.threads);
+                auto est = uniform.find(key);
+                if (est == uniform.end()) {
+                    est = uniform
+                              .emplace(key,
+                                       analysis::estimateForwardMemory(
+                                           net, input, cp.backend,
+                                           cp.algo, cp.threads))
+                              .first;
+                }
+                const analysis::LayerMemory &lm =
+                    est->second.perLayer[li];
                 PricedCandidate pc;
                 pc.index = ci;
                 pc.actContrib = lm.inputBytes + lm.transientBytes;
@@ -87,7 +100,6 @@ planUnderMemBudget(const Network &net, const Shape &input,
                        "mem planner: layer '", search.layer,
                        "' has no measured candidate");
         }
-        cur = layer.outputShape(cur);
     }
     for (size_t i = 0; i < searches.size(); ++i)
         DLIS_CHECK(!priced[i].points.empty(),

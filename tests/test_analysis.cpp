@@ -23,6 +23,7 @@
 #include "serve/engine.hpp"
 #include "stack/inference_stack.hpp"
 #include "stack/report.hpp"
+#include "test_helpers.hpp"
 
 namespace dlis {
 namespace {
@@ -446,24 +447,28 @@ TEST(MemoryEstimate, MatchesObservedPeakForMixedPlanOverrides)
         std::unordered_map<std::string, LayerExecOverride> overrides;
         const ConvAlgo algos[] = {ConvAlgo::Im2colGemm,
                                   ConvAlgo::Direct};
-        Shape cur = stack.inputShape(1);
+        const Network &net = stack.model().net;
+        const analysis::MemoryEstimate direct =
+            analysis::estimateForwardMemory(net, stack.inputShape(1),
+                                            Backend::Serial,
+                                            ConvAlgo::Direct, 1);
+        const analysis::MemoryEstimate im2col =
+            analysis::estimateForwardMemory(net, stack.inputShape(1),
+                                            Backend::Serial,
+                                            ConvAlgo::Im2colGemm, 1);
         size_t convSeen = 0;
-        for (const auto &layer : stack.model().net.layers()) {
+        for (size_t i = 0; i < net.size(); ++i) {
             // Rotate algorithms across the layers that actually have
-            // an algorithm choice (im2col demands scratch there);
+            // an algorithm choice (im2col demands more scratch there);
             // everything else runs direct.
-            const bool tunable =
-                analysis::layerForwardMemory(*layer, cur,
-                                             Backend::Serial,
-                                             ConvAlgo::Im2colGemm, 1)
-                    .scratchBytes > 0;
+            const bool tunable = im2col.perLayer[i].scratchBytes >
+                                 direct.perLayer[i].scratchBytes;
             LayerExecOverride ov;
             ov.backend = Backend::Serial;
             ov.convAlgo =
                 tunable ? algos[convSeen++ % 2] : ConvAlgo::Direct;
             ov.threads = 1;
-            overrides[layer->name()] = ov;
-            cur = layer->outputShape(cur);
+            overrides[net.layers()[i]->name()] = ov;
         }
 
         ExecContext ctx;
@@ -569,6 +574,48 @@ TEST(MemoryEstimate, MatchesObservedPeakForFoldedBatch)
             EXPECT_EQ(rep.memory.staticActivations,
                       rep.memory.observedActivations);
         }
+    }
+}
+
+// A conv's BatchNorm and ReLU run in its output store at inference, so
+// they add no Activations bytes to the forward, and the estimate
+// prices them at 0.
+TEST(MemoryEstimate, FusedTailAddsNoActivationBytes)
+{
+    for (const ConvAlgo algo : {ConvAlgo::Direct, ConvAlgo::Im2colGemm}) {
+        SCOPED_TRACE(convAlgoName(algo));
+        Rng rng(31);
+        Network convOnly("conv");
+        convOnly.emplace<Conv2d>("conv", 3, 8, 3, 1, 1, false)
+            ->initKaiming(rng);
+        Network fused("conv-bn-relu");
+        fused.emplace<Conv2d>("conv", 3, 8, 3, 1, 1, false)
+            ->initKaiming(rng);
+        fused.emplace<BatchNorm2d>("bn", 8);
+        fused.emplace<ReLU>("relu");
+
+        const Tensor in = test::randomTensor(Shape{2, 3, 8, 8}, 32);
+        auto observedPeak = [&](Network &net) {
+            auto &tracker = MemoryTracker::instance();
+            const size_t pre =
+                tracker.currentBytes(MemClass::Activations);
+            tracker.resetPeaks();
+            ExecContext ctx;
+            ctx.convAlgo = algo;
+            (void)net.forward(in, ctx);
+            return tracker.peakBytes(MemClass::Activations) - pre;
+        };
+        const size_t fusedPeak = observedPeak(fused);
+        EXPECT_EQ(fusedPeak, observedPeak(convOnly));
+
+        const analysis::MemoryEstimate est =
+            analysis::estimateForwardMemory(fused, in.shape(),
+                                            Backend::Serial, algo, 1);
+        ASSERT_EQ(est.perLayer.size(), 3u);
+        EXPECT_EQ(est.perLayer[1].transientBytes, 0u);
+        EXPECT_EQ(est.perLayer[2].transientBytes, 0u);
+        // The estimate also counts the input the caller holds.
+        EXPECT_EQ(est.activationsPeak, in.bytes() + fusedPeak);
     }
 }
 

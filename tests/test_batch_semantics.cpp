@@ -13,9 +13,14 @@
  * the batch axis must come with an explicit decision to weaken this.
  */
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "nn/models/model.hpp"
+#include "nn/residual_block.hpp"
 #include "test_helpers.hpp"
 
 namespace dlis {
@@ -157,6 +162,131 @@ TEST(BatchSemantics, CsrFormat)
         const Tensor single = model.net.forward(rows[i], ctx);
         EXPECT_EQ(single.maxAbsDiff(sliceRow(batched, i)), 0.0f)
             << "CSR batch forward differs at row " << i;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fused inference: Network::forward runs each conv's BatchNorm and ReLU
+// in the conv's output store, and must equal the layers run one by one
+// bit for bit — NaN, infinities and signed zeros included.
+// ---------------------------------------------------------------------
+
+/** Give every BatchNorm (block-internal ones too) non-trivial stats. */
+void
+randomiseBatchNorms(Network &net, uint64_t seed)
+{
+    Rng rng(seed);
+    auto randomise = [&](BatchNorm2d &bn) {
+        auto draw = [&](double lo, double hi) {
+            return static_cast<float>(rng.uniform(lo, hi));
+        };
+        for (size_t c = 0; c < bn.channels(); ++c) {
+            bn.gamma()[c] = draw(0.5, 1.5);
+            bn.beta()[c] = draw(-0.5, 0.5);
+            bn.runningMean()[c] = draw(-0.3, 0.3);
+            bn.runningVar()[c] = draw(0.2, 2.0);
+        }
+    };
+    for (const LayerPtr &layer : net.layers()) {
+        if (auto *bn = dynamic_cast<BatchNorm2d *>(layer.get()))
+            randomise(*bn);
+        if (auto *block = dynamic_cast<ResidualBlock *>(layer.get())) {
+            randomise(block->bn1());
+            randomise(block->bn2());
+            if (block->projectionBn())
+                randomise(*block->projectionBn());
+        }
+    }
+}
+
+/** Random images with NaN, +-Inf and -0.0 planted in every one. */
+Tensor
+specialValueImages(size_t batch, uint64_t seed)
+{
+    Tensor t = test::randomTensor(Shape{batch, 3, 32, 32}, seed);
+    const size_t image = t.numel() / batch;
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              -0.0f};
+    for (size_t img = 0; img < batch; ++img)
+        for (size_t k = 0; k < 4; ++k)
+            t[img * image + (97 + 331 * k + 53 * img) % image] =
+                specials[k];
+    for (size_t i = 0; i < t.numel(); i += 17)
+        t[i] = -0.0f;
+    return t;
+}
+
+bool
+bitwiseEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape().dims() == b.shape().dims() &&
+           std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+TEST(FusedInference, ForwardIsBitwiseLayerByLayer)
+{
+    for (const char *name : {"vgg16", "resnet18", "mobilenet"}) {
+        Rng rng(21);
+        Model model = makeModel(name, 10, 0.25, rng);
+        randomiseBatchNorms(model.net, 22);
+        for (const ConvAlgo algo :
+             {ConvAlgo::Direct, ConvAlgo::Im2colGemm}) {
+            for (const int threads : {1, 4}) {
+                for (const size_t batch : {size_t{1}, size_t{8}}) {
+                    SCOPED_TRACE(std::string(name) + " " +
+                                 convAlgoName(algo) + " threads " +
+                                 std::to_string(threads) + " batch " +
+                                 std::to_string(batch));
+                    ExecContext ctx;
+                    ctx.backend = threads > 1 ? Backend::OpenMP
+                                              : Backend::Serial;
+                    ctx.threads = threads;
+                    ctx.convAlgo = algo;
+                    const Tensor in = specialValueImages(batch, 23);
+                    const Tensor fused = model.net.forward(in, ctx);
+                    Tensor layered = in;
+                    for (const LayerPtr &layer : model.net.layers())
+                        layered = layer->forward(layered, ctx);
+                    EXPECT_TRUE(bitwiseEqual(fused, layered));
+                    EXPECT_TRUE(std::isfinite(fused[0]));
+                }
+            }
+        }
+    }
+}
+
+// The direct sparse and packed kernels apply the same epilogue to each
+// finished output plane.
+TEST(FusedInference, CsrAndPackedTernaryConvsFuseBitwise)
+{
+    for (const WeightFormat format :
+         {WeightFormat::Csr, WeightFormat::PackedTernary}) {
+        Rng rng(24);
+        Model model = makeModel("mobilenet", 10, 0.25, rng);
+        randomiseBatchNorms(model.net, 25);
+        // Ternary codes (and ragged CSR rows): +0.5, -0.25 or 0.
+        for (Conv2d *conv : model.convs) {
+            Tensor &w = conv->weight();
+            for (size_t i = 0; i < w.numel(); ++i)
+                w[i] = w[i] > 0.3f ? 0.5f : w[i] < -0.3f ? -0.25f : 0.0f;
+        }
+        model.setFormat(format);
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(std::string(weightFormatName(format)) +
+                         " threads " + std::to_string(threads));
+            ExecContext ctx;
+            ctx.backend =
+                threads > 1 ? Backend::OpenMP : Backend::Serial;
+            ctx.threads = threads;
+            const Tensor in = specialValueImages(3, 26);
+            const Tensor fused = model.net.forward(in, ctx);
+            Tensor layered = in;
+            for (const LayerPtr &layer : model.net.layers())
+                layered = layer->forward(layered, ctx);
+            EXPECT_TRUE(bitwiseEqual(fused, layered));
+        }
     }
 }
 

@@ -21,6 +21,7 @@
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/network.hpp"
+#include "nn/pooling.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
@@ -174,11 +175,14 @@ TEST(Metrics, CsrKernelCountMatchesFormulaAcrossOmpThreads)
 
 TEST(Metrics, ReluCountsItsOmpRegionUnderItsScope)
 {
-    // The conv and the ReLU each open one parallel region under
-    // OpenMP x2 and none when serial; each is charged to its own
-    // layer's scope.
-    Network net("conv-relu");
+    // Under OpenMP x2 the conv opens one parallel region and none when
+    // serial, and so does a ReLU that runs on its own; each is charged
+    // to its own layer's scope. A ReLU right after the conv runs in
+    // the conv's output store at inference and opens none.
+    Network net("conv-relu-pool-relu");
     net.emplace<Conv2d>("conv", 2, 4, 3, 1, 1);
+    net.emplace<ReLU>("fused");
+    net.emplace<MaxPool2d>("pool", 2);
     net.emplace<ReLU>("relu");
     const Tensor in = randomTensor(Shape{1, 2, 8, 8}, 7);
     for (int threads : {1, 2}) {
@@ -192,6 +196,8 @@ TEST(Metrics, ReluCountsItsOmpRegionUnderItsScope)
         EXPECT_EQ(metrics.value("relu.omp_regions"), regions)
             << "threads=" << threads;
         EXPECT_EQ(metrics.value("conv.omp_regions"), regions)
+            << "threads=" << threads;
+        EXPECT_EQ(metrics.value("fused.omp_regions"), 0u)
             << "threads=" << threads;
     }
 }

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -604,6 +605,113 @@ TEST(SimdDepthwise, MatchesScalar)
     }
 }
 
+/** @p v with NaN, +-Inf and -0.0 planted every few elements. */
+std::vector<float>
+withSpecials(std::vector<float> v)
+{
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              -0.0f, 0.0f};
+    for (size_t i = 3; i < v.size(); i += 11)
+        v[i] = specials[i % 5];
+    return v;
+}
+
+/** Every epilogue shape: scale/shift on or off, ReLU on or off. */
+std::vector<ConvEpilogue>
+epilogueCases(const std::vector<float> &scale,
+              const std::vector<float> &shift)
+{
+    std::vector<ConvEpilogue> out;
+    for (bool bn : {false, true})
+        for (bool relu : {false, true})
+            out.push_back({bn ? scale.data() : nullptr,
+                           bn ? shift.data() : nullptr, relu});
+    return out;
+}
+
+/**
+ * The conv epilogue applied in the store — the GEMM's last k block
+ * (bias, then the epilogue) and the depthwise lane store — must equal
+ * the same kernel without it followed by ConvEpilogue::apply, bit for
+ * bit, under every ISA, on inputs carrying NaN, +-Inf and -0.0.
+ */
+TEST(SimdEpilogue, InTheStoreIsBitwiseThePostPass)
+{
+    for (const simd::SimdIsa isa :
+         {simd::SimdIsa::Scalar, simd::bestSupportedIsa()}) {
+        simd::ScopedForceIsa force(isa);
+        uint64_t seed = 900;
+        for (const auto &[m, k, n, planes] :
+             {std::array<size_t, 4>{5, 7, 9, 0},
+              std::array<size_t, 4>{13, 70, 20, 4},
+              std::array<size_t, 4>{37, 130, 64, 16}}) {
+            const auto a = randomVec(m * k, seed++);
+            const auto b = withSpecials(randomVec(k * n, seed++));
+            const auto bias = withSpecials(randomVec(m, seed++));
+            const auto scale = randomVec(m, seed++);
+            const auto shift = withSpecials(randomVec(m, seed++));
+            for (const ConvEpilogue &ep : epilogueCases(scale, shift)) {
+                for (int threads : {1, 3}) {
+                    SCOPED_TRACE(std::string(simd::isaName(isa)) +
+                                 " m=" + std::to_string(m) +
+                                 " threads=" + std::to_string(threads) +
+                                 " bn=" + std::to_string(!!ep.scale) +
+                                 " relu=" + std::to_string(ep.relu));
+                    kernels::GemmConvFusion fusion;
+                    fusion.imageCols = planes;
+                    std::vector<float> post(m * n), fused(m * n);
+                    kernels::gemmBlocked(a.data(), b.data(),
+                                         post.data(), m, k, n,
+                                         {threads}, fusion);
+                    for (size_t i = 0; i < post.size(); ++i) {
+                        const size_t row =
+                            planes ? i % (m * planes) / planes : i / n;
+                        post[i] = ep.apply(post[i] + bias[row], row);
+                    }
+                    fusion.bias = bias.data();
+                    fusion.epilogue = ep;
+                    kernels::gemmBlocked(a.data(), b.data(),
+                                         fused.data(), m, k, n,
+                                         {threads}, fusion);
+                    ASSERT_EQ(std::memcmp(post.data(), fused.data(),
+                                          post.size() * 4),
+                              0);
+                }
+            }
+        }
+        for (size_t stride : {1, 2}) {
+            const ConvParams p{3, 11, 6, 7, 11, 3, 3, stride, 1};
+            const auto input = withSpecials(
+                randomVec(p.n * p.cin * p.hin * p.win, seed++));
+            const auto weight = randomVec(p.cin * 9, seed++);
+            const auto bias = randomVec(p.cin, seed++);
+            const auto scale = randomVec(p.cin, seed++);
+            const auto shift = withSpecials(randomVec(p.cin, seed++));
+            const size_t plane = p.hout() * p.wout();
+            for (const ConvEpilogue &ep : epilogueCases(scale, shift)) {
+                SCOPED_TRACE(std::string(simd::isaName(isa)) +
+                             " depthwise stride " +
+                             std::to_string(stride));
+                std::vector<float> post(p.n * p.cout * plane),
+                    fused(post.size());
+                kernels::convDepthwiseDense(p, input.data(),
+                                            weight.data(), bias.data(),
+                                            post.data(), {1});
+                for (size_t i = 0; i < post.size(); ++i)
+                    post[i] = ep.apply(post[i], i / plane % p.cout);
+                kernels::convDepthwiseDense(p, input.data(),
+                                            weight.data(), bias.data(),
+                                            fused.data(), {2}, ep);
+                ASSERT_EQ(std::memcmp(post.data(), fused.data(),
+                                      post.size() * 4),
+                          0);
+            }
+        }
+    }
+}
+
 /**
  * One plane per lane: every output must be bias plus the std::fma
  * chain over the in-bounds taps in ky/kx order (padding skipped, not
@@ -671,10 +779,10 @@ TEST(SimdDepthwise, PlaneResultIndependentOfBlockAndThreads)
         for (size_t q = 0; q < planes; ++q) {
             std::vector<float> one(planes * plane, -7.0f);
             mk.depthwise3x3(p, input.data(), weight.data(), bias.data(),
-                            one.data(), q, 1);
+                            {}, one.data(), q, 1);
             std::vector<float> from(planes * plane);
             mk.depthwise3x3(p, input.data(), weight.data(), bias.data(),
-                            from.data(), q,
+                            {}, from.data(), q,
                             std::min<size_t>(8, planes - q));
             for (size_t i = 0; i < one.size(); ++i) {
                 if (i / plane != q) {
